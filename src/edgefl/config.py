@@ -4,6 +4,7 @@ fully-resolved echo written into every run summary."""
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
@@ -72,6 +73,18 @@ class SimConfig:
     avgae: AttackSettings
     gaussian_sigma: float
     signflip_scale: float
+
+
+class _Loader(yaml.SafeLoader):
+    """SafeLoader that also reads YAML 1.2 exponent floats such as 1e-4
+    and 1e9, which YAML 1.1 (PyYAML's default) leaves as strings."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"),
+    list("-+.0123456789"),
+)
 
 
 def _section(raw: Mapping, name: str, known: set[str]) -> dict:
@@ -148,7 +161,7 @@ def apply_overrides(raw: dict, overrides: Sequence[str]) -> dict:
         if not dotted:
             raise ConfigError(f"override has empty key: {item!r}")
         try:
-            value = yaml.safe_load(text)
+            value = yaml.load(text, Loader=_Loader)
         except yaml.YAMLError as exc:
             raise ConfigError(f"override {dotted}: unparseable value {text!r}: {exc}")
         node = raw
@@ -196,7 +209,7 @@ def validate_config(source: str | Mapping, overrides: Sequence[str] = ()) -> Sim
     """
     if isinstance(source, str):
         try:
-            raw = yaml.safe_load(source)
+            raw = yaml.load(source, Loader=_Loader)
         except yaml.YAMLError as exc:
             raise ConfigError(f"config is not valid YAML: {exc}")
     else:

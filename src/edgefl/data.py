@@ -9,9 +9,8 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import expit
 
-from .numerics import RngStream, as_params
+from .numerics import RngStream, as_params, sigmoid
 
 IMAGES_MAGIC = 0x00000803
 LABELS_MAGIC = 0x00000801
@@ -188,7 +187,7 @@ def synth_logistic(n: int, d: int, w_true, rng: RngStream) -> Dataset:
     if w_true.shape[0] != d:
         raise ValueError(f"dimension mismatch: w_true has {w_true.shape[0]}, d is {d}")
     x = rng.gen.standard_normal((n, d))
-    p = expit(x @ w_true)
+    p = sigmoid(x @ w_true)
     y = (rng.gen.random(n) < p).astype(np.float64)
     return Dataset(x, y)
 

@@ -13,15 +13,13 @@ device) so dense numpy math is used throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.spatial.distance import pdist
-from scipy.special import expit
 
 from .aggregation import ReportedUpdate
-from .numerics import Projector, RngStream, as_params, cosine_similarity, ensure_finite
+from .numerics import Projector, RngStream, as_params, cosine_similarity, ensure_finite, sigmoid
 
 PROB_CLAMP_LO = 1e-12
 PROB_CLAMP_HI = 1.0 - 1e-12
@@ -126,7 +124,11 @@ class ModelGraph:
 
 @dataclass
 class EncoderState:
-    """Learnable weights: graph layers, latent heads, and the scoring MLP."""
+    """Learnable weights: graph layers, latent heads, and the scoring MLP.
+
+    The gradients of the loss come back in the same type. psi_b2 is a 0-d
+    array so that every block can be updated in place.
+    """
 
     layer_weights: list[np.ndarray]
     mu_head: np.ndarray
@@ -134,18 +136,14 @@ class EncoderState:
     psi_w1: np.ndarray
     psi_b1: np.ndarray
     psi_w2: np.ndarray
-    psi_b2: float
+    psi_b2: np.ndarray
 
-    def copy(self) -> "EncoderState":
-        return EncoderState(
-            [w.copy() for w in self.layer_weights],
-            self.mu_head.copy(),
-            self.logvar_head.copy(),
-            self.psi_w1.copy(),
-            self.psi_b1.copy(),
-            self.psi_w2.copy(),
-            float(self.psi_b2),
-        )
+    def blocks(self) -> list[np.ndarray]:
+        """Every parameter array, in a fixed order."""
+        return [
+            *self.layer_weights, self.mu_head, self.logvar_head,
+            self.psi_w1, self.psi_b1, self.psi_w2, self.psi_b2,
+        ]
 
 
 @dataclass(frozen=True)
@@ -159,10 +157,15 @@ class LatentState:
 
 @dataclass(frozen=True)
 class LinkSample:
-    """Per-node positive neighbors and sampled negative non-neighbors."""
+    """Link-reconstruction weights, both (n, n).
 
-    positives: tuple[np.ndarray, ...]
-    negatives: tuple[np.ndarray, ...]
+    positive[v, u] = 1/|pos_v| for each observed neighbor u of v and
+    negative[v, u] = 1/|neg_v| for each sampled non-neighbor, zero
+    elsewhere, so each node's link terms are means over its sample.
+    """
+
+    positive: np.ndarray
+    negative: np.ndarray
 
 
 @dataclass
@@ -193,6 +196,7 @@ class GaeTrainResult:
     loss_trace: list[float]
     links: LinkSample
     eps: np.ndarray | None
+    latent: LatentState  # of the trained encoder under eps
 
 
 def build_graph(
@@ -239,10 +243,8 @@ class _Forward:
     hiddens: list[np.ndarray]  # H[0] = features, ..., H[L]
     mids: list[np.ndarray]     # M[l] = H[l-1] + Ahat @ H[l-1]
     preacts: list[np.ndarray]  # S[l] = M[l] @ W[l]
-    mu: np.ndarray
-    logvar: np.ndarray
+    latent: LatentState
     std: np.ndarray | None
-    z: np.ndarray
 
 
 def _forward(
@@ -272,7 +274,7 @@ def _forward(
     else:
         std = np.exp(0.5 * logvar)
         z = mu + std * eps
-    return _Forward(hiddens, mids, preacts, mu, logvar, std, z)
+    return _Forward(hiddens, mids, preacts, LatentState(mu=mu, logvar=logvar, z=z), std)
 
 
 def encode(
@@ -287,7 +289,7 @@ def encode(
     sample; pass None to take z = mu (the beta == 0 behavior).
     """
     fw = _forward(graph, enc, settings, eps)
-    return fw.hiddens[-1], LatentState(mu=fw.mu, logvar=fw.logvar, z=fw.z)
+    return fw.hiddens[-1], fw.latent
 
 
 def sample_links(
@@ -302,19 +304,17 @@ def sample_links(
     """
     n = graph.node_count
     others = np.arange(n)
-    positives, negatives = [], []
+    positive, negative = np.zeros((n, n)), np.zeros((n, n))
     for v in range(n):
         row = graph.adjacency[v]
         pos = others[(row > 0) & (others != v)]
         non = others[(row == 0) & (others != v)]
         n_neg = min(int(round(settings.negative_sample_ratio * len(pos))), len(non))
+        if len(pos):
+            positive[v, pos] = 1.0 / len(pos)
         if n_neg > 0:
-            neg = np.sort(rng.gen.choice(non, size=n_neg, replace=False))
-        else:
-            neg = np.empty(0, dtype=np.int64)
-        positives.append(pos)
-        negatives.append(neg)
-    return LinkSample(positives=tuple(positives), negatives=tuple(negatives))
+            negative[v, rng.gen.choice(non, size=n_neg, replace=False)] = 1.0 / n_neg
+    return LinkSample(positive=positive, negative=negative)
 
 
 # Clamping the probability into [1e-12, 1 - 1e-12] equals clamping the logit
@@ -333,14 +333,11 @@ def _clamp_active(s: np.ndarray) -> np.ndarray:
 
 
 def _link_loss(z: np.ndarray, links: LinkSample) -> float:
-    total = 0.0
-    for v in range(z.shape[0]):
-        pos, neg = links.positives[v], links.negatives[v]
-        if len(pos):
-            total += float(_clamped_neglog_sigmoid(z[pos] @ z[v]).mean())
-        if len(neg):
-            total += float(_clamped_neglog_sigmoid(-(z[neg] @ z[v])).mean())
-    return total
+    s = z @ z.T
+    return float(np.sum(
+        links.positive * _clamped_neglog_sigmoid(s)
+        + links.negative * _clamped_neglog_sigmoid(-s)
+    ))
 
 
 def _psi_scores(hidden: np.ndarray, enc: EncoderState):
@@ -378,54 +375,32 @@ def graph_loss(
     return total
 
 
-@dataclass
-class EncoderGrads:
-    layer_weights: list[np.ndarray]
-    mu_head: np.ndarray
-    logvar_head: np.ndarray
-    psi_w1: np.ndarray
-    psi_b1: np.ndarray
-    psi_w2: np.ndarray
-    psi_b2: float
-
-
 def loss_and_grads(
     graph: ModelGraph,
     enc: EncoderState,
     settings: AttackSettings,
     links: LinkSample,
     eps: np.ndarray | None = None,
-) -> tuple[float, EncoderGrads]:
+) -> tuple[float, EncoderState]:
     """Evaluate the generation loss and its analytic gradients."""
     fw = _forward(graph, enc, settings, eps)
-    z, hidden = fw.z, fw.hiddens[-1]
-    n = graph.node_count
+    latent, hidden = fw.latent, fw.hiddens[-1]
+    z = latent.z
+    loss = graph_loss(graph, hidden, latent, enc, settings, links)
 
-    loss = _link_loss(z, links) + _psi_loss(hidden, enc)
-    if settings.beta > 0:
-        loss += settings.beta * _kl_divergence(fw.mu, fw.logvar)
-
-    # Backward through the link terms into z.
-    gz = np.zeros_like(z)
-    for v in range(n):
-        pos, neg = links.positives[v], links.negatives[v]
-        if len(pos):
-            s = z[pos] @ z[v]
-            # sigmoid(s) - 1 written as -sigmoid(-s) to keep precision when saturated
-            coeff = np.where(_clamp_active(s), -expit(-s) / len(pos), 0.0)
-            gz[v] += coeff @ z[pos]
-            gz[pos] += coeff[:, None] * z[v]
-        if len(neg):
-            s = z[neg] @ z[v]
-            coeff = np.where(_clamp_active(s), expit(s) / len(neg), 0.0)
-            gz[v] += coeff @ z[neg]
-            gz[neg] += coeff[:, None] * z[v]
+    # Backward through the link terms into z; s[v, u] = z_v . z_u, and
+    # sigmoid(s) - 1 is written as -sigmoid(-s) to keep precision when saturated.
+    s = z @ z.T
+    coeff = np.where(
+        _clamp_active(s), links.negative * sigmoid(s) - links.positive * sigmoid(-s), 0.0
+    )
+    gz = coeff @ z + coeff.T @ z
 
     # Backward through the scoring MLP into its weights and the hidden state.
     h1, t = _psi_scores(hidden, enc)
-    gt = np.where(_clamp_active(t), -expit(-t), 0.0)
+    gt = np.where(_clamp_active(t), -sigmoid(-t), 0.0)
     g_psi_w2 = h1.T @ gt
-    g_psi_b2 = float(gt.sum())
+    g_psi_b2 = np.array(gt.sum())
     gs1 = (gt[:, None] * enc.psi_w2[None, :]) * (1.0 - h1 * h1)
     g_psi_w1 = hidden.T @ gs1
     g_psi_b1 = gs1.sum(axis=0)
@@ -433,12 +408,12 @@ def loss_and_grads(
 
     # Latent heads (z = mu + std * eps, with the KL term when beta > 0).
     gmu = gz.copy()
-    glogvar = np.zeros_like(fw.logvar)
+    glogvar = np.zeros_like(latent.logvar)
     if eps is not None:
         glogvar += gz * eps * 0.5 * fw.std
     if settings.beta > 0:
-        gmu += settings.beta * fw.mu
-        glogvar += settings.beta * 0.5 * (np.exp(fw.logvar) - 1.0)
+        gmu += settings.beta * latent.mu
+        glogvar += settings.beta * 0.5 * (np.exp(latent.logvar) - 1.0)
     g_mu_head = hidden.T @ gmu
     g_logvar_head = hidden.T @ glogvar
     g_hidden = gmu @ enc.mu_head.T + glogvar @ enc.logvar_head.T + g_hidden_psi
@@ -454,7 +429,7 @@ def loss_and_grads(
         gmid = gs @ enc.layer_weights[l].T
         g = gmid + ahat.T @ gmid
 
-    grads = EncoderGrads(
+    grads = EncoderState(
         layer_weights=g_layers,
         mu_head=g_mu_head,
         logvar_head=g_logvar_head,
@@ -485,7 +460,7 @@ def init_encoder(
         psi_w1=uniform(d_last, settings.psi_hidden),
         psi_b1=np.zeros(settings.psi_hidden),
         psi_w2=uniform(settings.psi_hidden, 1)[:, 0],
-        psi_b2=0.0,
+        psi_b2=np.zeros(()),
     )
 
 
@@ -496,7 +471,8 @@ def train_gae(
 
     Negative link targets and the variational noise are drawn once so
     the objective is fixed; the loss trace holds the value before every
-    step plus the final value.
+    step plus the value at the trained weights, whose latent state is
+    returned with them.
     """
     enc = init_encoder(graph, settings, rng)
     links = sample_links(graph, settings, rng)
@@ -514,17 +490,11 @@ def train_gae(
                 "reduce gae_learning_rate"
             )
         trace.append(loss)
-        for i, g in enumerate(grads.layer_weights):
-            enc.layer_weights[i] -= lr * g
-        enc.mu_head -= lr * grads.mu_head
-        enc.logvar_head -= lr * grads.logvar_head
-        enc.psi_w1 -= lr * grads.psi_w1
-        enc.psi_b1 -= lr * grads.psi_b1
-        enc.psi_w2 -= lr * grads.psi_w2
-        enc.psi_b2 -= lr * grads.psi_b2
-    final_loss, _ = loss_and_grads(graph, enc, settings, links, eps)
-    trace.append(final_loss)
-    return GaeTrainResult(encoder=enc, loss_trace=trace, links=links, eps=eps)
+        for p, g in zip(enc.blocks(), grads.blocks()):
+            p -= lr * g
+    hidden, latent = encode(graph, enc, settings, eps)
+    trace.append(graph_loss(graph, hidden, latent, enc, settings, links))
+    return GaeTrainResult(encoder=enc, loss_trace=trace, links=links, eps=eps, latent=latent)
 
 
 def estimate_ascent_direction(global_history, overheard) -> np.ndarray:
@@ -559,7 +529,7 @@ def surrogate_objective(
     mixture sum_j (a_j / sum a) model_j; the objective is the dot
     product of (mixture - mean benign model) with the ascent vector.
     """
-    a = expit(benign_latents @ z_a)
+    a = sigmoid(benign_latents @ z_a)
     c = benign_models @ ascent
     mix = float(a @ c) / float(a.sum())
     return mix - float(c.mean())
@@ -572,7 +542,7 @@ def surrogate_gradient(
     ascent: np.ndarray,
 ) -> np.ndarray:
     """Analytic gradient of :func:`surrogate_objective` w.r.t. z_a."""
-    a = expit(benign_latents @ z_a)
+    a = sigmoid(benign_latents @ z_a)
     asum = float(a.sum())
     c = benign_models @ ascent
     mix = float(a @ c) / asum
@@ -603,7 +573,7 @@ def adversarial_reconstruct(
         z_a = z_a + settings.ascent_step_size * grad
         if not np.isfinite(z_a).all():
             raise FloatingPointError(f"non-finite ascent state at step {step}")
-    return expit(benign_z @ z_a)
+    return sigmoid(benign_z @ z_a)
 
 
 def resolve_threshold(settings: AttackSettings, overheard) -> float:
@@ -612,7 +582,9 @@ def resolve_threshold(settings: AttackSettings, overheard) -> float:
     if settings.d_thresh_value is not None:
         return float(settings.d_thresh_value)
     models = np.stack([as_params(m) for m in overheard])
-    return float(np.percentile(pdist(models), settings.d_thresh_percentile))
+    pairwise = np.linalg.norm(models[:, None, :] - models[None, :, :], axis=-1)
+    upper = pairwise[np.triu_indices(len(models), k=1)]
+    return float(np.percentile(upper, settings.d_thresh_percentile))
 
 
 def _max_distance(v: np.ndarray, models: np.ndarray) -> float:
@@ -733,10 +705,9 @@ def run_attack(
     trained = train_gae(graph, settings, rng)
     diag.delta_g_initial = trained.loss_trace[0]
     diag.delta_g_final = trained.loss_trace[-1]
-    _, latent = encode(graph, trained.encoder, settings, eps=trained.eps)
     ascent = estimate_ascent_direction(global_history, overheard)
     a_adv = adversarial_reconstruct(
-        graph, trained.encoder, ascent, settings, rng, latent=latent
+        graph, trained.encoder, ascent, settings, rng, latent=trained.latent
     )
     omega = generate_malicious(a_adv, overheard, ascent, settings, diag=diag)
     update = ReportedUpdate(

@@ -88,8 +88,9 @@ def trace_summary(records: list[RoundRecord], last_k: int = 20) -> dict:
 
     Stealth rate per attacker counts only rounds where that attacker
     actually attacked (skipped rounds are excluded from the
-    denominator); for attackers without pipeline diagnostics every round
-    counts as attacked.
+    denominator), and is None for an attacker that never attacked; for
+    attackers without pipeline diagnostics every round counts as
+    attacked.
     """
     if not records:
         raise ValueError("trace_summary needs at least one round")
@@ -99,7 +100,7 @@ def trace_summary(records: list[RoundRecord], last_k: int = 20) -> dict:
     attacker_ids = sorted(
         {d.device_id for r in records for d in r.per_device if d.is_malicious}
     )
-    stealth_rates: dict[int, float] = {}
+    stealth_rates: dict[int, float | None] = {}
     for attacker in attacker_ids:
         attacked = 0
         stealthy = 0
@@ -114,7 +115,7 @@ def trace_summary(records: list[RoundRecord], last_k: int = 20) -> dict:
             if attacker in flags:
                 attacked += 1
                 stealthy += int(flags[attacker])
-        stealth_rates[attacker] = stealthy / attacked if attacked else float("nan")
+        stealth_rates[attacker] = stealthy / attacked if attacked else None
 
     final = records[-1]
     benign_losses = [

@@ -55,6 +55,13 @@ def ensure_finite(name: str, values: np.ndarray) -> np.ndarray:
     return values
 
 
+@np.errstate(over="ignore")
+def sigmoid(x) -> np.ndarray:
+    """Logistic function 1 / (1 + exp(-x)); exp overflows to inf for
+    x below about -709, which correctly gives 0."""
+    return 1.0 / (1.0 + np.exp(-x))
+
+
 def _check_dims(a: np.ndarray, b: np.ndarray) -> None:
     if a.shape[0] != b.shape[0]:
         raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")

@@ -291,7 +291,7 @@ def emit_outputs(
     }
     summary_path = out / "summary.json"
     with open(summary_path, "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
+        json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     written["summary"] = summary_path
 
@@ -320,7 +320,7 @@ def emit_outputs(
                 "workers": cfg.workers,
                 "output_dir": str(out),
             },
-            fh, indent=2,
+            fh, indent=2, allow_nan=False,
         )
         fh.write("\n")
     written["run_meta"] = meta_path

@@ -7,9 +7,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import expit
 
-from .numerics import RngStream, as_params, ensure_finite
+from .numerics import RngStream, as_params, ensure_finite, sigmoid
 from .data import Dataset, LocalDataset, Sample
 
 
@@ -88,7 +87,7 @@ def local_gradient(kind: LossKind, w, ds, alpha: float) -> np.ndarray:
     if kind == LossKind.LINEAR:
         residual = z - data.y
     else:
-        residual = expit(z) - data.y
+        residual = sigmoid(z) - data.y
     return data.x.T @ residual / len(data) + alpha * w
 
 

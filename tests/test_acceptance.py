@@ -8,7 +8,6 @@ Criterion 7 needs the FashionMNIST IDX files on disk (see README);
 without them it reports SKIP with instructions instead of PASS/FAIL.
 """
 
-import math
 import os
 import time
 from pathlib import Path
@@ -22,7 +21,7 @@ from edgefl.aggregation import ReportedUpdate, aggregate
 from edgefl.channel import ChannelConfig, DevicePosition, channel_gain, distance, eavesdrop_set, snr
 from edgefl.cli import main as cli_main
 from edgefl.config import validate_config
-from edgefl.data import binarize, load_idx, partition_iid, synth_logistic
+from edgefl.data import binarize, load_idx, partition_iid
 from edgefl.graph_attack import (
     AttackSettings,
     build_graph,
@@ -36,9 +35,8 @@ from edgefl.graph_attack import (
 )
 from edgefl.metrics import distance_report
 from edgefl.numerics import Projector, RngStream
-from edgefl.simulation import run_simulation
+from edgefl.simulation import _build_datasets, run_simulation
 from edgefl.training import LossKind, local_gradient, local_loss
-from edgefl.config import SimConfig
 
 # Frozen tolerances (criterion number in the name).
 TOL_GRAD_TRAINING = 1e-5      # C1, per coordinate, h = 1e-6
@@ -140,9 +138,10 @@ def test_criterion_1_gradient_correctness():
         if settings.activation == "relu":
             if min(np.abs(p).min() for p in fw.preacts) < 1e-4:
                 return False
+        z = fw.latent.z
         for v in range(graph.node_count):
-            for group in (links.positives[v], links.negatives[v]):
-                if len(group) and np.abs(fw.z[group] @ fw.z[v]).max() > 26.0:
+            for group in (np.flatnonzero(links.positive[v]), np.flatnonzero(links.negative[v])):
+                if len(group) and np.abs(z[group] @ z[v]).max() > 26.0:
                     return False
         hidden = fw.hiddens[-1]
         t = np.tanh(hidden @ enc.psi_w1 + enc.psi_b1) @ enc.psi_w2 + enc.psi_b2
@@ -178,16 +177,7 @@ def test_criterion_1_gradient_correctness():
         loss, grads = loss_and_grads(graph, enc, settings, links, eps)
         assert loss == pytest.approx(value(), abs=1e-12)
 
-        blocks = [
-            *((grads.layer_weights[l], enc.layer_weights[l])
-              for l in range(len(enc.layer_weights))),
-            (grads.mu_head, enc.mu_head),
-            (grads.logvar_head, enc.logvar_head),
-            (grads.psi_w1, enc.psi_w1),
-            (grads.psi_b1, enc.psi_b1),
-            (grads.psi_w2, enc.psi_w2),
-        ]
-        for analytic, param in blocks:
+        for analytic, param in zip(grads.blocks(), enc.blocks()):
             assert _block_close(analytic, _fd_grad(value, param), TOL_GRAD_GAE)
             checked_blocks += 1
 
@@ -267,21 +257,12 @@ def _central_oracle_accuracy(train, test, alpha):
     return float(((test.x @ result.x >= 0) == (test.y == 1)).mean())
 
 
-def _rebuild_synth_pool(cfg: SimConfig):
-    d = cfg.dataset.dim
-    w_rng = RngStream(cfg.dataset.w_true_seed, "w-true")
-    w_true = w_rng.gen.standard_normal(d) * (cfg.dataset.w_scale / math.sqrt(d))
-    total = sum(cfg.samples_per_device)
-    pool = synth_logistic(total + cfg.dataset.n_test, d, w_true, RngStream(cfg.seed, "data"))
-    return pool.subset(np.arange(total)), pool.subset(np.arange(total, len(pool)))
-
-
 def test_criterion_3_benign_convergence():
     start = time.perf_counter()
     cfg = validate_config(SYNTH_TASK.format(rounds=30, h=0, kind="none"))
     records = run_simulation(cfg)
     fed = records[-1].test_accuracy
-    train, test = _rebuild_synth_pool(cfg)
+    train, test = _build_datasets(cfg)
     oracle = _central_oracle_accuracy(train, test, cfg.training.alpha)
     elapsed = time.perf_counter() - start
     ok = fed >= C3_MIN_ACCURACY and fed >= oracle - C3_ORACLE_SLACK and elapsed < 60.0
@@ -333,7 +314,7 @@ def test_criterion_4_attack_effectiveness(control_run_50, attacked_run_50):
 
     # Both runs share the task, hence the pooled training set.
     cfg = validate_config(SYNTH_TASK.format(rounds=50, h=0, kind="none"))
-    train, _ = _rebuild_synth_pool(cfg)
+    train, _ = _build_datasets(cfg)
 
     def fl_loss(records):
         return np.array([

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -94,7 +95,7 @@ def _zero_encoder(settings, d_feat):
         psi_w1=np.zeros((dims[-1], settings.psi_hidden)),
         psi_b1=np.zeros(settings.psi_hidden),
         psi_w2=np.zeros(settings.psi_hidden),
-        psi_b2=0.0,
+        psi_b2=np.zeros(()),
     )
 
 
@@ -157,7 +158,7 @@ def test_sample_links_structure_and_determinism():
     links_a = sample_links(graph, SMALL, RngStream(9, "atk"))
     links_b = sample_links(graph, SMALL, RngStream(9, "atk"))
     for v in range(graph.node_count):
-        pos, neg = links_a.positives[v], links_a.negatives[v]
+        pos, neg = np.flatnonzero(links_a.positive[v]), np.flatnonzero(links_a.negative[v])
         assert v not in pos and v not in neg
         assert set(pos) == {
             u for u in range(graph.node_count)
@@ -166,8 +167,8 @@ def test_sample_links_structure_and_determinism():
         assert set(pos).isdisjoint(set(neg))
         non = graph.node_count - 1 - len(pos)
         assert len(neg) == min(int(round(SMALL.negative_sample_ratio * len(pos))), non)
-        np.testing.assert_array_equal(pos, links_b.positives[v])
-        np.testing.assert_array_equal(neg, links_b.negatives[v])
+        np.testing.assert_array_equal(links_a.positive[v], links_b.positive[v])
+        np.testing.assert_array_equal(links_a.negative[v], links_b.negative[v])
 
 
 def test_graph_loss_two_node_zero_dot_edge_term():
@@ -223,7 +224,7 @@ def test_graph_loss_matches_term_by_term_oracle():
 
     expected = 0.0
     for v in range(4):
-        pos, neg = links.positives[v], links.negatives[v]
+        pos, neg = np.flatnonzero(links.positive[v]), np.flatnonzero(links.negative[v])
         if len(pos):
             terms = [-math.log(expit(float(latent.z[v] @ latent.z[u]))) for u in pos]
             expected += sum(terms) / len(terms)
@@ -285,21 +286,9 @@ def test_encoder_gradients_match_finite_differences(activation, beta):
         assert loss == pytest.approx(_loss_value(graph, enc, settings, links, eps), abs=1e-12)
 
         value = lambda: _loss_value(graph, enc, settings, links, eps)
-        for l, w in enumerate(enc.layer_weights):
-            _assert_close(grads.layer_weights[l], _fd_block(value, w), 1e-4)
-        _assert_close(grads.mu_head, _fd_block(value, enc.mu_head), 1e-4)
-        _assert_close(grads.logvar_head, _fd_block(value, enc.logvar_head), 1e-4)
-        _assert_close(grads.psi_w1, _fd_block(value, enc.psi_w1), 1e-4)
-        _assert_close(grads.psi_b1, _fd_block(value, enc.psi_b1), 1e-4)
-        _assert_close(grads.psi_w2, _fd_block(value, enc.psi_w2), 1e-4)
-        h = 1e-6
-        enc.psi_b2 += h
-        up = value()
-        enc.psi_b2 -= 2 * h
-        down = value()
-        enc.psi_b2 += h
-        fd_b2 = (up - down) / (2 * h)
-        assert abs(grads.psi_b2 - fd_b2) <= 1e-4 * max(abs(fd_b2), 1e-8)
+        for analytic, param in zip(grads.blocks(), enc.blocks()):
+            assert analytic.shape == param.shape
+            _assert_close(analytic, _fd_block(value, param), 1e-4)
 
 
 def test_surrogate_gradient_matches_finite_differences():
@@ -347,8 +336,29 @@ def test_train_gae_descends_and_is_deterministic():
     b = train_gae(graph, settings, RngStream(5, "atk"))
     assert a.loss_trace[-1] <= a.loss_trace[0]
     assert a.loss_trace == b.loss_trace
-    for wa, wb in zip(a.encoder.layer_weights, b.encoder.layer_weights):
+    for wa, wb in zip(a.encoder.blocks(), b.encoder.blocks()):
         np.testing.assert_array_equal(wa, wb)
+    # The returned latent and final loss are those of the trained weights.
+    _, latent = encode(graph, a.encoder, settings, eps=a.eps)
+    np.testing.assert_array_equal(a.latent.z, latent.z)
+    assert a.loss_trace[-1] == _loss_value(graph, a.encoder, settings, a.links, a.eps)
+
+
+def test_train_gae_one_epoch_steps_every_block():
+    rng = np.random.default_rng(75)
+    settings = AttackSettings(
+        d_feat=4, d_z=3, hidden_dims=(5, 3), psi_hidden=4, gae_epochs=1,
+        d_thresh_percentile=90.0,
+    )
+    graph, _, _ = _random_graph(5, rng, settings=settings)
+    trained = train_gae(graph, settings, RngStream(14, "atk"))
+    start = init_encoder(graph, settings, RngStream(14, "atk"))
+    _, grads = loss_and_grads(graph, start, settings, trained.links, trained.eps)
+    # blocks() lists each layer weight plus every other field once.
+    assert len(start.blocks()) == len(start.layer_weights) + len(fields(EncoderState)) - 1
+    for after, before, g in zip(trained.encoder.blocks(), start.blocks(), grads.blocks()):
+        assert not np.array_equal(after, before)
+        np.testing.assert_array_equal(after, before - settings.gae_learning_rate * g)
 
 
 def test_train_gae_divergence_suggests_smaller_lr():

@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import edgefl
 from edgefl.cli import main as cli_main
 from edgefl.config import ConfigError, config_echo, validate_config
 from edgefl.data import partition_iid, synth_logistic
@@ -106,6 +111,19 @@ def test_overrides_apply_and_reject_garbage():
         validate_config(MINIMAL, overrides=["no-equals-sign"])
     with pytest.raises(ConfigError, match="unknown config key"):
         validate_config(MINIMAL, overrides=["nope.x=1"])
+
+
+def test_exponent_floats_in_config_text_and_overrides():
+    cfg = validate_config(
+        MINIMAL + "channel: {snr_min: 1e9, transmit_power: 1.0e4}\n",
+        overrides=["channel.noise_power=1e-4", "training.alpha=2E-3"],
+    )
+    assert cfg.snr_min == 1e9
+    assert cfg.channel.transmit_power == 1e4
+    assert cfg.channel.noise_power == 1e-4
+    assert cfg.training.alpha == 2e-3
+    with pytest.raises(ConfigError, match="channel.noise_power must be float, got str"):
+        validate_config(MINIMAL, overrides=["channel.noise_power=1e"])
 
 
 def test_explicit_positions_validation():
@@ -238,6 +256,19 @@ def test_emit_outputs_files_and_row_counts(tmp_path):
     assert "wall_clock_seconds" in json.loads(written["run_meta"].read_text())
 
 
+def test_summary_is_strict_json_when_no_attack_ran(tmp_path):
+    cfg = validate_config(_tiny_attack_config(), overrides=["channel.snr_min=1000000000.0"])
+    records = run_simulation(cfg)
+    assert all(diag.skipped for r in records for diag in r.attack_diagnostics)
+    written = emit_outputs(records, cfg, out_dir=tmp_path / "run")
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    summary = json.loads(written["summary"].read_text(), parse_constant=reject)
+    assert summary["stealth_rates"] == {"5": None}
+
+
 def test_emit_outputs_no_attack_diag_for_benign_runs(tmp_path):
     cfg = validate_config(MINIMAL)
     records = run_simulation(cfg)
@@ -292,6 +323,22 @@ def test_cli_validate_and_simulate(tmp_path, capsys):
     assert summary["config"]["seed"] == 5
     assert summary["rounds_completed"] == 1
     assert "final test accuracy" in capsys.readouterr().out
+
+
+def test_cli_import_loads_no_scipy():
+    # The runtime needs only numpy and PyYAML; scipy is a test dependency.
+    src = str(Path(edgefl.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    )}
+    probe = (
+        "import sys, edgefl.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"
 
 
 def test_cli_config_errors_exit_1(tmp_path, capsys):
