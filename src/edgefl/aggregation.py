@@ -1,4 +1,4 @@
-"""Server-side sample-weighted aggregation and global model broadcast.
+"""Server-side sample-weighted aggregation.
 
 The server is honest but blind: the same weighted mean is applied to
 every reported update, and nothing in the aggregation path reads the
@@ -57,11 +57,3 @@ def aggregate(updates: Sequence[ReportedUpdate]) -> np.ndarray:
     stacked = np.stack([as_params(u.params) for u in ordered])
     out = (weights[:, None] * stacked).sum(axis=0)
     return ensure_finite("aggregated global model", out)
-
-
-def broadcast(global_params, device_count: int) -> list[np.ndarray]:
-    """Independent copies of the global model, one per device."""
-    if device_count < 1:
-        raise ValueError(f"device_count must be >= 1, got {device_count}")
-    global_params = as_params(global_params)
-    return [global_params.copy() for _ in range(device_count)]

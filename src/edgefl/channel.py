@@ -7,8 +7,6 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-SERVER_ALTITUDE = 0.0
-
 
 @dataclass(frozen=True)
 class DevicePosition:

@@ -65,9 +65,12 @@ def main(argv=None) -> int:
 
     try:
         start = time.perf_counter()
-        records = run_simulation(cfg)
+        stage_seconds: dict[str, float] = {}
+        records = run_simulation(cfg, stage_seconds)
         elapsed = time.perf_counter() - start
-        written = emit_outputs(records, cfg, elapsed_seconds=elapsed)
+        written = emit_outputs(
+            records, cfg, elapsed_seconds=elapsed, stage_seconds=stage_seconds
+        )
     except Exception as exc:  # noqa: BLE001 - any failure here is a runtime error
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2

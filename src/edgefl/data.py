@@ -5,8 +5,9 @@ from __future__ import annotations
 
 import gzip
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,6 +71,53 @@ class LocalDataset:
     @property
     def size(self) -> int:
         return len(self.data)
+
+
+@dataclass(frozen=True, eq=False)
+class ShardStack(Sequence):
+    """Every device's training shard in one zero-padded block.
+
+    x: (n, m_max, d) and y: (n, m_max). Device device_ids[k] owns the
+    first counts[k] rows of block k; every row past them is zero.
+    Indexing yields :class:`LocalDataset` views into the block, so the
+    samples are held once.
+    """
+
+    x: np.ndarray
+    y: np.ndarray
+    counts: np.ndarray
+    device_ids: tuple[int, ...]
+
+    def __post_init__(self):
+        n = len(self.device_ids)
+        if self.x.ndim != 3 or self.x.shape[:2] != self.y.shape or self.y.shape[0] != n \
+                or self.counts.shape != (n,):
+            raise ValueError(
+                f"inconsistent shard stack: x {self.x.shape}, y {self.y.shape}, "
+                f"counts {self.counts.shape}, {len(self.device_ids)} device ids"
+            )
+
+    @classmethod
+    def of(cls, ds) -> "ShardStack":
+        """One device's shard as a stack of one, without copying; a bare
+        :class:`Dataset` is labelled device 0."""
+        device_id = ds.device_id if isinstance(ds, LocalDataset) else 0
+        data = ds.data if isinstance(ds, LocalDataset) else ds
+        return cls(data.x[None], data.y[None], np.array([len(data)]), (device_id,))
+
+    def __len__(self) -> int:
+        return len(self.device_ids)
+
+    def __getitem__(self, k: int) -> LocalDataset:
+        m = int(self.counts[k])
+        return LocalDataset(self.device_ids[k], Dataset(self.x[k, :m], self.y[k, :m]))
+
+    def rows(self, start: int, stop: int) -> "ShardStack":
+        """Devices start..stop-1 as a stack viewing the same block."""
+        return ShardStack(
+            self.x[start:stop], self.y[start:stop],
+            self.counts[start:stop], self.device_ids[start:stop],
+        )
 
 
 def _read_bytes(path: str) -> bytes:
@@ -194,11 +242,11 @@ def synth_logistic(n: int, d: int, w_true, rng: RngStream) -> Dataset:
 
 def partition_iid(
     ds: Dataset, n_devices: int, sizes: Sequence[int], rng: RngStream
-) -> list[LocalDataset]:
+) -> ShardStack:
     """Shuffle once, then deal contiguous shards of the given sizes.
 
     Device n (1-based) receives exactly sizes[n-1] samples; shards are
-    disjoint.
+    disjoint and dealt straight into one zero-padded stack.
     """
     if n_devices < 1:
         raise ValueError(f"need at least one device, got {n_devices}")
@@ -213,10 +261,12 @@ def partition_iid(
             f"insufficient samples: need {total} for {n_devices} devices, have {len(ds)}"
         )
     perm = rng.gen.permutation(len(ds))
-    shards = []
+    x = np.zeros((n_devices, max(sizes), ds.dim))
+    y = np.zeros((n_devices, max(sizes)))
     start = 0
-    for i, size in enumerate(sizes):
+    for k, size in enumerate(sizes):
         idx = perm[start : start + size]
-        shards.append(LocalDataset(device_id=i + 1, data=ds.subset(idx)))
+        x[k, :size] = ds.x[idx]
+        y[k, :size] = ds.y[idx]
         start += size
-    return shards
+    return ShardStack(x, y, np.array(sizes), tuple(range(1, n_devices + 1)))

@@ -552,19 +552,17 @@ def surrogate_gradient(
 
 def adversarial_reconstruct(
     graph: ModelGraph,
-    enc: EncoderState,
+    latent: LatentState,
     ascent: np.ndarray,
     settings: AttackSettings,
-    rng: RngStream,
-    latent: LatentState | None = None,
 ) -> np.ndarray:
     """Gradient-ascend the attacker node's latent, then decode its row.
 
-    Returns the decoded adjacency row over the benign nodes, entries in
-    (0, 1). With a zero ascent vector the row is the unperturbed decode.
+    latent is the trained encoder's deterministic latent state for the
+    graph (z = mu). Returns the decoded adjacency row over the benign
+    nodes, entries in (0, 1). With a zero ascent vector the row is the
+    unperturbed decode.
     """
-    if latent is None:
-        _, latent = encode(graph, enc, settings, eps=None)
     benign_z = latent.z[:-1]
     benign_models = graph.raw_models[:-1]
     z_a = latent.z[-1].copy()
@@ -706,9 +704,7 @@ def run_attack(
     diag.delta_g_initial = trained.loss_trace[0]
     diag.delta_g_final = trained.loss_trace[-1]
     ascent = estimate_ascent_direction(global_history, overheard)
-    a_adv = adversarial_reconstruct(
-        graph, trained.encoder, ascent, settings, rng, latent=trained.latent
-    )
+    a_adv = adversarial_reconstruct(graph, trained.latent, ascent, settings)
     omega = generate_malicious(a_adv, overheard, ascent, settings, diag=diag)
     update = ReportedUpdate(
         device_id=device_id,

@@ -9,7 +9,7 @@ import numpy as np
 
 from .data import Dataset
 from .graph_attack import AttackDiagnostics
-from .numerics import as_params, euclidean_distance
+from .numerics import as_params
 from .training import LossKind
 
 REGRESSION_HIT_BAND = 0.5
@@ -76,11 +76,6 @@ def distance_report(record: RoundRecord) -> DistanceReport:
         per_attacker_distance=per_attacker,
         stealth_flags=flags,
     )
-
-
-def recompute_distance(record: RoundRecord, device: DeviceRecord) -> float:
-    """Distance recomputed from stored vectors (consistency checks)."""
-    return euclidean_distance(device.local, record.global_params)
 
 
 def trace_summary(records: list[RoundRecord], last_k: int = 20) -> dict:

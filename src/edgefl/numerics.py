@@ -131,13 +131,3 @@ class Projector:
                 f"dimension mismatch: projector expects {self.input_dim}, got {w.shape[0]}"
             )
         return self.matrix @ w
-
-
-def random_projection(w, d_feat: int, rng: RngStream) -> np.ndarray:
-    """Project w to d_feat dims through a fresh sign matrix drawn from rng.
-
-    Run-level code builds one :class:`Projector` and reuses it; this
-    convenience form draws the matrix and applies it in one step.
-    """
-    w = as_params(w)
-    return Projector.random(w.shape[0], d_feat, rng).project(w)

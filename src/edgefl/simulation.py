@@ -1,27 +1,27 @@
-"""The communication-round loop: local training, eavesdropping, attack
-execution, aggregation, broadcast, and result persistence."""
+"""The communication-round loop: batched local training, attack
+execution, aggregation, metrics, and result persistence."""
 
 from __future__ import annotations
 
 import csv
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
+import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .aggregation import ReportedUpdate, aggregate, broadcast
+from .aggregation import ReportedUpdate, aggregate
 from .baselines import gaussian_noise_attack, sign_flip_attack
 from .channel import DevicePosition, eavesdrop_set
 from .config import SimConfig, config_echo
-from .data import Dataset, LocalDataset, binarize, load_idx, partition_iid, synth_logistic
+from .data import Dataset, ShardStack, binarize, load_idx, partition_iid, synth_logistic
 from .graph_attack import AttackDiagnostics, run_attack
 from .metrics import DeviceRecord, RoundRecord, test_accuracy, trace_summary
-from .numerics import Projector, RngStream, euclidean_distance
-from .training import local_loss, train_local
+from .numerics import Projector, RngStream, ensure_finite, euclidean_distance
+from .training import stack_loss, train_stack
 
 ROUNDS_CSV_COLUMNS = [
     "round", "device_id", "is_malicious", "distance_to_global",
@@ -35,12 +35,11 @@ ATTACK_DIAG_COLUMNS = [
 
 @dataclass
 class _Setup:
-    shards: list[LocalDataset]
+    shards: ShardStack
     test_set: Dataset
-    benign_positions: dict[int, DevicePosition]
-    attacker_positions: dict[int, DevicePosition]
+    overheard_ids: dict[int, list[int]]  # per attacker, ascending
     projector: Projector | None
-    device_streams: dict[int, RngStream]
+    device_streams: list[RngStream]  # in shard order
     attacker_streams: dict[int, RngStream]
     global_init: np.ndarray
 
@@ -113,83 +112,83 @@ def _setup(cfg: SimConfig) -> _Setup:
     else:
         init = RngStream(cfg.seed, "global-init").gen.standard_normal(dim) * cfg.global_init_std
 
-    device_streams = {i: RngStream(cfg.seed, f"device-{i}") for i in benign_pos}
+    # Positions are fixed for the whole run, so each attacker's
+    # eavesdrop set is too.
+    overheard_ids = {
+        i: sorted(eavesdrop_set(benign_pos, pos, cfg.channel, cfg.snr_min))
+        for i, pos in attacker_pos.items()
+    }
+    device_streams = [RngStream(cfg.seed, f"device-{i}") for i in shards.device_ids]
     attacker_streams = {i: RngStream(cfg.seed, f"attacker-{i}") for i in attacker_pos}
     return _Setup(
-        shards=shards, test_set=test,
-        benign_positions=benign_pos, attacker_positions=attacker_pos,
+        shards=shards, test_set=test, overheard_ids=overheard_ids,
         projector=projector, device_streams=device_streams,
         attacker_streams=attacker_streams, global_init=init,
     )
 
 
 @contextmanager
-def _stage(round_index: int, name: str):
+def _stage(name: str, seconds: dict[str, float] | None, round_index: int | None = None,
+           detail: str = ""):
+    """Prefix any failure with the round and stage, and add the stage's
+    wall time into seconds[name] when a dict is given."""
+    start = time.perf_counter()
     try:
         yield
     except Exception as exc:
-        raise RuntimeError(f"round {round_index}, stage {name}: {exc}") from exc
+        at = "" if round_index is None else f"round {round_index}, "
+        raise RuntimeError(f"{at}stage {name}{detail}: {exc}") from exc
+    finally:
+        if seconds is not None:
+            seconds[name] = seconds.get(name, 0.0) + time.perf_counter() - start
 
 
-def run_simulation(cfg: SimConfig) -> list[RoundRecord]:
+def run_simulation(
+    cfg: SimConfig, stage_seconds: dict[str, float] | None = None
+) -> list[RoundRecord]:
     """Execute the full round loop and return the per-round trace.
 
-    Within a round, device training may run on cfg.workers threads; all
-    reductions use ascending device id so the trace is identical at any
-    worker count. A failure in any stage aborts with the round index and
-    stage name.
+    Every benign device trains in one batched step per iteration, split
+    into cfg.workers contiguous chunks on threads; all reductions use
+    ascending device id so the trace is identical at any worker count.
+    A failure in any stage aborts with the round index and stage name.
+    When stage_seconds is given, each stage's wall time is added into it
+    under the stage name.
     """
-    setup = _setup(cfg)
-    n, h = cfg.n_benign, cfg.n_malicious
-    attacker_ids = sorted(setup.attacker_positions)
-    shard_by_id = {s.device_id: s for s in setup.shards}
-
-    received = broadcast(setup.global_init, n + h)
-    start_models = {i: received[k] for k, i in enumerate(range(1, n + h + 1))}
+    with _stage("setup", stage_seconds):
+        setup = _setup(cfg)
+    shards = setup.shards
+    benign_ids = shards.device_ids
+    attacker_ids = sorted(setup.overheard_ids)
     global_params = setup.global_init.copy()
     global_history = [setup.global_init.copy()]
     records: list[RoundRecord] = []
 
     for round_index in range(1, cfg.rounds + 1):
-        def train_device(device_id: int) -> tuple[int, np.ndarray]:
-            local = train_local(
-                cfg.loss, start_models[device_id], shard_by_id[device_id],
-                cfg.training, setup.device_streams[device_id],
+        with _stage("local training", stage_seconds, round_index):
+            local_models = train_stack(
+                cfg.loss, global_params, shards, cfg.training,
+                setup.device_streams, cfg.workers,
             )
-            return device_id, local
-
-        benign_ids = sorted(shard_by_id)
-        with _stage(round_index, "local training"):
-            if cfg.workers > 1:
-                with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-                    results = list(pool.map(train_device, benign_ids))
-            else:
-                results = [train_device(i) for i in benign_ids]
-        locals_by_id = dict(results)
+        locals_by_id = dict(zip(benign_ids, local_models))
 
         updates = [
             ReportedUpdate(
-                device_id=i, params=locals_by_id[i],
-                reported_samples=shard_by_id[i].size, is_malicious=False,
+                device_id=i, params=local_models[k],
+                reported_samples=int(shards.counts[k]), is_malicious=False,
             )
-            for i in benign_ids
+            for k, i in enumerate(benign_ids)
         ]
 
         diagnostics: list[AttackDiagnostics] = []
         attacker_models: dict[int, np.ndarray] = {}
         for attacker_id in attacker_ids:
-          with _stage(round_index, f"attack (device {attacker_id})"):
-            overheard_ids = sorted(
-                eavesdrop_set(
-                    setup.benign_positions, setup.attacker_positions[attacker_id],
-                    cfg.channel, cfg.snr_min,
-                )
-            )
-            overheard = [locals_by_id[i] for i in overheard_ids]
+          with _stage("attack", stage_seconds, round_index, f" (device {attacker_id})"):
+            overheard = [locals_by_id[i] for i in setup.overheard_ids[attacker_id]]
             b_a = cfg.attacker_reported_samples
             if cfg.attack_kind == "avgae":
                 result = run_attack(
-                    overheard, start_models[attacker_id], global_history,
+                    overheard, global_params, global_history,
                     cfg.avgae, setup.attacker_streams[attacker_id],
                     setup.projector, b_a, attacker_id,
                 )
@@ -211,38 +210,42 @@ def run_simulation(cfg: SimConfig) -> list[RoundRecord]:
                 else:
                     diag.skipped = True
                     diag.skip_reason = "no overheard models"
-                    params = start_models[attacker_id].copy()
+                    params = global_params.copy()
                 updates.append(ReportedUpdate(attacker_id, params, b_a, is_malicious=True))
                 attacker_models[attacker_id] = params
                 diagnostics.append(diag)
 
-        new_global = aggregate(updates)
+        with _stage("aggregation", stage_seconds, round_index):
+            new_global = aggregate(updates)
 
-        per_device = []
-        for i in benign_ids:
-            per_device.append(DeviceRecord(
-                device_id=i, is_malicious=False, local=locals_by_id[i],
-                distance_to_global=euclidean_distance(locals_by_id[i], new_global),
-                local_loss=local_loss(cfg.loss, locals_by_id[i], shard_by_id[i], cfg.training.alpha),
-            ))
-        for attacker_id in attacker_ids:
-            params = attacker_models[attacker_id]
-            per_device.append(DeviceRecord(
-                device_id=attacker_id, is_malicious=True, local=params,
-                distance_to_global=euclidean_distance(params, new_global),
-                local_loss=float("nan"),  # the attacker holds no data
-            ))
+        with _stage("metrics", stage_seconds, round_index):
+            losses = ensure_finite(
+                "local loss", stack_loss(cfg.loss, local_models, shards, cfg.training.alpha)
+            )
+            per_device = [
+                DeviceRecord(
+                    device_id=i, is_malicious=False, local=local_models[k],
+                    distance_to_global=euclidean_distance(local_models[k], new_global),
+                    local_loss=float(losses[k]),
+                )
+                for k, i in enumerate(benign_ids)
+            ]
+            for attacker_id in attacker_ids:
+                params = attacker_models[attacker_id]
+                per_device.append(DeviceRecord(
+                    device_id=attacker_id, is_malicious=True, local=params,
+                    distance_to_global=euclidean_distance(params, new_global),
+                    local_loss=float("nan"),  # the attacker holds no data
+                ))
+            accuracy = test_accuracy(cfg.loss, new_global, setup.test_set)
 
         records.append(RoundRecord(
             round_index=round_index,
             global_params=new_global,
             per_device=per_device,
-            test_accuracy=test_accuracy(cfg.loss, new_global, setup.test_set),
+            test_accuracy=accuracy,
             attack_diagnostics=diagnostics,
         ))
-
-        received = broadcast(new_global, n + h)
-        start_models = {i: received[k] for k, i in enumerate(range(1, n + h + 1))}
         global_params = new_global
         global_history.append(new_global.copy())
 
@@ -254,6 +257,7 @@ def emit_outputs(
     cfg: SimConfig,
     out_dir: str | None = None,
     elapsed_seconds: float | None = None,
+    stage_seconds: dict[str, float] | None = None,
 ) -> dict[str, Path]:
     """Write rounds.csv, summary.json, attack_diag.csv (when the graph
     attack ran), and run_meta.json.
@@ -317,6 +321,7 @@ def emit_outputs(
         json.dump(
             {
                 "wall_clock_seconds": elapsed_seconds,
+                "stage_seconds": stage_seconds,
                 "workers": cfg.workers,
                 "output_dir": str(out),
             },

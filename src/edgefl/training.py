@@ -1,15 +1,17 @@
 """Per-sample losses, the regularized local objective, analytic gradients,
-and the local gradient-descent loop each benign device runs per round."""
+and the local gradient-descent loop, run for every benign device of a
+round at once over a zero-padded :class:`ShardStack`."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
 
-from .numerics import RngStream, as_params, ensure_finite, sigmoid
-from .data import Dataset, LocalDataset, Sample
+from .numerics import RngStream, as_params, sigmoid
+from .data import Sample, ShardStack
 
 
 class LossKind(str, Enum):
@@ -43,10 +45,6 @@ class TrainSettings:
             )
 
 
-def _as_dataset(ds) -> Dataset:
-    return ds.data if isinstance(ds, LocalDataset) else ds
-
-
 def _margin_losses(kind: LossKind, z: np.ndarray, y: np.ndarray) -> np.ndarray:
     if kind == LossKind.LINEAR:
         return 0.5 * (z - y) ** 2
@@ -66,29 +64,148 @@ def sample_loss(kind: LossKind, w, s: Sample) -> float:
     return float(_margin_losses(kind, z, np.array([s.y]))[0])
 
 
+# The stacked forms below take one model per device, W of shape (n, d).
+# Devices are grouped by sample count, and each group runs one BLAS call
+# per device on exactly that device's rows: matmul against the
+# transposed view, never a contiguous copy or einsum. Each device thus
+# gets the same bits as the 2-D product on its own rows; padding is
+# never summed, so it needs no mask.
+
+def _by_count(counts: np.ndarray) -> list[tuple[slice | np.ndarray, int]]:
+    if (counts == counts[0]).all():
+        return [(slice(None), int(counts[0]))]
+    return [(np.flatnonzero(counts == c), int(c)) for c in np.unique(counts)]
+
+
+def _margins(x: np.ndarray, W: np.ndarray) -> np.ndarray:
+    return np.matmul(x, W[:, :, None])[..., 0]
+
+
+def _gradients(kind, x, y, W, z, alpha: float) -> np.ndarray:
+    residual = z - y if kind == LossKind.LINEAR else sigmoid(z) - y
+    grad = np.matmul(x.transpose(0, 2, 1), residual[:, :, None])[..., 0]
+    return grad / x.shape[1] + alpha * W
+
+
+def stack_loss(kind: LossKind, W, stack: ShardStack, alpha: float) -> np.ndarray:
+    """:func:`local_loss` of every device at once: row k of W on device
+    k's shard."""
+    mean = np.empty(len(stack))
+    for rows, c in _by_count(stack.counts):
+        z = _margins(stack.x[rows, :c], W[rows])
+        mean[rows] = _margin_losses(kind, z, stack.y[rows, :c]).sum(axis=1) / c
+    return mean + alpha * 0.5 * np.matmul(W[:, None, :], W[:, :, None])[:, 0, 0]
+
+
+def _single(w, ds, what: str) -> tuple[np.ndarray, ShardStack]:
+    stack = ShardStack.of(ds)
+    if stack.counts[0] < 1:
+        raise ValueError(f"{what} over an empty dataset")
+    return as_params(w)[None], stack
+
+
 def local_loss(kind: LossKind, w, ds, alpha: float) -> float:
     """Mean sample loss plus the L2 regularizer alpha/2 * ||w||^2."""
-    data = _as_dataset(ds)
-    if len(data) < 1:
-        raise ValueError("local loss over an empty dataset")
-    w = as_params(w)
-    z = data.x @ w
-    mean = float(np.mean(_margin_losses(kind, z, data.y)))
-    return mean + alpha * 0.5 * float(w @ w)
+    W, stack = _single(w, ds, "local loss")
+    return float(stack_loss(kind, W, stack, alpha)[0])
 
 
 def local_gradient(kind: LossKind, w, ds, alpha: float) -> np.ndarray:
     """Analytic gradient of :func:`local_loss` at w."""
-    data = _as_dataset(ds)
-    if len(data) < 1:
-        raise ValueError("local gradient over an empty dataset")
-    w = as_params(w)
-    z = data.x @ w
-    if kind == LossKind.LINEAR:
-        residual = z - data.y
-    else:
-        residual = sigmoid(z) - data.y
-    return data.x.T @ residual / len(data) + alpha * w
+    W, stack = _single(w, ds, "local gradient")
+    return _gradients(kind, stack.x, stack.y, W, _margins(stack.x, W), alpha)[0]
+
+
+class Diverged(FloatingPointError):
+    """A device's margins or model went non-finite in local training."""
+
+    def __init__(self, device_id: int, what: str, iteration: int):
+        super().__init__(
+            f"device {device_id}: non-finite {what} at iteration {iteration} "
+            f"(learning rate too large?)"
+        )
+        # Margins are checked before models within an iteration.
+        self.order = (iteration, what == "model")
+
+
+def _require_finite(finite: np.ndarray, what: str, t: int, device_ids) -> None:
+    if not finite.all():
+        raise Diverged(device_ids[int(np.argmin(finite))], what, t)
+
+
+def _minibatch(stack: ShardStack, batch_size: int, rngs: Sequence[RngStream]):
+    """Each device's batch for one step: batch_size rows drawn without
+    replacement from its own stream, or all its rows when it has no
+    more than batch_size."""
+    rows = np.tile(np.arange(batch_size), (len(stack), 1))
+    for k, count in enumerate(stack.counts):
+        if batch_size < count:
+            rows[k] = rngs[k].gen.choice(int(count), size=batch_size, replace=False)
+    block = np.arange(len(stack))[:, None]
+    return stack.x[block, rows], stack.y[block, rows], np.minimum(stack.counts, batch_size)
+
+
+def _descend(kind, w_init, stack: ShardStack, settings: TrainSettings, rngs) -> np.ndarray:
+    W = np.repeat(w_init[None], len(stack), axis=0)
+    sampled = settings.batch_size is not None and settings.batch_size < stack.counts.max()
+    x, y, counts = stack.x, stack.y, stack.counts
+    groups = _by_count(counts)
+    grad = np.empty_like(W)
+    z_finite = np.empty(len(stack), dtype=bool)
+    for t in range(settings.local_iterations):
+        if sampled:
+            x, y, counts = _minibatch(stack, settings.batch_size, rngs)
+            groups = _by_count(counts)
+        for rows, c in groups:
+            xs, Ws = x[rows, :c], W[rows]
+            z = _margins(xs, Ws)
+            z_finite[rows] = np.isfinite(z).all(axis=1)
+            grad[rows] = _gradients(kind, xs, y[rows, :c], Ws, z, settings.alpha)
+        _require_finite(z_finite, "margins", t, stack.device_ids)
+        W = W - settings.learning_rate * grad
+        _require_finite(np.isfinite(W).all(axis=1), "model", t, stack.device_ids)
+    return W
+
+
+def train_stack(
+    kind: LossKind,
+    w_init,
+    stack: ShardStack,
+    settings: TrainSettings,
+    rngs: Sequence[RngStream],
+    workers: int = 1,
+) -> np.ndarray:
+    """Run local_iterations steps of gradient descent on every device of
+    the stack at once, each from w_init; row k of the result is device
+    stack.device_ids[k]'s model.
+
+    Full-batch by default; when settings.batch_size is set, each step
+    draws each device's batch from its own stream rngs[k]. A non-finite
+    margin or model raises :class:`Diverged` naming the device and the
+    iteration. workers > 1 trains contiguous chunks of the stack on that
+    many threads; every device gets the same bits at any chunking.
+    """
+    w_init = as_params(w_init)
+    chunks = min(workers, len(stack))
+    if chunks <= 1:
+        return _descend(kind, w_init, stack, settings, rngs)
+    bounds = [len(stack) * c // chunks for c in range(chunks + 1)]
+
+    def chunk(c: int) -> np.ndarray:
+        a, b = bounds[c], bounds[c + 1]
+        return _descend(kind, w_init, stack.rows(a, b), settings, rngs[a:b])
+
+    # Imported here: a single-worker run never needs the thread machinery.
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=chunks) as pool:
+        futures = [pool.submit(chunk, c) for c in range(chunks)]
+    # Raise what a single pass would have hit first: the earliest check
+    # of the earliest iteration, then the lowest device.
+    failures = [e for e in (f.exception() for f in futures) if e is not None]
+    if failures:
+        raise min(failures, key=lambda e: getattr(e, "order", (-1, False)))
+    return np.concatenate([f.result() for f in futures])
 
 
 def train_local(
@@ -98,25 +215,6 @@ def train_local(
     settings: TrainSettings,
     rng: RngStream,
 ) -> np.ndarray:
-    """Run local_iterations steps of gradient descent from w_init.
-
-    Full-batch by default; when settings.batch_size is set, each step
-    samples that many examples without replacement from rng. w_init is
-    never mutated.
-    """
-    data = _as_dataset(ds)
-    w = as_params(w_init).copy()
-    for t in range(settings.local_iterations):
-        if settings.batch_size is None or settings.batch_size >= len(data):
-            batch = data
-        else:
-            idx = rng.gen.choice(len(data), size=settings.batch_size, replace=False)
-            batch = data.subset(idx)
-        grad = local_gradient(kind, w, batch, settings.alpha)
-        w = w - settings.learning_rate * grad
-        loss = local_loss(kind, w, batch, settings.alpha)
-        if not np.isfinite(loss):
-            raise FloatingPointError(
-                f"non-finite local loss at iteration {t} (learning rate too large?)"
-            )
-    return ensure_finite("trained local model", w)
+    """One device's case of :func:`train_stack`; ds is a Dataset or a
+    LocalDataset. w_init is never mutated."""
+    return train_stack(kind, w_init, ShardStack.of(ds), settings, [rng])[0]

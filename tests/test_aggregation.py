@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from edgefl.aggregation import ReportedUpdate, aggregate, broadcast
+from edgefl.aggregation import ReportedUpdate, aggregate
 
 
 def _brute_force(updates):
@@ -113,17 +113,3 @@ def test_aggregate_errors():
         aggregate(ups)
     with pytest.raises(ValueError, match="reported_samples"):
         ReportedUpdate(1, np.zeros(3), 0)
-
-
-def test_broadcast_copies_are_isolated():
-    g = np.array([1.0, 2.0])
-    copies = broadcast(g, 7)
-    assert len(copies) == 7
-    copies[0][0] = 99.0
-    for other in copies[1:]:
-        np.testing.assert_array_equal(other, np.array([1.0, 2.0]))
-    np.testing.assert_array_equal(g, np.array([1.0, 2.0]))
-    [single] = broadcast(g, 1)
-    np.testing.assert_array_equal(single, g)
-    with pytest.raises(ValueError):
-        broadcast(g, 0)

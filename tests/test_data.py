@@ -185,6 +185,21 @@ def test_partition_random_configurations_disjoint_and_exact():
         assert len(seen) == len(set(seen)) == sum(sizes)
 
 
+def test_partition_deals_into_one_zero_padded_stack():
+    ds = synth_logistic(20, 3, np.ones(3), RngStream(8, "synth"))
+    stack = partition_iid(ds, 3, [4, 7, 2], RngStream(8, "part"))
+    assert stack.x.shape == (3, 7, 3) and stack.y.shape == (3, 7)
+    assert stack.counts.tolist() == [4, 7, 2] and stack.device_ids == (1, 2, 3)
+    for k, shard in enumerate(stack):
+        assert shard.device_id == k + 1 and shard.size == stack.counts[k]
+        # Shards view the stack: the samples are held once.
+        assert np.shares_memory(shard.data.x, stack.x)
+        assert np.shares_memory(shard.data.y, stack.y)
+        assert not stack.x[k, shard.size:].any() and not stack.y[k, shard.size:].any()
+    part = stack.rows(1, 3)
+    assert part.device_ids == (2, 3) and np.shares_memory(part.x, stack.x)
+
+
 def test_partition_insufficient_samples():
     ds = Dataset(np.zeros((5, 2)), np.zeros(5))
     with pytest.raises(ValueError, match="need 6.*have 5"):

@@ -411,7 +411,7 @@ def test_adversarial_reconstruct_zero_ascent_is_unperturbed_decode():
     enc = train_gae(graph, SMALL, RngStream(8, "atk")).encoder
     _, latent = encode(graph, enc, SMALL, eps=None)
     expected = expit(latent.z[:-1] @ latent.z[-1])
-    row = adversarial_reconstruct(graph, enc, np.zeros(6), SMALL, RngStream(9, "atk"))
+    row = adversarial_reconstruct(graph, latent, np.zeros(6), SMALL)
     np.testing.assert_allclose(row, expected, atol=1e-15)
     assert ((row > 0) & (row < 1)).all()
 
@@ -427,7 +427,7 @@ def test_adversarial_reconstruct_zero_step_size_is_unperturbed():
     _, latent = encode(graph, enc, settings, eps=None)
     ascent = rng.normal(size=6)
     ascent /= np.linalg.norm(ascent)
-    row = adversarial_reconstruct(graph, enc, ascent, settings, RngStream(11, "atk"))
+    row = adversarial_reconstruct(graph, latent, ascent, settings)
     np.testing.assert_allclose(row, expit(latent.z[:-1] @ latent.z[-1]), atol=1e-15)
 
 

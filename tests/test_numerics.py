@@ -8,7 +8,6 @@ from edgefl.numerics import (
     RngStream,
     cosine_similarity,
     euclidean_distance,
-    random_projection,
 )
 
 
@@ -95,8 +94,6 @@ def test_projection_entries_and_errors():
     np.testing.assert_allclose(np.abs(proj.matrix), 1.0 / np.sqrt(3.0), atol=1e-15)
     with pytest.raises(ValueError, match="exceeds"):
         Projector.random(4, 5, RngStream(0, "p"))
-    with pytest.raises(ValueError):
-        random_projection(np.ones(4), 5, RngStream(0, "p"))
 
 
 def test_projection_linearity():

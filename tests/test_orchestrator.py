@@ -10,6 +10,8 @@ import pytest
 import yaml
 
 import edgefl
+from edgefl import simulation
+from edgefl.channel import eavesdrop_set
 from edgefl.cli import main as cli_main
 from edgefl.config import ConfigError, config_echo, validate_config
 from edgefl.data import partition_iid, synth_logistic
@@ -238,6 +240,18 @@ attack:
         assert np.isfinite(attacker.distance_to_global)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_local_loss_names_round_and_stage():
+    # Three steps at this rate leave finite models and margins near 1e180,
+    # whose squared residual overflows when the round's losses are taken.
+    cfg = validate_config(
+        MINIMAL, overrides=["loss=linear", "training.learning_rate=1e60",
+                            "training.local_iterations=3"]
+    )
+    with pytest.raises(RuntimeError, match="round 1, stage metrics: local loss"):
+        run_simulation(cfg)
+
+
 # -------------------------------------------------------------- emit_outputs
 
 def test_emit_outputs_files_and_row_counts(tmp_path):
@@ -323,6 +337,31 @@ def test_cli_validate_and_simulate(tmp_path, capsys):
     assert summary["config"]["seed"] == 5
     assert summary["rounds_completed"] == 1
     assert "final test accuracy" in capsys.readouterr().out
+
+
+def test_run_meta_records_seconds_per_stage(tmp_path):
+    cfg_path = tmp_path / "run.yaml"
+    cfg_path.write_text(_tiny_attack_config(rounds=2))
+    out_dir = tmp_path / "out"
+    assert cli_main(["simulate", "--config", str(cfg_path), "--out", str(out_dir)]) == 0
+    meta = json.loads((out_dir / "run_meta.json").read_text())
+    assert "wall_clock_seconds" in meta
+    assert set(meta["stage_seconds"]) == {
+        "setup", "local training", "attack", "aggregation", "metrics",
+    }
+
+
+def test_eavesdrop_sets_are_computed_once_per_run(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return eavesdrop_set(*args)
+
+    monkeypatch.setattr(simulation, "eavesdrop_set", counting)
+    cfg = validate_config(_tiny_attack_config(rounds=3))
+    run_simulation(cfg)
+    assert len(calls) == cfg.n_malicious == 1
 
 
 def test_cli_import_loads_no_scipy():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from edgefl.data import Dataset, Sample, synth_logistic
+from edgefl.data import Dataset, Sample, partition_iid, synth_logistic
 from edgefl.numerics import RngStream
 from edgefl.training import (
     LossKind,
@@ -11,7 +11,9 @@ from edgefl.training import (
     local_gradient,
     local_loss,
     sample_loss,
+    stack_loss,
     train_local,
+    train_stack,
 )
 
 # log(1 + exp(-50)) evaluated at 60 decimal digits and frozen.
@@ -196,6 +198,85 @@ def test_train_local_divergence_names_iteration():
     settings = TrainSettings(alpha=0.0, learning_rate=1e200, local_iterations=3)
     with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match="iteration"):
         train_local(LossKind.LINEAR, np.ones(1), ds, settings, RngStream(0, "d"))
+
+
+def _unequal_stack(kind, sizes=(50, 200, 137), d=6):
+    rng = np.random.default_rng(71)
+    x = rng.normal(size=(sum(sizes), d))
+    if kind == LossKind.LINEAR:
+        y = x @ rng.normal(size=d) + rng.normal(size=sum(sizes))
+        assert (y < 0).any()
+    else:
+        y = rng.integers(0, 2, size=sum(sizes)).astype(float)
+    return partition_iid(Dataset(x, y), len(sizes), sizes, RngStream(72, "part"))
+
+
+def _reference_descent(kind, w0, data, settings, rng):
+    """The local loop one device at a time on its own 2-D rows."""
+    w = w0.copy()
+    for _ in range(settings.local_iterations):
+        x, y = data.x, data.y
+        if settings.batch_size is not None and settings.batch_size < len(y):
+            idx = rng.gen.choice(len(y), size=settings.batch_size, replace=False)
+            x, y = x[idx], y[idx]
+        z = x @ w
+        residual = z - y if kind == LossKind.LINEAR else 1.0 / (1.0 + np.exp(-z)) - y
+        w = w - settings.learning_rate * (x.T @ residual / len(y) + settings.alpha * w)
+    return w
+
+
+@pytest.mark.parametrize("kind", [LossKind.LINEAR, LossKind.LOGISTIC])
+@pytest.mark.parametrize("batch_size", [None, 64])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_train_stack_matches_per_device_loop_bit_for_bit(kind, batch_size, workers):
+    stack = _unequal_stack(kind)
+    settings = TrainSettings(alpha=0.01, learning_rate=0.05, local_iterations=6,
+                             batch_size=batch_size)
+    w0 = np.linspace(-0.3, 0.3, stack.x.shape[2])
+    streams = [RngStream(73, f"device-{i}") for i in stack.device_ids]
+    got = train_stack(kind, w0, stack, settings, streams, workers=workers)
+    expected = [
+        _reference_descent(kind, w0, shard.data, settings, RngStream(73, f"device-{i}"))
+        for i, shard in zip(stack.device_ids, stack)
+    ]
+    np.testing.assert_array_equal(got, np.stack(expected))
+
+    losses = stack_loss(kind, got, stack, settings.alpha)
+    for k, shard in enumerate(stack):
+        z = shard.data.x @ got[k]
+        y = shard.data.y
+        per_sample = 0.5 * (z - y) ** 2 if kind == LossKind.LINEAR else \
+            y * np.logaddexp(0.0, -z) + (1.0 - y) * np.logaddexp(0.0, z)
+        reg = settings.alpha * 0.5 * float(got[k] @ got[k])
+        assert losses[k] == float(np.mean(per_sample)) + reg
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_stack_names_the_diverging_device_and_iteration():
+    stack = _unequal_stack(LossKind.LINEAR)
+    stack.x[1] *= 1e100  # only device 2 diverges; padded rows stay zero
+    settings = TrainSettings(alpha=0.0, learning_rate=1.0, local_iterations=5)
+    streams = [RngStream(0, f"device-{i}") for i in stack.device_ids]
+    for workers in (1, 2):
+        with pytest.raises(FloatingPointError, match=r"device 2: non-finite \w+ at iteration 1 "):
+            train_stack(LossKind.LINEAR, np.ones(6), stack, settings, streams, workers)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_stack_reports_the_same_divergence_at_any_worker_count():
+    # Device 1 fails later than device 3; chunked training must still
+    # report device 3, as the single pass does.
+    stack = _unequal_stack(LossKind.LINEAR)
+    stack.x[0] *= 1e60
+    stack.x[2] *= 1e150
+    settings = TrainSettings(alpha=0.0, learning_rate=1.0, local_iterations=5)
+    streams = [RngStream(0, f"device-{i}") for i in stack.device_ids]
+    messages = set()
+    for workers in (1, 2, 3):
+        with pytest.raises(FloatingPointError) as err:
+            train_stack(LossKind.LINEAR, np.ones(6), stack, settings, streams, workers)
+        messages.add(str(err.value))
+    assert len(messages) == 1 and "device 3:" in messages.pop()
 
 
 def test_train_settings_validation():
