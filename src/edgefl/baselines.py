@@ -10,10 +10,6 @@ import numpy as np
 
 from .numerics import RngStream, as_params
 
-DEFAULT_NOISE_SIGMA = 1.0
-DEFAULT_FLIP_SCALE = 3.0
-
-
 def gaussian_noise_attack(global_prev, sigma: float, rng: RngStream) -> np.ndarray:
     """Previous global model plus i.i.d. Gaussian noise of scale sigma."""
     if not sigma > 0:

@@ -26,18 +26,22 @@ class ChannelConfig:
     """Propagation constants shared by all links.
 
     gain_basis is the channel gain at 1 m; transmit_power and
-    noise_power are in watts.
+    noise_power are in watts. snr_min is the eavesdropping threshold
+    (0 overhears everyone).
     """
 
-    gain_basis: float
-    transmit_power: float
-    noise_power: float
+    gain_basis: float = 1.0
+    transmit_power: float = 1.0
+    noise_power: float = 1e-4
+    snr_min: float = 0.0
 
     def __post_init__(self):
         for name in ("gain_basis", "transmit_power", "noise_power"):
             value = getattr(self, name)
             if not value > 0:
                 raise ValueError(f"channel.{name} must be positive, got {value}")
+        if not self.snr_min >= 0:
+            raise ValueError(f"channel.snr_min must be >= 0, got {self.snr_min}")
 
 
 def distance(p: DevicePosition, q: DevicePosition) -> float:

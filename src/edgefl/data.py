@@ -7,7 +7,6 @@ import gzip
 import struct
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -17,17 +16,12 @@ IMAGES_MAGIC = 0x00000803
 LABELS_MAGIC = 0x00000801
 
 
-class Sample(NamedTuple):
-    x: np.ndarray
-    y: float
-
-
 @dataclass(frozen=True)
 class Dataset:
     """Ordered sample collection stored as stacked arrays.
 
-    x: (n, d) float64 features; y: (n,) float64 labels. Iteration and
-    indexing yield :class:`Sample` views in file/generation order.
+    x: (n, d) float64 features; y: (n,) float64 labels, in
+    file/generation order.
     """
 
     x: np.ndarray
@@ -41,13 +35,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return self.x.shape[0]
-
-    def __getitem__(self, i: int) -> Sample:
-        return Sample(self.x[i], float(self.y[i]))
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self[i]
 
     @property
     def dim(self) -> int:

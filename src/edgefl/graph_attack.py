@@ -53,6 +53,7 @@ class AttackSettings:
     identity_projection: bool = False
 
     def __post_init__(self):
+        object.__setattr__(self, "hidden_dims", tuple(self.hidden_dims))
         if self.d_feat < 1 or self.d_z < 1 or self.psi_hidden < 1:
             raise ValueError("d_feat, d_z, and psi_hidden must all be >= 1")
         if not self.hidden_dims or any(h < 1 for h in self.hidden_dims):

@@ -45,7 +45,7 @@ class _Setup:
 
 
 def _build_datasets(cfg: SimConfig) -> tuple[Dataset, Dataset]:
-    total_train = sum(cfg.samples_per_device)
+    total_train = sum(cfg.devices.samples_per_device)
     if cfg.dataset.kind == "synthetic":
         d = cfg.dataset.dim
         w_rng = RngStream(cfg.dataset.w_true_seed, "w-true")
@@ -68,8 +68,9 @@ def _build_datasets(cfg: SimConfig) -> tuple[Dataset, Dataset]:
 
 
 def _draw_positions(cfg: SimConfig) -> tuple[dict[int, DevicePosition], dict[int, DevicePosition]]:
-    benign_ids = list(range(1, cfg.n_benign + 1))
-    attacker_ids = list(range(cfg.n_benign + 1, cfg.n_benign + cfg.n_malicious + 1))
+    n_benign, n_malicious = cfg.devices.n_benign, cfg.devices.n_malicious
+    benign_ids = list(range(1, n_benign + 1))
+    attacker_ids = list(range(n_benign + 1, n_benign + n_malicious + 1))
     if cfg.positions.mode == "explicit":
         benign = {
             i: DevicePosition(*cfg.positions.benign[k]) for k, i in enumerate(benign_ids)
@@ -95,27 +96,29 @@ def _draw_positions(cfg: SimConfig) -> tuple[dict[int, DevicePosition], dict[int
 def _setup(cfg: SimConfig) -> _Setup:
     train, test = _build_datasets(cfg)
     shards = partition_iid(
-        train, cfg.n_benign, cfg.samples_per_device, RngStream(cfg.seed, "partitioner")
+        train, cfg.devices.n_benign, cfg.devices.samples_per_device,
+        RngStream(cfg.seed, "partitioner"),
     )
     benign_pos, attacker_pos = _draw_positions(cfg)
 
     dim = train.dim
     projector = None
-    if cfg.attack_kind == "avgae" and cfg.n_malicious > 0:
-        if cfg.avgae.identity_projection:
+    avgae = cfg.attack.avgae
+    if cfg.attack.kind == "avgae" and cfg.devices.n_malicious > 0:
+        if avgae.identity_projection:
             projector = Projector.identity(dim)
         else:
-            projector = Projector.random(dim, cfg.avgae.d_feat, RngStream(cfg.seed, "projector"))
+            projector = Projector.random(dim, avgae.d_feat, RngStream(cfg.seed, "projector"))
 
-    if cfg.global_init_kind == "zeros":
+    if cfg.global_init.kind == "zeros":
         init = np.zeros(dim)
     else:
-        init = RngStream(cfg.seed, "global-init").gen.standard_normal(dim) * cfg.global_init_std
+        init = RngStream(cfg.seed, "global-init").gen.standard_normal(dim) * cfg.global_init.std
 
     # Positions are fixed for the whole run, so each attacker's
     # eavesdrop set is too.
     overheard_ids = {
-        i: sorted(eavesdrop_set(benign_pos, pos, cfg.channel, cfg.snr_min))
+        i: sorted(eavesdrop_set(benign_pos, pos, cfg.channel, cfg.channel.snr_min))
         for i, pos in attacker_pos.items()
     }
     device_streams = [RngStream(cfg.seed, f"device-{i}") for i in shards.device_ids]
@@ -182,37 +185,33 @@ def run_simulation(
 
         diagnostics: list[AttackDiagnostics] = []
         attacker_models: dict[int, np.ndarray] = {}
+        attack, b_a = cfg.attack, cfg.devices.attacker_reported_samples
         for attacker_id in attacker_ids:
           with _stage("attack", stage_seconds, round_index, f" (device {attacker_id})"):
             overheard = [locals_by_id[i] for i in setup.overheard_ids[attacker_id]]
-            b_a = cfg.attacker_reported_samples
-            if cfg.attack_kind == "avgae":
+            rng = setup.attacker_streams[attacker_id]
+            diag = None
+            if attack.kind == "avgae":
                 result = run_attack(
-                    overheard, global_params, global_history,
-                    cfg.avgae, setup.attacker_streams[attacker_id],
+                    overheard, global_params, global_history, attack.avgae, rng,
                     setup.projector, b_a, attacker_id,
                 )
-                updates.append(result.update)
-                attacker_models[attacker_id] = result.update.params
-                diagnostics.append(result.diagnostics)
-            elif cfg.attack_kind == "gaussian":
-                params = gaussian_noise_attack(
-                    global_params, cfg.gaussian_sigma, setup.attacker_streams[attacker_id]
-                )
-                updates.append(ReportedUpdate(attacker_id, params, b_a, is_malicious=True))
-                attacker_models[attacker_id] = params
-            elif cfg.attack_kind == "signflip":
+                params, diag = result.update.params, result.diagnostics
+            elif attack.kind == "gaussian":
+                params = gaussian_noise_attack(global_params, attack.gaussian.sigma, rng)
+            else:  # signflip; attackers never run under kind "none"
                 diag = AttackDiagnostics(attacker_id=attacker_id)
                 if overheard:
                     params = sign_flip_attack(
-                        np.mean(np.stack(overheard), axis=0), cfg.signflip_scale
+                        np.mean(np.stack(overheard), axis=0), attack.signflip.scale
                     )
                 else:
                     diag.skipped = True
                     diag.skip_reason = "no overheard models"
                     params = global_params.copy()
-                updates.append(ReportedUpdate(attacker_id, params, b_a, is_malicious=True))
-                attacker_models[attacker_id] = params
+            updates.append(ReportedUpdate(attacker_id, params, b_a, is_malicious=True))
+            attacker_models[attacker_id] = params
+            if diag is not None:
                 diagnostics.append(diag)
 
         with _stage("aggregation", stage_seconds, round_index):
@@ -299,7 +298,7 @@ def emit_outputs(
         fh.write("\n")
     written["summary"] = summary_path
 
-    if cfg.attack_kind == "avgae" and cfg.n_malicious > 0:
+    if cfg.attack.kind == "avgae" and cfg.devices.n_malicious > 0:
         diag_path = out / "attack_diag.csv"
         with open(diag_path, "w", newline="") as fh:
             writer = csv.writer(fh)

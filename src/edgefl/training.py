@@ -11,7 +11,7 @@ from typing import Sequence
 import numpy as np
 
 from .numerics import RngStream, as_params, sigmoid
-from .data import Sample, ShardStack
+from .data import ShardStack
 
 
 class LossKind(str, Enum):
@@ -52,16 +52,6 @@ def _margin_losses(kind: LossKind, z: np.ndarray, y: np.ndarray) -> np.ndarray:
     #   y*log(1 + exp(-z)) - (1-y)*log(1 - 1/(1 + exp(-z)))
     # via softplus: y*softplus(-z) + (1-y)*softplus(z).
     return y * np.logaddexp(0.0, -z) + (1.0 - y) * np.logaddexp(0.0, z)
-
-
-def sample_loss(kind: LossKind, w, s: Sample) -> float:
-    """Loss of one sample under the given model."""
-    w = as_params(w)
-    x = as_params(s.x)
-    if w.shape[0] != x.shape[0]:
-        raise ValueError(f"dimension mismatch: {w.shape[0]} vs {x.shape[0]}")
-    z = np.array([w @ x])
-    return float(_margin_losses(kind, z, np.array([s.y]))[0])
 
 
 # The stacked forms below take one model per device, W of shape (n, d).

@@ -469,7 +469,7 @@ def test_criterion_7_fashion_mnist_desk_run():
     train = binarize(load_idx(paths["train_images"], paths["train_labels"]), 0, 9)
     test = binarize(load_idx(paths["test_images"], paths["test_labels"]), 0, 9)
     pooled = partition_iid(
-        train, 5, cfg.samples_per_device, RngStream(cfg.seed, "partitioner")
+        train, 5, cfg.devices.samples_per_device, RngStream(cfg.seed, "partitioner")
     )
     import numpy as _np
     from edgefl.data import Dataset as _Dataset

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -42,11 +43,11 @@ def test_minimal_config_gets_defaults():
     assert cfg.rounds == 2
     assert cfg.training.learning_rate == 0.1
     assert cfg.training.local_iterations == 5
-    assert cfg.samples_per_device == (30, 30)
-    assert cfg.attacker_reported_samples == 30
-    assert cfg.attack_kind == "none"
+    assert cfg.devices.samples_per_device == (30, 30)
+    assert cfg.devices.attacker_reported_samples == 30
+    assert cfg.attack.kind == "none"
     assert cfg.loss == LossKind.LOGISTIC
-    assert cfg.snr_min == 0.0
+    assert cfg.channel.snr_min == 0.0
 
 
 def test_config_rejections_name_the_key():
@@ -69,6 +70,126 @@ def test_config_rejections_name_the_key():
             "dataset: {kind: fashion_mnist, train_images: /nope, train_labels: /nope,"
             " test_images: /nope, test_labels: /nope}"
         )
+
+
+def test_empty_config_echoes_every_default():
+    assert config_echo(validate_config("")) == {
+        "seed": 0,
+        "rounds": 30,
+        "devices": {
+            "n_benign": 5, "n_malicious": 0, "samples_per_device": [200] * 5,
+            "attacker_reported_samples": 200, "b_a_policy": "mean",
+        },
+        "dataset": {
+            "kind": "synthetic", "dim": 10, "n_test": 1000, "w_true_seed": 7,
+            "w_scale": 4.0, "train_images": None, "train_labels": None,
+            "test_images": None, "test_labels": None, "class_a": 0, "class_b": 9,
+        },
+        "loss": "logistic",
+        "training": {
+            "alpha": 0.001, "learning_rate": 0.1, "local_iterations": 5, "batch_size": None,
+        },
+        "channel": {
+            "gain_basis": 1.0, "transmit_power": 1.0, "noise_power": 0.0001, "snr_min": 0.0,
+        },
+        "positions": {
+            "mode": "random_box", "x_range": [0.0, 100.0], "y_range": [0.0, 100.0],
+            "z_range": [0.0, 10.0], "benign": None, "attackers": None,
+        },
+        "global_init": {"kind": "zeros", "std": 0.01},
+        "attack": {
+            "kind": "none",
+            "avgae": {
+                "d_feat": 10, "d_z": 8, "hidden_dims": [32, 16], "activation": "tanh",
+                "gae_epochs": 80, "gae_learning_rate": 0.05, "beta": 0.001,
+                "ascent_steps": 30, "ascent_step_size": 0.1,
+                "d_thresh_mode": "percentile", "d_thresh_value": None,
+                "d_thresh_percentile": 90.0, "negative_sample_ratio": 1.0,
+                "psi_hidden": 8, "identity_projection": False,
+            },
+            "gaussian": {"sigma": 1.0},
+            "signflip": {"scale": 3.0},
+        },
+    }
+
+
+@pytest.mark.parametrize("text, path", [
+    ("seed: -1", "seed"),
+    ("workers: 0", "workers"),
+    ("loss: hinge", "loss"),
+    ("devices: {n_malicious: -1}", "devices.n_malicious"),
+    ("devices: {samples_per_device: [10, 20]}", "devices.samples_per_device"),
+    ("devices: {samples_per_device: 0}", "devices.samples_per_device"),
+    ("devices: {attacker_reported_samples: 0}", "devices.attacker_reported_samples"),
+    ("devices: {attacker_reported_samples: median}", "devices.attacker_reported_samples"),
+    ("dataset: {kind: images}", "dataset.kind"),
+    ("dataset: {dim: 0}", "dataset.dim"),
+    ("dataset: {n_test: two}", "dataset.n_test"),
+    ("dataset: {w_scale: -1}", "dataset.w_scale"),
+    ("dataset: {class_a: 3, class_b: 3}", "dataset.class_a"),
+    ("training: {alpha: 2.0}", "training.alpha"),
+    ("training: {batch_size: 0}", "training.batch_size"),
+    ("training: {local_iterations: true}", "training.local_iterations"),
+    ("channel: {noise_power: 0}", "channel.noise_power"),
+    ("channel: {snr_min: -1}", "channel.snr_min"),
+    ("positions: {mode: grid}", "positions.mode"),
+    ("positions: {x_range: [1]}", "positions.x_range"),
+    ("positions: {x_range: [a, b]}", "positions.x_range"),
+    ("positions: {y_range: [5, 1]}", "positions.y_range"),
+    ("positions: {z_range: [-1, 2]}", "positions.z_range"),
+    ("positions: {mode: explicit, benign: [[0, 0]]}", "positions.benign[0]"),
+    ("positions: {benign: [[0, 0, -1]]}", "positions.benign[0]"),
+    ("global_init: {kind: uniform}", "global_init.kind"),
+    ("global_init: {kind: normal, std: 0}", "global_init.std"),
+    ("attack: 3", "attack"),
+    ("attack: {avgae: 3}", "attack.avgae"),
+    ("attack: {avgae: {hidden_dims: [a]}}", "attack.avgae.hidden_dims"),
+    ("attack: {avgae: {hidden_dims: 4}}", "attack.avgae.hidden_dims"),
+    ("attack: {avgae: {d_thresh_mode: sideways}}", "attack.avgae.d_thresh_mode"),
+    ("attack: {avgae: {d_thresh_mode: absolute}}", "attack.avgae.d_thresh_value"),
+    ("attack: {avgae: {identity_projection: 1}}", "attack.avgae.identity_projection"),
+    ("attack: {avgae: {gae_epochs: -1}}", "attack.avgae"),
+    ("attack: {avgae: {psi: 3}}", "attack.avgae.psi"),
+    ("attack: {gaussian: {sigma: 0}}", "attack.gaussian.sigma"),
+    ("attack: {gaussian: {mu: 1}}", "attack.gaussian.mu"),
+    ("attack: {signflip: {scale: -1}}", "attack.signflip.scale"),
+    ("attack: {signflip: 3}", "attack.signflip"),
+])
+def test_every_section_rejection_names_the_key_path(text, path):
+    with pytest.raises(ConfigError, match=re.escape(path)):
+        validate_config(text)
+
+
+NON_FINITE_OR_NEGATIVE_SEED = [
+    ("channel.snr_min=.nan", "channel.snr_min"),
+    ("channel.gain_basis=.inf", "channel.gain_basis"),
+    pytest.param("channel.snr_min=" + "9" * 400, "channel.snr_min", id="int-beyond-float"),
+    ("attack.avgae.ascent_step_size=.nan", "attack.avgae.ascent_step_size"),
+    ("attack.avgae.negative_sample_ratio=.nan", "attack.avgae.negative_sample_ratio"),
+    ("positions.x_range=[.nan, 1]", "positions.x_range"),
+    ("training.learning_rate=.inf", "training.learning_rate"),
+    ("attack.gaussian.sigma=.inf", "attack.gaussian.sigma"),
+    ("dataset.w_true_seed=-1", "dataset.w_true_seed"),
+]
+
+
+@pytest.mark.parametrize("override, path", NON_FINITE_OR_NEGATIVE_SEED)
+def test_non_finite_floats_and_negative_w_true_seed_are_config_errors(override, path):
+    with pytest.raises(ConfigError, match=re.escape(path)):
+        validate_config(_tiny_attack_config(), overrides=[override])
+
+
+def test_cli_non_finite_float_exits_1_and_writes_nothing(tmp_path, capsys):
+    cfg_path = tmp_path / "run.yaml"
+    cfg_path.write_text(_tiny_attack_config())
+    out_dir = tmp_path / "out"
+    code = cli_main([
+        "simulate", "--config", str(cfg_path), "--out", str(out_dir),
+        "--override", "channel.snr_min=.nan",
+    ])
+    assert code == 1
+    assert "config error: channel.snr_min" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_explicit_config_round_trips_through_echo():
@@ -120,7 +241,7 @@ def test_exponent_floats_in_config_text_and_overrides():
         MINIMAL + "channel: {snr_min: 1e9, transmit_power: 1.0e4}\n",
         overrides=["channel.noise_power=1e-4", "training.alpha=2E-3"],
     )
-    assert cfg.snr_min == 1e9
+    assert cfg.channel.snr_min == 1e9
     assert cfg.channel.transmit_power == 1e4
     assert cfg.channel.noise_power == 1e-4
     assert cfg.training.alpha == 2e-3
@@ -151,12 +272,12 @@ def test_d_feat_resolves_to_model_dim():
         "devices: {n_malicious: 1}\ndataset: {dim: 6}\n"
         "attack: {kind: avgae, avgae: {d_feat: 32}}"
     )
-    assert cfg.avgae.d_feat == 6
+    assert cfg.attack.avgae.d_feat == 6
     cfg2 = validate_config(
         "devices: {n_malicious: 1}\ndataset: {dim: 6}\n"
         "attack: {kind: avgae, avgae: {identity_projection: true, d_feat: 3}}"
     )
-    assert cfg2.avgae.d_feat == 6 and cfg2.avgae.identity_projection
+    assert cfg2.attack.avgae.d_feat == 6 and cfg2.attack.avgae.identity_projection
 
 
 # ---------------------------------------------------------------- simulation
@@ -361,7 +482,7 @@ def test_eavesdrop_sets_are_computed_once_per_run(monkeypatch):
     monkeypatch.setattr(simulation, "eavesdrop_set", counting)
     cfg = validate_config(_tiny_attack_config(rounds=3))
     run_simulation(cfg)
-    assert len(calls) == cfg.n_malicious == 1
+    assert len(calls) == cfg.devices.n_malicious == 1
 
 
 def test_cli_import_loads_no_scipy():

@@ -3,14 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from edgefl.data import Dataset, Sample, partition_iid, synth_logistic
+from edgefl.data import Dataset, ShardStack, partition_iid, synth_logistic
 from edgefl.numerics import RngStream
 from edgefl.training import (
     LossKind,
     TrainSettings,
     local_gradient,
     local_loss,
-    sample_loss,
     stack_loss,
     train_local,
     train_stack,
@@ -30,47 +29,50 @@ def _finite_difference(f, w, h=1e-6):
     return grad
 
 
+def _one_row_loss(kind, w, x, y):
+    """Loss of one sample: stack_loss on a one-device, one-row stack, no
+    regularizer."""
+    stack = ShardStack.of(Dataset(np.array([x], dtype=float), np.array([y])))
+    return float(stack_loss(kind, np.array([w], dtype=float), stack, alpha=0.0)[0])
+
+
 def test_sample_loss_linear_example():
-    s = Sample(np.array([2.0, 0.0]), 1.0)
-    assert sample_loss(LossKind.LINEAR, np.array([1.0, 0.0]), s) == 0.5
+    assert _one_row_loss(LossKind.LINEAR, [1.0, 0.0], [2.0, 0.0], 1.0) == 0.5
 
 
 def test_sample_loss_logistic_zero_margin_is_log2():
-    w = np.array([1.0, -1.0])
-    x = np.array([1.0, 1.0])  # w.x == 0
+    w = [1.0, -1.0]
+    x = [1.0, 1.0]  # w.x == 0
     for y in (0.0, 1.0):
-        assert sample_loss(LossKind.LOGISTIC, w, Sample(x, y)) == pytest.approx(
+        assert _one_row_loss(LossKind.LOGISTIC, w, x, y) == pytest.approx(
             math.log(2.0), rel=1e-12
         )
 
 
 def test_sample_loss_logistic_large_margin_no_overflow():
-    w = np.array([50.0])
-    loss = sample_loss(LossKind.LOGISTIC, w, Sample(np.array([1.0]), 1.0))
+    loss = _one_row_loss(LossKind.LOGISTIC, [50.0], [1.0], 1.0)
     assert loss == pytest.approx(SOFTPLUS_MINUS_50, rel=1e-12)
     # The printed form would overflow well before this margin.
-    big = sample_loss(LossKind.LOGISTIC, np.array([1e4]), Sample(np.array([1.0]), 0.0))
+    big = _one_row_loss(LossKind.LOGISTIC, [1e4], [1.0], 0.0)
     assert np.isfinite(big) and big == pytest.approx(1e4)
 
 
 def test_sample_loss_nonnegative_and_finite_up_to_1e4():
     for margin in (-1e4, -100.0, -1.0, 0.0, 1.0, 100.0, 1e4):
         for y in (0.0, 1.0):
-            v = sample_loss(LossKind.LOGISTIC, np.array([margin]), Sample(np.array([1.0]), y))
+            v = _one_row_loss(LossKind.LOGISTIC, [margin], [1.0], y)
             assert np.isfinite(v) and v >= 0.0
 
 
 def test_sample_loss_dim_mismatch():
-    with pytest.raises(ValueError, match="2 vs 3"):
-        sample_loss(LossKind.LINEAR, np.ones(2), Sample(np.ones(3), 0.0))
+    with pytest.raises(ValueError):
+        _one_row_loss(LossKind.LINEAR, [1.0, 1.0], [1.0, 1.0, 1.0], 0.0)
 
 
 def test_local_loss_single_sample_no_reg():
     ds = Dataset(np.array([[2.0, 0.0]]), np.array([1.0]))
     w = np.array([1.0, 0.0])
-    assert local_loss(LossKind.LINEAR, w, ds, alpha=0.0) == sample_loss(
-        LossKind.LINEAR, w, ds[0]
-    )
+    assert local_loss(LossKind.LINEAR, w, ds, alpha=0.0) == 0.5
 
 
 def test_local_loss_zero_model_zero_targets():
