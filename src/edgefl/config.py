@@ -137,6 +137,11 @@ class PositionsConfig:
             for i, (_, _, z) in enumerate(getattr(self, key) or ()):
                 if z < 0:
                     raise ValueError(f"positions.{key}[{i}] has negative altitude {z}")
+            if self.mode == "random_box" and getattr(self, key) is not None:
+                raise ValueError(
+                    f"positions.{key} is only read in explicit mode; random_box draws "
+                    "every position"
+                )
 
 
 @dataclass(frozen=True)
@@ -319,8 +324,11 @@ def _convert(value, hint, path: str):
     return value
 
 
-def apply_overrides(raw: dict, overrides: Sequence[str]) -> dict:
-    """Apply key.path=value overrides (values parsed as YAML) in order."""
+def apply_overrides(raw: Mapping, overrides: Sequence[str]) -> dict:
+    """A copy of raw with key.path=value overrides (values parsed as YAML)
+    applied in order. Every mapping on an override's path is copied, so
+    raw and the mappings nested in it are left as they were."""
+    raw = dict(raw)
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override must look like key.path=value, got {item!r}")
@@ -338,9 +346,9 @@ def apply_overrides(raw: dict, overrides: Sequence[str]) -> dict:
             nxt = node.get(part)
             if nxt is None:
                 nxt = {}
-                node[part] = nxt
-            if not isinstance(nxt, dict):
+            if not isinstance(nxt, Mapping):
                 raise ConfigError(f"override {dotted}: {part} is not a mapping")
+            node[part] = nxt = dict(nxt)
             node = nxt
         node[parts[-1]] = value
     return raw
@@ -380,13 +388,12 @@ def validate_config(source: str | Mapping, overrides: Sequence[str] = ()) -> Sim
         except yaml.YAMLError as exc:
             raise ConfigError(f"config is not valid YAML: {exc}")
     else:
-        raw = dict(source)
+        raw = source
     if raw is None:
         raw = {}
     if not isinstance(raw, Mapping):
         raise ConfigError(f"config root must be a mapping, got {type(raw).__name__}")
-    raw = dict(raw)
-    apply_overrides(raw, overrides)
+    raw = apply_overrides(raw, overrides)
     _resolve_d_thresh_mode(raw)
     return _read(SimConfig, raw, "")
 

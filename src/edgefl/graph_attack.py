@@ -14,12 +14,14 @@ device) so dense numpy math is used throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .aggregation import ReportedUpdate
-from .numerics import Projector, RngStream, as_params, cosine_similarity, ensure_finite, sigmoid
+from .numerics import (
+    Projector, RngStream, as_params, cosine_similarity, ensure_finite, sigmoid, timed,
+)
 
 PROB_CLAMP_LO = 1e-12
 PROB_CLAMP_HI = 1.0 - 1e-12
@@ -127,8 +129,9 @@ class ModelGraph:
 class EncoderState:
     """Learnable weights: graph layers, latent heads, and the scoring MLP.
 
-    The gradients of the loss come back in the same type. psi_b2 is a 0-d
-    array so that every block can be updated in place.
+    The gradients of the loss come back in the same type. One encoder's
+    psi_b2 is a 0-d array so that every block can be updated in place. A
+    stack of k encoders puts a leading axis of length k on every array.
     """
 
     layer_weights: list[np.ndarray]
@@ -145,6 +148,20 @@ class EncoderState:
             *self.layer_weights, self.mu_head, self.logvar_head,
             self.psi_w1, self.psi_b1, self.psi_w2, self.psi_b2,
         ]
+
+    def map(self, fn) -> EncoderState:
+        """The state with fn applied to every array."""
+        return _from_blocks([fn(b) for b in self.blocks()], len(self.layer_weights))
+
+    @staticmethod
+    def stack(states: Sequence[EncoderState]) -> EncoderState:
+        """One stack of the given encoders, in order."""
+        blocks = [np.stack(same) for same in zip(*(s.blocks() for s in states))]
+        return _from_blocks(blocks, len(states[0].layer_weights))
+
+
+def _from_blocks(blocks: list[np.ndarray], n_layers: int) -> EncoderState:
+    return EncoderState(blocks[:n_layers], *blocks[n_layers:])
 
 
 @dataclass(frozen=True)
@@ -225,46 +242,66 @@ def build_graph(
     return ModelGraph(adjacency=adjacency, features=features, raw_models=raw)
 
 
-def _activation_pair(name: str):
-    if name == "tanh":
-        return np.tanh, lambda s, h: 1.0 - h * h
-    return (
-        lambda s: np.maximum(s, 0.0),
-        lambda s, h: (s > 0).astype(np.float64),
+class _Prepared(NamedTuple):
+    """What every pass over one graph shares: the row-normalized
+    adjacency, the first layer's propagated features and the activation
+    with its derivative."""
+
+    ahat: np.ndarray
+    mid0: np.ndarray  # features + ahat @ features
+    act: Callable
+    act_grad: Callable
+
+
+def _prepare(graph: ModelGraph, settings: AttackSettings) -> _Prepared:
+    # Row sums are >= 1 thanks to the unit self-loops.
+    ahat = graph.adjacency / graph.adjacency.sum(axis=1, keepdims=True)
+    mid0 = graph.features + ahat @ graph.features
+    if settings.activation == "tanh":
+        return _Prepared(ahat, mid0, np.tanh, lambda s, h: 1.0 - h * h)
+    return _Prepared(
+        ahat, mid0, lambda s: np.maximum(s, 0.0), lambda s, h: (s > 0).astype(np.float64)
     )
 
 
-def _normalized_adjacency(adjacency: np.ndarray) -> np.ndarray:
-    # Row sums are >= 1 thanks to the unit self-loops.
-    return adjacency / adjacency.sum(axis=1, keepdims=True)
+# The passes below take one encoder, or a stack of encoders with a leading
+# axis on every weight, link weight and noise array; the graph is shared.
+# Leading-axis np.matmul makes one BLAS call per encoder on the same
+# operands as the call for that encoder alone, and every other operation
+# is elementwise or reduces within one encoder, so each encoder of a stack
+# gets the same bits as on its own.
+
+def _mT(a: np.ndarray) -> np.ndarray:
+    return a.swapaxes(-1, -2)
+
+
+class _HiddenNotFinite(FloatingPointError):
+    """A hidden state went non-finite; bad marks the encoders of a stack
+    that it happened to."""
+
+    def __init__(self, layer: int, bad):
+        super().__init__(f"non-finite hidden state at layer {layer}")
+        self.bad = bad
 
 
 @dataclass
 class _Forward:
-    hiddens: list[np.ndarray]  # H[0] = features, ..., H[L]
-    mids: list[np.ndarray]     # M[l] = H[l-1] + Ahat @ H[l-1]
+    hiddens: list[np.ndarray]  # H[1], ..., H[L]
+    mids: list[np.ndarray]     # M[l] = H[l-1] + Ahat @ H[l-1], H[0] = features
     preacts: list[np.ndarray]  # S[l] = M[l] @ W[l]
     latent: LatentState
     std: np.ndarray | None
 
 
-def _forward(
-    graph: ModelGraph,
-    enc: EncoderState,
-    settings: AttackSettings,
-    eps: np.ndarray | None,
-) -> _Forward:
-    act, _ = _activation_pair(settings.activation)
-    ahat = _normalized_adjacency(graph.adjacency)
-    hiddens = [graph.features]
-    mids, preacts = [], []
+def _forward(prep: _Prepared, enc: EncoderState, eps: np.ndarray | None) -> _Forward:
+    mids, preacts, hiddens = [prep.mid0], [], []
     for l, w in enumerate(enc.layer_weights, start=1):
-        mid = hiddens[-1] + ahat @ hiddens[-1]
-        pre = mid @ w
-        hidden = act(pre)
+        if l > 1:
+            mids.append(hiddens[-1] + prep.ahat @ hiddens[-1])
+        pre = mids[-1] @ w
+        hidden = prep.act(pre)
         if not np.isfinite(hidden).all():
-            raise FloatingPointError(f"non-finite hidden state at layer {l}")
-        mids.append(mid)
+            raise _HiddenNotFinite(l, ~np.isfinite(hidden).all(axis=(-2, -1)))
         preacts.append(pre)
         hiddens.append(hidden)
     mu = hiddens[-1] @ enc.mu_head
@@ -289,7 +326,7 @@ def encode(
     eps is the pre-drawn standard-normal noise for the variational
     sample; pass None to take z = mu (the beta == 0 behavior).
     """
-    fw = _forward(graph, enc, settings, eps)
+    fw = _forward(_prepare(graph, settings), enc, eps)
     return fw.hiddens[-1], fw.latent
 
 
@@ -324,36 +361,51 @@ def sample_links(
 LOGIT_CLAMP = float(np.log1p(-PROB_CLAMP_LO) - np.log(PROB_CLAMP_LO))
 
 
-def _clamped_neglog_sigmoid(s: np.ndarray) -> np.ndarray:
-    """-log(clip(sigmoid(s))); pass -s for -log(1 - clip(sigmoid(s)))."""
-    return np.logaddexp(0.0, -np.clip(s, -LOGIT_CLAMP, LOGIT_CLAMP))
+def _clamp(x: np.ndarray) -> np.ndarray:
+    """x clipped to +-LOGIT_CLAMP (np.clip's result, without its
+    dispatch cost)."""
+    return np.minimum(np.maximum(x, -LOGIT_CLAMP), LOGIT_CLAMP)
 
 
-def _clamp_active(s: np.ndarray) -> np.ndarray:
-    return np.abs(s) < LOGIT_CLAMP
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """numerics.sigmoid for clamped x, whose exp cannot overflow."""
+    return 1.0 / (1.0 + np.exp(-x))
 
 
-def _link_loss(z: np.ndarray, links: LinkSample) -> float:
-    s = z @ z.T
-    return float(np.sum(
-        links.positive * _clamped_neglog_sigmoid(s)
-        + links.negative * _clamped_neglog_sigmoid(-s)
-    ))
+class _Scores(NamedTuple):
+    """The loss of each encoder and the scores its gradient reuses."""
+
+    loss: np.ndarray
+    s: np.ndarray      # link logits z_v . z_u
+    c: np.ndarray      # s clamped to +-LOGIT_CLAMP
+    h1: np.ndarray     # scoring-MLP hidden layer
+    t: np.ndarray      # scoring-MLP logits
+    ct: np.ndarray     # t clamped to +-LOGIT_CLAMP
+    exp_logvar: np.ndarray | None
 
 
-def _psi_scores(hidden: np.ndarray, enc: EncoderState):
-    h1 = np.tanh(hidden @ enc.psi_w1 + enc.psi_b1)
-    t = h1 @ enc.psi_w2 + enc.psi_b2
-    return h1, t
-
-
-def _psi_loss(hidden: np.ndarray, enc: EncoderState) -> float:
-    _, t = _psi_scores(hidden, enc)
-    return float(_clamped_neglog_sigmoid(t).sum())
-
-
-def _kl_divergence(mu: np.ndarray, logvar: np.ndarray) -> float:
-    return float(-0.5 * np.sum(1.0 + logvar - mu * mu - np.exp(logvar)))
+def _scores(
+    hidden: np.ndarray, latent: LatentState, enc: EncoderState, links: LinkSample, beta: float
+) -> _Scores:
+    """Per-node link reconstruction cross-entropy, plus the per-node MLP
+    score term, plus beta-weighted KL; -log(clip(sigmoid(x))) is
+    softplus(-clamped x)."""
+    z = latent.z
+    s = z @ _mT(z)
+    c = _clamp(s)
+    loss = (
+        links.positive * np.logaddexp(0.0, -c) + links.negative * np.logaddexp(0.0, c)
+    ).sum(axis=(-2, -1))
+    h1 = np.tanh(hidden @ enc.psi_w1 + enc.psi_b1[..., None, :])
+    t = np.matmul(h1, enc.psi_w2[..., None])[..., 0] + enc.psi_b2[..., None]
+    ct = _clamp(t)
+    loss = loss + np.logaddexp(0.0, -ct).sum(axis=-1)
+    exp_logvar = None
+    if beta > 0:
+        exp_logvar = np.exp(latent.logvar)
+        kl = -0.5 * (1.0 + latent.logvar - latent.mu * latent.mu - exp_logvar).sum(axis=(-2, -1))
+        loss = loss + beta * kl
+    return _Scores(loss, s, c, h1, t, ct, exp_logvar)
 
 
 def graph_loss(
@@ -370,10 +422,74 @@ def graph_loss(
         raise ValueError(
             f"hidden rows {hidden.shape[0]} != node count {graph.node_count}"
         )
-    total = _link_loss(latent.z, links) + _psi_loss(hidden, enc)
-    if settings.beta > 0:
-        total += settings.beta * _kl_divergence(latent.mu, latent.logvar)
-    return total
+    return float(_scores(hidden, latent, enc, links, settings.beta).loss)
+
+
+def _gradients(
+    prep: _Prepared,
+    fw: _Forward,
+    sc: _Scores,
+    enc: EncoderState,
+    links: LinkSample,
+    eps: np.ndarray | None,
+    beta: float,
+) -> EncoderState:
+    """Analytic gradients of the loss, reusing the pass's own scores."""
+    hidden, latent = fw.hiddens[-1], fw.latent
+    z = latent.z
+
+    # Backward through the link terms into z; s[v, u] = z_v . z_u, and
+    # sigmoid(s) - 1 is written as -sigmoid(-s) to keep precision when
+    # saturated. The gradient is zero outside the clamp and c equals s
+    # inside it.
+    coeff = np.where(
+        np.abs(sc.s) < LOGIT_CLAMP,
+        links.negative * _sigmoid(sc.c) - links.positive * _sigmoid(-sc.c),
+        0.0,
+    )
+    gz = coeff @ z + _mT(coeff) @ z
+
+    # Backward through the scoring MLP into its weights and the hidden state.
+    h1 = sc.h1
+    gt = np.where(np.abs(sc.t) < LOGIT_CLAMP, -_sigmoid(-sc.ct), 0.0)
+    g_psi_w2 = np.matmul(_mT(h1), gt[..., None])[..., 0]
+    g_psi_b2 = gt.sum(axis=-1)
+    gs1 = (gt[..., None] * enc.psi_w2[..., None, :]) * (1.0 - h1 * h1)
+    hidden_t = _mT(hidden)
+    g_psi_w1 = hidden_t @ gs1
+    g_psi_b1 = gs1.sum(axis=-2)
+    g_hidden_psi = gs1 @ _mT(enc.psi_w1)
+
+    # Latent heads (z = mu + std * eps, with the KL term when beta > 0).
+    gmu, glogvar = gz, np.zeros_like(latent.logvar)
+    if eps is not None:
+        glogvar = glogvar + gz * eps * 0.5 * fw.std
+    if beta > 0:
+        gmu = gmu + beta * latent.mu
+        glogvar = glogvar + beta * 0.5 * (sc.exp_logvar - 1.0)
+    g_mu_head = hidden_t @ gmu
+    g_logvar_head = hidden_t @ glogvar
+    g_hidden = gmu @ _mT(enc.mu_head) + glogvar @ _mT(enc.logvar_head) + g_hidden_psi
+
+    # Graph layers, last to first; nothing flows into the fixed features.
+    g_layers: list[np.ndarray] = [None] * len(enc.layer_weights)  # type: ignore[list-item]
+    g = g_hidden
+    for l in range(len(enc.layer_weights) - 1, -1, -1):
+        gs = g * prep.act_grad(fw.preacts[l], fw.hiddens[l])
+        g_layers[l] = _mT(fw.mids[l]) @ gs
+        if l:
+            gmid = gs @ _mT(enc.layer_weights[l])
+            g = gmid + _mT(prep.ahat) @ gmid
+
+    return EncoderState(
+        layer_weights=g_layers,
+        mu_head=g_mu_head,
+        logvar_head=g_logvar_head,
+        psi_w1=g_psi_w1,
+        psi_b1=g_psi_b1,
+        psi_w2=g_psi_w2,
+        psi_b2=g_psi_b2,
+    )
 
 
 def loss_and_grads(
@@ -384,62 +500,10 @@ def loss_and_grads(
     eps: np.ndarray | None = None,
 ) -> tuple[float, EncoderState]:
     """Evaluate the generation loss and its analytic gradients."""
-    fw = _forward(graph, enc, settings, eps)
-    latent, hidden = fw.latent, fw.hiddens[-1]
-    z = latent.z
-    loss = graph_loss(graph, hidden, latent, enc, settings, links)
-
-    # Backward through the link terms into z; s[v, u] = z_v . z_u, and
-    # sigmoid(s) - 1 is written as -sigmoid(-s) to keep precision when saturated.
-    s = z @ z.T
-    coeff = np.where(
-        _clamp_active(s), links.negative * sigmoid(s) - links.positive * sigmoid(-s), 0.0
-    )
-    gz = coeff @ z + coeff.T @ z
-
-    # Backward through the scoring MLP into its weights and the hidden state.
-    h1, t = _psi_scores(hidden, enc)
-    gt = np.where(_clamp_active(t), -sigmoid(-t), 0.0)
-    g_psi_w2 = h1.T @ gt
-    g_psi_b2 = np.array(gt.sum())
-    gs1 = (gt[:, None] * enc.psi_w2[None, :]) * (1.0 - h1 * h1)
-    g_psi_w1 = hidden.T @ gs1
-    g_psi_b1 = gs1.sum(axis=0)
-    g_hidden_psi = gs1 @ enc.psi_w1.T
-
-    # Latent heads (z = mu + std * eps, with the KL term when beta > 0).
-    gmu = gz.copy()
-    glogvar = np.zeros_like(latent.logvar)
-    if eps is not None:
-        glogvar += gz * eps * 0.5 * fw.std
-    if settings.beta > 0:
-        gmu += settings.beta * latent.mu
-        glogvar += settings.beta * 0.5 * (np.exp(latent.logvar) - 1.0)
-    g_mu_head = hidden.T @ gmu
-    g_logvar_head = hidden.T @ glogvar
-    g_hidden = gmu @ enc.mu_head.T + glogvar @ enc.logvar_head.T + g_hidden_psi
-
-    # Graph layers, last to first.
-    _, act_grad = _activation_pair(settings.activation)
-    ahat = _normalized_adjacency(graph.adjacency)
-    g_layers: list[np.ndarray] = [None] * len(enc.layer_weights)  # type: ignore[list-item]
-    g = g_hidden
-    for l in range(len(enc.layer_weights) - 1, -1, -1):
-        gs = g * act_grad(fw.preacts[l], fw.hiddens[l + 1])
-        g_layers[l] = fw.mids[l].T @ gs
-        gmid = gs @ enc.layer_weights[l].T
-        g = gmid + ahat.T @ gmid
-
-    grads = EncoderState(
-        layer_weights=g_layers,
-        mu_head=g_mu_head,
-        logvar_head=g_logvar_head,
-        psi_w1=g_psi_w1,
-        psi_b1=g_psi_b1,
-        psi_w2=g_psi_w2,
-        psi_b2=g_psi_b2,
-    )
-    return loss, grads
+    prep = _prepare(graph, settings)
+    fw = _forward(prep, enc, eps)
+    sc = _scores(fw.hiddens[-1], fw.latent, enc, links, settings.beta)
+    return float(sc.loss), _gradients(prep, fw, sc, enc, links, eps, settings.beta)
 
 
 def init_encoder(
@@ -465,37 +529,122 @@ def init_encoder(
     )
 
 
+class _Live:
+    """The encoders of a stack still training, with their link targets
+    and noise. ids[i] is the stream index of row i; an encoder that fails
+    leaves the stack, and its exception is kept in failed."""
+
+    def __init__(self, graph: ModelGraph, settings: AttackSettings, rngs: Sequence[RngStream]):
+        encs, links, noise = [], [], []
+        for rng in rngs:
+            encs.append(init_encoder(graph, settings, rng))
+            links.append(sample_links(graph, settings, rng))
+            if settings.beta > 0:
+                noise.append(rng.gen.standard_normal((graph.node_count, settings.d_z)))
+        self.enc = EncoderState.stack(encs)
+        self.links = LinkSample(
+            np.stack([l.positive for l in links]), np.stack([l.negative for l in links])
+        )
+        self.eps = np.stack(noise) if noise else None
+        self.ids = np.arange(len(rngs))
+        self.failed: dict[int, Exception] = {}
+
+    def drop(self, bad: np.ndarray, errors: Sequence[Exception]) -> None:
+        for j, error in zip(self.ids[bad], errors):
+            self.failed[int(j)] = error
+        keep = ~bad
+        self.enc = self.enc.map(lambda a: a[keep])
+        self.links = LinkSample(self.links.positive[keep], self.links.negative[keep])
+        self.eps = None if self.eps is None else self.eps[keep]
+        self.ids = self.ids[keep]
+
+    def forward(self, prep: _Prepared) -> _Forward | None:
+        """The pass of every encoder whose hidden states stay finite, or
+        None once none is left."""
+        while len(self.ids):
+            try:
+                return _forward(prep, self.enc, self.eps)
+            except _HiddenNotFinite as exc:
+                self.drop(exc.bad, [exc] * int(exc.bad.sum()))
+        return None
+
+    def loss_and_grads(
+        self, prep: _Prepared, beta: float
+    ) -> tuple[np.ndarray, EncoderState] | None:
+        """The loss and gradients of every encoder left after the forward
+        pass, or None once none is left."""
+        fw = self.forward(prep)
+        if fw is None:
+            return None
+        sc = _scores(fw.hiddens[-1], fw.latent, self.enc, self.links, beta)
+        return sc.loss, _gradients(prep, fw, sc, self.enc, self.links, self.eps, beta)
+
+
+def train_gae_stack(
+    graph: ModelGraph, settings: AttackSettings, rngs: Sequence[RngStream]
+) -> list[GaeTrainResult | Exception]:
+    """Train one encoder per stream on the same graph, all as one stack.
+
+    Each stream draws its encoder's initialization, link targets and
+    variational noise, in that order; each epoch is then one forward and
+    one backward pass over the whole stack. Entry j is exactly what
+    train_gae(graph, settings, rngs[j]) returns, or the exception it
+    raises: an encoder whose hidden state goes non-finite or whose loss
+    diverges leaves the stack at that epoch, and the others train on.
+    """
+    prep = _prepare(graph, settings)
+    live = _Live(graph, settings, rngs)
+    trace = np.empty((settings.gae_epochs + 1, len(rngs)))
+    lr, beta = settings.gae_learning_rate, settings.beta
+    for epoch in range(settings.gae_epochs):
+        step = live.loss_and_grads(prep, beta)
+        if step is None:
+            break
+        loss, grads = step
+        bad = ~(np.isfinite(loss) & (loss <= DIVERGENCE_LIMIT))
+        if bad.any():
+            live.drop(bad, [
+                RuntimeError(
+                    f"graph training diverged (loss {value:.4g} at epoch {epoch}); "
+                    "reduce gae_learning_rate"
+                )
+                for value in loss[bad].tolist()
+            ])
+            loss, grads = loss[~bad], grads.map(lambda g: g[~bad])
+        trace[epoch, live.ids] = loss
+        for p, g in zip(live.enc.blocks(), grads.blocks()):
+            p -= lr * g
+
+    fw = live.forward(prep)
+    results: dict[int, GaeTrainResult | Exception] = dict(live.failed)
+    if fw is not None:
+        trace[-1, live.ids] = _scores(fw.hiddens[-1], fw.latent, live.enc, live.links, beta).loss
+        for i, j in enumerate(live.ids.tolist()):
+            results[j] = GaeTrainResult(
+                encoder=live.enc.map(lambda a: a[i]),
+                loss_trace=trace[:, j].tolist(),
+                links=LinkSample(live.links.positive[i], live.links.negative[i]),
+                eps=None if live.eps is None else live.eps[i],
+                latent=LatentState(fw.latent.mu[i], fw.latent.logvar[i], fw.latent.z[i]),
+            )
+    return [results[j] for j in range(len(rngs))]
+
+
 def train_gae(
     graph: ModelGraph, settings: AttackSettings, rng: RngStream
 ) -> GaeTrainResult:
-    """Train the encoder by full-graph gradient descent on the loss.
+    """Train the encoder by full-graph gradient descent on the loss: the
+    one-encoder case of :func:`train_gae_stack`.
 
     Negative link targets and the variational noise are drawn once so
     the objective is fixed; the loss trace holds the value before every
     step plus the value at the trained weights, whose latent state is
     returned with them.
     """
-    enc = init_encoder(graph, settings, rng)
-    links = sample_links(graph, settings, rng)
-    eps = None
-    if settings.beta > 0:
-        eps = rng.gen.standard_normal((graph.node_count, settings.d_z))
-
-    trace: list[float] = []
-    lr = settings.gae_learning_rate
-    for epoch in range(settings.gae_epochs):
-        loss, grads = loss_and_grads(graph, enc, settings, links, eps)
-        if not np.isfinite(loss) or loss > DIVERGENCE_LIMIT:
-            raise RuntimeError(
-                f"graph training diverged (loss {loss:.4g} at epoch {epoch}); "
-                "reduce gae_learning_rate"
-            )
-        trace.append(loss)
-        for p, g in zip(enc.blocks(), grads.blocks()):
-            p -= lr * g
-    hidden, latent = encode(graph, enc, settings, eps)
-    trace.append(graph_loss(graph, hidden, latent, enc, settings, links))
-    return GaeTrainResult(encoder=enc, loss_trace=trace, links=links, eps=eps, latent=latent)
+    [result] = train_gae_stack(graph, settings, [rng])
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def estimate_ascent_direction(global_history, overheard) -> np.ndarray:
@@ -594,11 +743,12 @@ def generate_malicious(
     a_adv,
     overheard,
     ascent,
-    settings: AttackSettings,
+    thresh: float,
     diag: AttackDiagnostics | None = None,
 ) -> np.ndarray:
     """Mix the original overheard models by the adversarial row, push
-    along the ascent direction as far as the stealth radius allows.
+    along the ascent direction as far as the stealth radius thresh (see
+    :func:`resolve_threshold`) allows.
 
     The push coefficient is the largest gamma in [0, d_thresh] keeping
     the result within d_thresh of every overheard model (bisection to
@@ -624,8 +774,6 @@ def generate_malicious(
     else:
         weights = a_adv / weight_sum
     omega_raw = weights @ models
-
-    thresh = resolve_threshold(settings, overheard)
 
     def feasible(v: np.ndarray) -> bool:
         return _max_distance(v, models) <= thresh
@@ -670,6 +818,80 @@ def generate_malicious(
     return ensure_finite("malicious model", omega)
 
 
+def run_attack_group(
+    overheard: Sequence[np.ndarray],
+    attacker_prev,
+    global_history: Sequence[np.ndarray],
+    settings: AttackSettings,
+    rngs: Sequence[RngStream],
+    projector: Projector,
+    reported_samples: int,
+    device_ids: Sequence[int],
+    stage_seconds: dict[str, float] | None = None,
+) -> list[AttackResult | Exception]:
+    """The per-round pipeline of every attacker that overhears the same
+    models, attacker device_ids[j] drawing from rngs[j].
+
+    The graph, the ascent direction and the stealth radius depend only
+    on what the attackers share, so each is computed once; the encoders
+    train as one stack (:func:`train_gae_stack`). Entry j is what
+    :func:`run_attack` returns for attacker j, or the first exception its
+    pipeline raises, so that the caller can raise whichever failure the
+    attackers would hit first one at a time. With fewer than two
+    overheard models every attack is skipped. When stage_seconds is
+    given, wall time is added into it under "graph build", "gae
+    training", "reconstruction" and "generation".
+    """
+    def result(device_id: int, params: np.ndarray, diag: AttackDiagnostics) -> AttackResult:
+        update = ReportedUpdate(
+            device_id=device_id,
+            params=params,
+            reported_samples=reported_samples,
+            is_malicious=True,
+        )
+        return AttackResult(update=update, diagnostics=diag)
+
+    attacker_prev = as_params(attacker_prev)
+    if len(overheard) < 2:
+        reason = f"only {len(overheard)} overheard models"
+        return [
+            result(i, attacker_prev.copy(), AttackDiagnostics(i, skipped=True, skip_reason=reason))
+            for i in device_ids
+        ]
+
+    with timed("graph build", stage_seconds):
+        try:
+            graph = build_graph(overheard, attacker_prev, projector)
+        except Exception as exc:  # noqa: BLE001 - every attacker's first failure
+            return [exc] * len(device_ids)
+    with timed("gae training", stage_seconds):
+        trainings = train_gae_stack(graph, settings, rngs)
+
+    results: list[AttackResult | Exception] = []
+    ascent = thresh = None
+    for device_id, trained in zip(device_ids, trainings):
+        if isinstance(trained, Exception):
+            results.append(trained)
+            continue
+        diag = AttackDiagnostics(
+            device_id, delta_g_initial=trained.loss_trace[0], delta_g_final=trained.loss_trace[-1]
+        )
+        try:
+            with timed("reconstruction", stage_seconds):
+                if ascent is None:
+                    ascent = estimate_ascent_direction(global_history, overheard)
+                a_adv = adversarial_reconstruct(graph, trained.latent, ascent, settings)
+            with timed("generation", stage_seconds):
+                if thresh is None:
+                    thresh = resolve_threshold(settings, overheard)
+                omega = generate_malicious(a_adv, overheard, ascent, thresh, diag=diag)
+        except Exception as exc:  # noqa: BLE001 - handed to the caller to raise in order
+            results.append(exc)
+            continue
+        results.append(result(device_id, omega, diag))
+    return results
+
+
 def run_attack(
     overheard: Sequence[np.ndarray],
     attacker_prev,
@@ -680,37 +902,18 @@ def run_attack(
     reported_samples: int,
     device_id: int,
 ) -> AttackResult:
-    """Full per-round pipeline for one attacker.
+    """Full per-round pipeline for one attacker: the one-attacker case of
+    :func:`run_attack_group`.
 
     Composes graph construction, encoder training, adversarial
     reconstruction, and constrained generation. With fewer than two
     overheard models the attack is skipped and the attacker resubmits
     its previous model.
     """
-    diag = AttackDiagnostics(attacker_id=device_id)
-    attacker_prev = as_params(attacker_prev)
-    if len(overheard) < 2:
-        diag.skipped = True
-        diag.skip_reason = f"only {len(overheard)} overheard models"
-        update = ReportedUpdate(
-            device_id=device_id,
-            params=attacker_prev.copy(),
-            reported_samples=reported_samples,
-            is_malicious=True,
-        )
-        return AttackResult(update=update, diagnostics=diag)
-
-    graph = build_graph(overheard, attacker_prev, projector)
-    trained = train_gae(graph, settings, rng)
-    diag.delta_g_initial = trained.loss_trace[0]
-    diag.delta_g_final = trained.loss_trace[-1]
-    ascent = estimate_ascent_direction(global_history, overheard)
-    a_adv = adversarial_reconstruct(graph, trained.latent, ascent, settings)
-    omega = generate_malicious(a_adv, overheard, ascent, settings, diag=diag)
-    update = ReportedUpdate(
-        device_id=device_id,
-        params=omega,
-        reported_samples=reported_samples,
-        is_malicious=True,
+    [result] = run_attack_group(
+        overheard, attacker_prev, global_history, settings, [rng], projector,
+        reported_samples, [device_id],
     )
-    return AttackResult(update=update, diagnostics=diag)
+    if isinstance(result, Exception):
+        raise result
+    return result

@@ -1,13 +1,16 @@
-"""Vector primitives, similarity functions, and seeded random streams.
+"""Vector primitives, similarity functions, seeded random streams, and
+the stage timer.
 
 Model parameters ("params") are flat 1-D float64 arrays. All functions
-here are pure; the only stateful object is :class:`RngStream`, which is
-never shared between consumers.
+here except :func:`timed` are pure; the only stateful object is
+:class:`RngStream`, which is never shared between consumers.
 """
 
 from __future__ import annotations
 
 import hashlib
+import time
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -131,3 +134,14 @@ class Projector:
                 f"dimension mismatch: projector expects {self.input_dim}, got {w.shape[0]}"
             )
         return self.matrix @ w
+
+
+@contextmanager
+def timed(name: str, seconds: dict[str, float] | None):
+    """Add the block's wall time into seconds[name], when seconds is given."""
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        if seconds is not None:
+            seconds[name] = seconds.get(name, 0.0) + time.perf_counter() - start

@@ -6,7 +6,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,9 +17,9 @@ from .baselines import gaussian_noise_attack, sign_flip_attack
 from .channel import DevicePosition, eavesdrop_set
 from .config import SimConfig, config_echo
 from .data import Dataset, ShardStack, binarize, load_idx, partition_iid, synth_logistic
-from .graph_attack import AttackDiagnostics, run_attack
+from .graph_attack import AttackDiagnostics, AttackResult, run_attack_group
 from .metrics import DeviceRecord, RoundRecord, test_accuracy, trace_summary
-from .numerics import Projector, RngStream, ensure_finite, euclidean_distance
+from .numerics import Projector, RngStream, ensure_finite, euclidean_distance, timed
 from .training import stack_loss, train_stack
 
 ROUNDS_CSV_COLUMNS = [
@@ -38,6 +37,7 @@ class _Setup:
     shards: ShardStack
     test_set: Dataset
     overheard_ids: dict[int, list[int]]  # per attacker, ascending
+    attack_groups: list[list[int]]  # attacker ids by eavesdrop set, ascending
     projector: Projector | None
     device_streams: list[RngStream]  # in shard order
     attacker_streams: dict[int, RngStream]
@@ -121,10 +121,16 @@ def _setup(cfg: SimConfig) -> _Setup:
         i: sorted(eavesdrop_set(benign_pos, pos, cfg.channel, cfg.channel.snr_min))
         for i, pos in attacker_pos.items()
     }
+    # Attackers that overhear the same devices build the same graph every
+    # round, so the graph attack runs each such group as one.
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for i in sorted(overheard_ids):
+        groups.setdefault(tuple(overheard_ids[i]), []).append(i)
     device_streams = [RngStream(cfg.seed, f"device-{i}") for i in shards.device_ids]
     attacker_streams = {i: RngStream(cfg.seed, f"attacker-{i}") for i in attacker_pos}
     return _Setup(
         shards=shards, test_set=test, overheard_ids=overheard_ids,
+        attack_groups=list(groups.values()),
         projector=projector, device_streams=device_streams,
         attacker_streams=attacker_streams, global_init=init,
     )
@@ -135,15 +141,12 @@ def _stage(name: str, seconds: dict[str, float] | None, round_index: int | None 
            detail: str = ""):
     """Prefix any failure with the round and stage, and add the stage's
     wall time into seconds[name] when a dict is given."""
-    start = time.perf_counter()
-    try:
-        yield
-    except Exception as exc:
-        at = "" if round_index is None else f"round {round_index}, "
-        raise RuntimeError(f"{at}stage {name}{detail}: {exc}") from exc
-    finally:
-        if seconds is not None:
-            seconds[name] = seconds.get(name, 0.0) + time.perf_counter() - start
+    with timed(name, seconds):
+        try:
+            yield
+        except Exception as exc:
+            at = "" if round_index is None else f"round {round_index}, "
+            raise RuntimeError(f"{at}stage {name}{detail}: {exc}") from exc
 
 
 def run_simulation(
@@ -154,9 +157,12 @@ def run_simulation(
     Every benign device trains in one batched step per iteration, split
     into cfg.workers contiguous chunks on threads; all reductions use
     ascending device id so the trace is identical at any worker count.
-    A failure in any stage aborts with the round index and stage name.
-    When stage_seconds is given, each stage's wall time is added into it
-    under the stage name.
+    Graph-autoencoder attackers run one group per eavesdrop set, their
+    encoders trained as one stack. A failure in any stage aborts with
+    the round index and stage name; among attackers, the lowest id that
+    fails is named. When stage_seconds is given, each stage's wall time
+    is added into it under the stage name, with the graph attack split
+    into its own stages.
     """
     with _stage("setup", stage_seconds):
         setup = _setup(cfg)
@@ -186,16 +192,27 @@ def run_simulation(
         diagnostics: list[AttackDiagnostics] = []
         attacker_models: dict[int, np.ndarray] = {}
         attack, b_a = cfg.attack, cfg.devices.attacker_reported_samples
+        # Per graph attacker: its result, or the exception its pipeline raised.
+        graph_results: dict[int, AttackResult | Exception] = {}
+        if attack.kind == "avgae":
+            for ids in setup.attack_groups:
+                graph_results.update(zip(ids, run_attack_group(
+                    [locals_by_id[i] for i in setup.overheard_ids[ids[0]]],
+                    global_params, global_history, attack.avgae,
+                    [setup.attacker_streams[i] for i in ids], setup.projector, b_a, ids,
+                    stage_seconds,
+                )))
+        # The graph attack timed its own stages above.
+        attack_seconds = None if attack.kind == "avgae" else stage_seconds
         for attacker_id in attacker_ids:
-          with _stage("attack", stage_seconds, round_index, f" (device {attacker_id})"):
+          with _stage("attack", attack_seconds, round_index, f" (device {attacker_id})"):
             overheard = [locals_by_id[i] for i in setup.overheard_ids[attacker_id]]
             rng = setup.attacker_streams[attacker_id]
             diag = None
             if attack.kind == "avgae":
-                result = run_attack(
-                    overheard, global_params, global_history, attack.avgae, rng,
-                    setup.projector, b_a, attacker_id,
-                )
+                result = graph_results[attacker_id]
+                if isinstance(result, Exception):
+                    raise result
                 params, diag = result.update.params, result.diagnostics
             elif attack.kind == "gaussian":
                 params = gaussian_noise_attack(global_params, attack.gaussian.sigma, rng)
@@ -263,57 +280,59 @@ def emit_outputs(
 
     Everything except run_meta.json is a deterministic function of
     (config, seed); timing lives only in run_meta.json so the other
-    files are byte-reproducible.
+    files are byte-reproducible. When stage_seconds is given, the time
+    spent writing the other files is added into it under "emit" before
+    run_meta.json records it.
     """
     if not records:
         raise ValueError("emit_outputs needs at least one round")
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: dict[str, Path] = {}
-
-    rounds_path = out / "rounds.csv"
-    with open(rounds_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(ROUNDS_CSV_COLUMNS)
-        for record in records:
-            for device in record.per_device:
-                writer.writerow([
-                    record.round_index,
-                    device.device_id,
-                    int(device.is_malicious),
-                    repr(float(device.distance_to_global)),
-                    repr(float(device.local_loss)),
-                    repr(float(record.test_accuracy)),
-                ])
-    written["rounds"] = rounds_path
-
-    summary = {
-        "config": config_echo(cfg),
-        "rounds_completed": len(records),
-        **trace_summary(records, last_k=20),
-    }
-    summary_path = out / "summary.json"
-    with open(summary_path, "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
-    written["summary"] = summary_path
-
-    if cfg.attack.kind == "avgae" and cfg.devices.n_malicious > 0:
-        diag_path = out / "attack_diag.csv"
-        with open(diag_path, "w", newline="") as fh:
+    with timed("emit", stage_seconds):
+        rounds_path = out / "rounds.csv"
+        with open(rounds_path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(ATTACK_DIAG_COLUMNS)
+            writer.writerow(ROUNDS_CSV_COLUMNS)
             for record in records:
-                for diag in record.attack_diagnostics:
+                for device in record.per_device:
                     writer.writerow([
                         record.round_index,
-                        diag.attacker_id,
-                        repr(float(diag.delta_g_initial)),
-                        repr(float(diag.delta_g_final)),
-                        repr(float(diag.gamma_model)),
-                        int(diag.skipped),
+                        device.device_id,
+                        int(device.is_malicious),
+                        repr(float(device.distance_to_global)),
+                        repr(float(device.local_loss)),
+                        repr(float(record.test_accuracy)),
                     ])
-        written["attack_diag"] = diag_path
+        written["rounds"] = rounds_path
+
+        summary = {
+            "config": config_echo(cfg),
+            "rounds_completed": len(records),
+            **trace_summary(records, last_k=20),
+        }
+        summary_path = out / "summary.json"
+        with open(summary_path, "w") as fh:
+            json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
+            fh.write("\n")
+        written["summary"] = summary_path
+
+        if cfg.attack.kind == "avgae" and cfg.devices.n_malicious > 0:
+            diag_path = out / "attack_diag.csv"
+            with open(diag_path, "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(ATTACK_DIAG_COLUMNS)
+                for record in records:
+                    for diag in record.attack_diagnostics:
+                        writer.writerow([
+                            record.round_index,
+                            diag.attacker_id,
+                            repr(float(diag.delta_g_initial)),
+                            repr(float(diag.delta_g_final)),
+                            repr(float(diag.gamma_model)),
+                            int(diag.skipped),
+                        ])
+            written["attack_diag"] = diag_path
 
     meta_path = out / "run_meta.json"
     with open(meta_path, "w") as fh:

@@ -132,9 +132,9 @@ def test_criterion_1_gradient_correctness():
     # instances whose relu pre-activations, edge logits, or score logits sit
     # within the step of a kink or clamp boundary are redrawn.
     def smooth(graph, enc, settings, links, eps):
-        from edgefl.graph_attack import _forward
+        from edgefl.graph_attack import _forward, _prepare
 
-        fw = _forward(graph, enc, settings, eps)
+        fw = _forward(_prepare(graph, settings), enc, eps)
         if settings.activation == "relu":
             if min(np.abs(p).min() for p in fw.preacts) < 1e-4:
                 return False

@@ -6,9 +6,11 @@ import pytest
 from scipy.special import expit
 
 from edgefl.graph_attack import (
+    LOGIT_CLAMP,
     AttackDiagnostics,
     AttackSettings,
     EncoderState,
+    GaeTrainResult,
     LatentState,
     ModelGraph,
     adversarial_reconstruct,
@@ -25,6 +27,7 @@ from edgefl.graph_attack import (
     surrogate_gradient,
     surrogate_objective,
     train_gae,
+    train_gae_stack,
 )
 from edgefl.numerics import Projector, RngStream
 
@@ -373,6 +376,171 @@ def test_train_gae_divergence_suggests_smaller_lr():
         train_gae(graph, settings, RngStream(6, "atk"))
 
 
+# ------------------------------------------------------------ train_gae_stack
+
+def _reference_train(graph, settings, rng):
+    """One attacker's training as plain 2-D numpy, one operation at a time:
+    the per-attacker loop the stacked trainer must match bit for bit.
+    Returns the weights, the loss trace and the final latent z."""
+    enc = init_encoder(graph, settings, rng)
+    links = sample_links(graph, settings, rng)
+    eps = None
+    if settings.beta > 0:
+        eps = rng.gen.standard_normal((graph.node_count, settings.d_z))
+    ahat = graph.adjacency / graph.adjacency.sum(axis=1, keepdims=True)
+    tanh = settings.activation == "tanh"
+
+    def sig(x):
+        with np.errstate(over="ignore"):
+            return 1.0 / (1.0 + np.exp(-x))
+
+    def neglog_sig(x):
+        return np.logaddexp(0.0, -np.clip(x, -LOGIT_CLAMP, LOGIT_CLAMP))
+
+    def forward():
+        hiddens, mids, pres = [graph.features], [], []
+        for w in enc.layer_weights:
+            mids.append(hiddens[-1] + ahat @ hiddens[-1])
+            pres.append(mids[-1] @ w)
+            hiddens.append(np.tanh(pres[-1]) if tanh else np.maximum(pres[-1], 0.0))
+        mu, logvar = hiddens[-1] @ enc.mu_head, hiddens[-1] @ enc.logvar_head
+        std = None if eps is None else np.exp(0.5 * logvar)
+        z = mu if eps is None else mu + std * eps
+        return hiddens, mids, pres, mu, logvar, std, z
+
+    def loss(hidden, mu, logvar, z):
+        s = z @ z.T
+        total = float(np.sum(links.positive * neglog_sig(s) + links.negative * neglog_sig(-s)))
+        h1 = np.tanh(hidden @ enc.psi_w1 + enc.psi_b1)
+        total += float(neglog_sig(h1 @ enc.psi_w2 + enc.psi_b2).sum())
+        if settings.beta > 0:
+            kl = float(-0.5 * np.sum(1.0 + logvar - mu * mu - np.exp(logvar)))
+            total += settings.beta * kl
+        return total
+
+    trace = []
+    for _ in range(settings.gae_epochs):
+        hiddens, mids, pres, mu, logvar, std, z = forward()
+        hidden = hiddens[-1]
+        trace.append(loss(hidden, mu, logvar, z))
+        s = z @ z.T
+        active = np.abs(s) < LOGIT_CLAMP
+        coeff = np.where(active, links.negative * sig(s) - links.positive * sig(-s), 0.0)
+        gz = coeff @ z + coeff.T @ z
+        h1 = np.tanh(hidden @ enc.psi_w1 + enc.psi_b1)
+        t = h1 @ enc.psi_w2 + enc.psi_b2
+        gt = np.where(np.abs(t) < LOGIT_CLAMP, -sig(-t), 0.0)
+        g_psi_w2 = h1.T @ gt
+        g_psi_b2 = np.array(gt.sum())
+        gs1 = (gt[:, None] * enc.psi_w2[None, :]) * (1.0 - h1 * h1)
+        g_psi_w1 = hidden.T @ gs1
+        g_psi_b1 = gs1.sum(axis=0)
+        g_hidden_psi = gs1 @ enc.psi_w1.T
+        gmu = gz.copy()
+        glogvar = np.zeros_like(logvar)
+        if eps is not None:
+            glogvar += gz * eps * 0.5 * std
+        if settings.beta > 0:
+            gmu += settings.beta * mu
+            glogvar += settings.beta * 0.5 * (np.exp(logvar) - 1.0)
+        g_heads = [hidden.T @ gmu, hidden.T @ glogvar]
+        g = gmu @ enc.mu_head.T + glogvar @ enc.logvar_head.T + g_hidden_psi
+        g_layers = [None] * len(enc.layer_weights)
+        for l in range(len(enc.layer_weights) - 1, -1, -1):
+            act_grad = 1.0 - hiddens[l + 1] ** 2 if tanh else (pres[l] > 0).astype(float)
+            gs = g * act_grad
+            g_layers[l] = mids[l].T @ gs
+            gmid = gs @ enc.layer_weights[l].T
+            g = gmid + ahat.T @ gmid
+        grads = [*g_layers, *g_heads, g_psi_w1, g_psi_b1, g_psi_w2, g_psi_b2]
+        for p, gp in zip(enc.blocks(), grads):
+            p -= settings.gae_learning_rate * gp
+    hiddens, _, _, mu, logvar, _, z = forward()
+    trace.append(loss(hiddens[-1], mu, logvar, z))
+    return enc, trace, z
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+@pytest.mark.parametrize("beta", [0.0, 0.001])
+def test_train_gae_stack_matches_per_attacker_loop_bit_for_bit(k, activation, beta):
+    settings = AttackSettings(
+        d_feat=5, d_z=4, hidden_dims=(9, 6), psi_hidden=3, activation=activation,
+        beta=beta, gae_epochs=25, gae_learning_rate=0.02, d_thresh_percentile=90.0,
+    )
+    graph, _, _ = _random_graph(7, np.random.default_rng(90 + k), settings=settings)
+    streams = [RngStream(k, f"attacker-{j}") for j in range(k)]
+    stacked = train_gae_stack(graph, settings, streams)
+    assert len(stacked) == k
+    for j, got in enumerate(stacked):
+        assert isinstance(got, GaeTrainResult)
+        enc, trace, z = _reference_train(graph, settings, RngStream(k, f"attacker-{j}"))
+        for got_block, want_block in zip(got.encoder.blocks(), enc.blocks()):
+            np.testing.assert_array_equal(got_block, want_block)
+        np.testing.assert_array_equal(got.loss_trace[0], trace[0])
+        np.testing.assert_array_equal(got.loss_trace[-1], trace[-1])
+        np.testing.assert_array_equal(got.latent.z, z)
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except (RuntimeError, FloatingPointError) as exc:
+        return exc
+
+
+def _assert_same_outcome(got, want):
+    if isinstance(want, Exception):
+        assert type(got) is type(want) or isinstance(got, type(want))
+        assert str(got) == str(want)
+        return
+    assert got.loss_trace == want.loss_trace
+    for a, b in zip(got.encoder.blocks(), want.encoder.blocks()):
+        np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(got.latent.z, want.latent.z)
+
+
+def test_train_gae_stack_divergence_leaves_the_others_training():
+    # At this learning rate the four encoders diverge at epochs 3, 11 and
+    # 3, and one trains through; each entry is what train_gae gives alone.
+    rng = np.random.default_rng(5)
+    settings = AttackSettings(
+        d_feat=4, d_z=3, hidden_dims=(5, 3), psi_hidden=4, gae_epochs=30,
+        gae_learning_rate=1.5, d_thresh_percentile=90.0,
+    )
+    graph, _, _ = _random_graph(6, rng, settings=settings)
+    streams = lambda: [RngStream(5, f"a{j}") for j in range(4)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        stacked = train_gae_stack(graph, settings, streams())
+        alone = [_outcome(lambda r=r: train_gae(graph, settings, r)) for r in streams()]
+    epochs = [str(o).split(" at epoch ")[1] for o in alone if isinstance(o, Exception)]
+    assert len(set(epochs)) >= 2 and not all(isinstance(o, Exception) for o in alone)
+    for got, want in zip(stacked, alone):
+        _assert_same_outcome(got, want)
+
+
+def test_train_gae_stack_nonfinite_hidden_names_each_encoders_layer():
+    # Features near the float64 limit overflow the relu layers of some
+    # encoders only, at layer 1 or 2 depending on their weights.
+    features = np.abs(np.random.default_rng(5).normal(size=(4, 4))) * 5e307
+    graph = ModelGraph(adjacency=np.eye(4), features=features, raw_models=np.zeros((4, 6)))
+    settings = AttackSettings(
+        d_feat=4, d_z=3, hidden_dims=(5, 3), psi_hidden=4, gae_epochs=5,
+        activation="relu", beta=0.0, d_thresh_percentile=90.0,
+    )
+    streams = lambda: [RngStream(5, f"a{j}") for j in range(4)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        stacked = train_gae_stack(graph, settings, streams())
+        alone = [_outcome(lambda r=r: train_gae(graph, settings, r)) for r in streams()]
+    messages = {str(o) for o in alone if isinstance(o, Exception)}
+    assert messages == {
+        "non-finite hidden state at layer 1", "non-finite hidden state at layer 2"
+    }
+    assert not all(isinstance(o, Exception) for o in alone)
+    for got, want in zip(stacked, alone):
+        _assert_same_outcome(got, want)
+
+
 # ------------------------------------------------- ascent direction & readout
 
 def test_ascent_direction_zero_when_stationary():
@@ -464,7 +632,9 @@ def test_generate_malicious_uniform_row_zero_ascent_is_centroid():
     rng = np.random.default_rng(67)
     models = [rng.normal(size=5) for _ in range(5)]
     settings = AttackSettings(d_thresh_percentile=100.0, d_thresh_value=None)
-    omega = generate_malicious(np.full(5, 0.3), models, np.zeros(5), settings)
+    omega = generate_malicious(
+        np.full(5, 0.3), models, np.zeros(5), resolve_threshold(settings, models)
+    )
     centroid = np.mean(np.stack(models), axis=0)
     np.testing.assert_allclose(omega, centroid, atol=1e-12)
     pairwise_max = max(
@@ -476,7 +646,9 @@ def test_generate_malicious_uniform_row_zero_ascent_is_centroid():
 def test_generate_malicious_single_model_mixture_degenerates():
     model = np.array([1.0, -2.0, 3.0])
     settings = AttackSettings(d_thresh_value=0.5, d_thresh_percentile=None)
-    omega = generate_malicious(np.array([0.42]), [model], np.zeros(3), settings)
+    omega = generate_malicious(
+        np.array([0.42]), [model], np.zeros(3), resolve_threshold(settings, [model])
+    )
     np.testing.assert_allclose(omega, model, atol=1e-12)
 
 
@@ -485,8 +657,8 @@ def test_generate_malicious_hull_containment_of_mixture():
     for _ in range(50):
         models = [rng.normal(size=4) for _ in range(5)]
         row = rng.uniform(0.01, 1.0, size=5)
-        omega = generate_malicious(row, models, np.zeros(4),
-                                   AttackSettings(d_thresh_percentile=100.0))
+        thresh = resolve_threshold(AttackSettings(d_thresh_percentile=100.0), models)
+        omega = generate_malicious(row, models, np.zeros(4), thresh)
         stacked = np.stack(models)
         assert (omega >= stacked.min(axis=0) - 1e-12).all()
         assert (omega <= stacked.max(axis=0) + 1e-12).all()
@@ -501,7 +673,9 @@ def test_generate_malicious_constraint_on_1000_random_trials():
         ascent = rng.normal(size=6)
         ascent /= np.linalg.norm(ascent)
         diag = AttackDiagnostics()
-        omega = generate_malicious(row, models, ascent, settings, diag=diag)
+        omega = generate_malicious(
+            row, models, ascent, resolve_threshold(settings, models), diag=diag
+        )
         worst = max(np.linalg.norm(omega - m) for m in models)
         assert worst <= diag.d_thresh + 1e-9
         assert diag.constraint_ok
@@ -513,7 +687,7 @@ def test_generate_malicious_zero_rowsum_falls_back_to_uniform():
     diag = AttackDiagnostics()
     omega = generate_malicious(
         np.zeros(4), models, np.zeros(3),
-        AttackSettings(d_thresh_percentile=100.0), diag=diag,
+        resolve_threshold(AttackSettings(d_thresh_percentile=100.0), models), diag=diag,
     )
     np.testing.assert_allclose(omega, np.mean(np.stack(models), axis=0), atol=1e-12)
     assert diag.uniform_fallback
@@ -527,7 +701,8 @@ def test_generate_malicious_centroid_pull_when_mixture_violates():
     settings = AttackSettings(d_thresh_value=1.2, d_thresh_percentile=None)
     diag = AttackDiagnostics()
     omega = generate_malicious(
-        np.array([0.0, 0.0, 1.0]), models, np.zeros(1), settings, diag=diag
+        np.array([0.0, 0.0, 1.0]), models, np.zeros(1), resolve_threshold(settings, models),
+        diag=diag,
     )
     assert omega[0] == pytest.approx(0.2, abs=1e-6)
     assert diag.gamma_model == 0.0

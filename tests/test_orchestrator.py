@@ -16,6 +16,7 @@ from edgefl.channel import eavesdrop_set
 from edgefl.cli import main as cli_main
 from edgefl.config import ConfigError, config_echo, validate_config
 from edgefl.data import partition_iid, synth_logistic
+from edgefl.graph_attack import run_attack
 from edgefl.numerics import RngStream
 from edgefl.simulation import ROUNDS_CSV_COLUMNS, emit_outputs, run_simulation
 from edgefl.training import LossKind, train_local
@@ -249,6 +250,26 @@ def test_exponent_floats_in_config_text_and_overrides():
         validate_config(MINIMAL, overrides=["channel.noise_power=1e"])
 
 
+def test_validate_config_leaves_its_input_unchanged():
+    source = {"training": {"alpha": 0.01}, "attack": {"avgae": {"beta": 0.0}}}
+    before = json.loads(json.dumps(source))
+    cfg = validate_config(source, ["training.alpha=0.5", "attack.avgae.beta=0.2"])
+    assert cfg.training.alpha == 0.5 and cfg.attack.avgae.beta == 0.2
+    assert source == before
+
+
+def test_random_box_rejects_position_lists(tmp_path, capsys):
+    cfg_path = tmp_path / "run.yaml"
+    cfg_path.write_text(
+        "devices: {n_benign: 1, n_malicious: 1}\nattack: {kind: gaussian}\n"
+        "positions: {attackers: [[1, 2, 3]]}\n"
+    )
+    assert cli_main(["validate", "--config", str(cfg_path)]) == 1
+    assert "positions.attackers is only read in explicit mode" in capsys.readouterr().err
+    with pytest.raises(ConfigError, match=r"positions\.benign is only read in explicit mode"):
+        validate_config("devices: {n_benign: 1}\npositions: {benign: [[1, 2, 3]]}")
+
+
 def test_explicit_positions_validation():
     base = yaml.safe_load(MINIMAL)
     base["positions"] = {"mode": "explicit", "benign": [[0, 0, 0]]}
@@ -468,8 +489,86 @@ def test_run_meta_records_seconds_per_stage(tmp_path):
     meta = json.loads((out_dir / "run_meta.json").read_text())
     assert "wall_clock_seconds" in meta
     assert set(meta["stage_seconds"]) == {
-        "setup", "local training", "attack", "aggregation", "metrics",
+        "setup", "local training", "graph build", "gae training", "reconstruction",
+        "generation", "aggregation", "metrics", "emit",
     }
+
+
+# Attackers 7 and 9 overhear benign devices 1-3, attacker 8 overhears 4-6,
+# and attacker 10 overhears only device 5, so its attack is skipped.
+GROUPED_ATTACK = """
+seed: 3
+rounds: 4
+devices: {n_benign: 6, n_malicious: 4, samples_per_device: 60}
+dataset: {dim: 8, n_test: 100}
+channel: {snr_min: 20.0}
+positions:
+  mode: explicit
+  benign: [[0, 0, 0], [10, 0, 0], [0, 10, 0], [100, 100, 0], [110, 100, 0], [100, 110, 0]]
+  attackers: [[5, 5, 1], [105, 105, 1], [5, 6, 1], [130, 100, 1]]
+attack:
+  kind: avgae
+  avgae: {d_z: 4, hidden_dims: [12, 6], gae_epochs: 20, psi_hidden: 4}
+"""
+
+
+def _one_attacker_at_a_time(monkeypatch, failures=None):
+    """Run every graph attacker through run_attack on its own, in place of
+    the grouped step, handing a failure back as the grouped step does;
+    failures, when given, collects each failing attacker's message."""
+
+    def per_attacker(overheard, prev, history, settings, rngs, projector, b_a, ids,
+                     stage_seconds=None):
+        results = []
+        for rng, attacker_id in zip(rngs, ids):
+            try:
+                results.append(run_attack(
+                    overheard, prev, history, settings, rng, projector, b_a, attacker_id
+                ))
+            except Exception as exc:  # noqa: BLE001 - compared with the grouped step
+                results.append(exc)
+                if failures is not None:
+                    failures[attacker_id] = str(exc)
+        return results
+
+    monkeypatch.setattr(simulation, "run_attack_group", per_attacker)
+
+
+def test_grouped_attackers_match_a_per_attacker_loop(tmp_path, monkeypatch):
+    cfg = validate_config(GROUPED_ATTACK)
+    setup = simulation._setup(cfg)
+    assert setup.attack_groups == [[7, 9], [8], [10]]
+    assert setup.overheard_ids[10] == [5]
+    emit_outputs(run_simulation(cfg), cfg, out_dir=str(tmp_path / "grouped"))
+    with monkeypatch.context() as patch:
+        _one_attacker_at_a_time(patch)
+        emit_outputs(run_simulation(cfg), cfg, out_dir=str(tmp_path / "alone"))
+    for name in ("rounds.csv", "summary.json", "attack_diag.csv"):
+        grouped = (tmp_path / "grouped" / name).read_bytes()
+        assert grouped == (tmp_path / "alone" / name).read_bytes()
+    diag = (tmp_path / "grouped" / "attack_diag.csv").read_text().splitlines()
+    assert [row.split(",")[-1] for row in diag if row.split(",")[1] == "10"] == ["1"] * 4
+
+
+def test_grouped_divergence_names_the_attacker_and_epoch_of_the_sequential_loop(monkeypatch):
+    # At this learning rate attacker 9 diverges at epoch 2 of round 1
+    # and attacker 7, in the same group, only at epoch 12. One at a
+    # time, 7 runs first, so its failure is the one reported.
+    cfg = validate_config(GROUPED_ATTACK, ["seed=14", "attack.avgae.gae_learning_rate=8.0"])
+    failures: dict[int, str] = {}
+    with np.errstate(over="ignore", invalid="ignore"):
+        with monkeypatch.context() as patch:
+            _one_attacker_at_a_time(patch, failures)
+            with pytest.raises(RuntimeError) as sequential:
+                run_simulation(cfg)
+        with pytest.raises(RuntimeError) as grouped:
+            run_simulation(cfg)
+    assert "at epoch 2)" in failures[9] and "at epoch 12)" in failures[7]
+    assert str(grouped.value) == str(sequential.value)
+    assert str(grouped.value).startswith(
+        "round 1, stage attack (device 7): graph training diverged"
+    )
+    assert "at epoch 12)" in str(grouped.value)
 
 
 def test_eavesdrop_sets_are_computed_once_per_run(monkeypatch):
