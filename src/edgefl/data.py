@@ -171,27 +171,6 @@ def load_idx(images_path: str, labels_path: str) -> Dataset:
     return Dataset(x, y)
 
 
-def write_idx_images(path: str, images: np.ndarray) -> None:
-    """Write a (n, rows, cols) uint8 array in IDX image format."""
-    images = np.asarray(images, dtype=np.uint8)
-    if images.ndim != 3:
-        raise ValueError(f"expected (n, rows, cols) array, got shape {images.shape}")
-    n, rows, cols = images.shape
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">IIII", IMAGES_MAGIC, n, rows, cols))
-        fh.write(images.tobytes())
-
-
-def write_idx_labels(path: str, labels: np.ndarray) -> None:
-    """Write a (n,) uint8 array in IDX label format."""
-    labels = np.asarray(labels, dtype=np.uint8)
-    if labels.ndim != 1:
-        raise ValueError(f"expected 1-D label array, got shape {labels.shape}")
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">II", LABELS_MAGIC, labels.shape[0]))
-        fh.write(labels.tobytes())
-
-
 def binarize(ds: Dataset, class_a: int, class_b: int) -> Dataset:
     """Keep only samples labeled class_a or class_b, relabeled 0.0 / 1.0.
 

@@ -13,6 +13,7 @@ device) so dense numpy math is used throughout.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -20,11 +21,10 @@ import numpy as np
 
 from .aggregation import ReportedUpdate
 from .numerics import (
-    Projector, RngStream, as_params, cosine_similarity, ensure_finite, sigmoid, timed,
+    NORM_FLOOR, Projector, RngStream, as_params, ensure_finite, sigmoid, timed,
 )
 
 PROB_CLAMP_LO = 1e-12
-PROB_CLAMP_HI = 1.0 - 1e-12
 DIVERGENCE_LIMIT = 1e6
 BISECT_TOL = 1e-9
 
@@ -84,10 +84,6 @@ class AttackSettings:
             raise ValueError(
                 f"d_thresh_percentile must be in (0, 100], got {self.d_thresh_percentile}"
             )
-
-    @property
-    def n_layers(self) -> int:
-        return len(self.hidden_dims)
 
 
 @dataclass(frozen=True)
@@ -149,19 +145,17 @@ class EncoderState:
             self.psi_w1, self.psi_b1, self.psi_w2, self.psi_b2,
         ]
 
-    def map(self, fn) -> EncoderState:
-        """The state with fn applied to every array."""
-        return _from_blocks([fn(b) for b in self.blocks()], len(self.layer_weights))
-
     @staticmethod
-    def stack(states: Sequence[EncoderState]) -> EncoderState:
-        """One stack of the given encoders, in order."""
-        blocks = [np.stack(same) for same in zip(*(s.blocks() for s in states))]
-        return _from_blocks(blocks, len(states[0].layer_weights))
-
-
-def _from_blocks(blocks: list[np.ndarray], n_layers: int) -> EncoderState:
-    return EncoderState(blocks[:n_layers], *blocks[n_layers:])
+    def view(buffer: np.ndarray, shapes: Sequence[tuple[int, ...]]) -> EncoderState:
+        """The encoder(s) whose blocks(), of the given one-encoder shapes,
+        view consecutive spans of buffer's last axis (any leading axis of
+        buffer is the stack axis)."""
+        lead, blocks, start = buffer.shape[:-1], [], 0
+        for shape in shapes:
+            size = math.prod(shape)
+            blocks.append(buffer[..., start:start + size].reshape(lead + shape))
+            start += size
+        return EncoderState(blocks[:-6], *blocks[-6:])
 
 
 @dataclass(frozen=True)
@@ -232,23 +226,28 @@ def build_graph(
         )
     raw = np.stack([as_params(m) for m in list(overheard) + [attacker_prev]])
     features = np.stack([projector.project(row) for row in raw])
-    n = raw.shape[0]
-    adjacency = np.eye(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            adjacency[i, j] = adjacency[j, i] = max(
-                0.0, cosine_similarity(features[i], features[j])
-            )
+    # numerics.cosine_similarity of every pair at once: the same dot per
+    # pair, norms from the diagonal, 0 when either norm is below the floor,
+    # otherwise the clipped ratio; then max(0, .), which maps -0.0 to 0.0.
+    dots = np.matmul(features[:, None, None, :], features[None, :, :, None])[..., 0, 0]
+    norms = np.sqrt(dots.diagonal())
+    small = norms < NORM_FLOOR
+    safe = np.where(small, 1.0, norms)
+    cosine = np.clip(dots / (safe[:, None] * safe), -1.0, 1.0)
+    adjacency = np.where((cosine > 0.0) & ~(small[:, None] | small), cosine, 0.0)
+    np.fill_diagonal(adjacency, 1.0)
     return ModelGraph(adjacency=adjacency, features=features, raw_models=raw)
 
 
 class _Prepared(NamedTuple):
     """What every pass over one graph shares: the row-normalized
-    adjacency, the first layer's propagated features and the activation
-    with its derivative."""
+    adjacency, the first layer's propagated features, the transposed
+    views of both, and the activation with its derivative."""
 
     ahat: np.ndarray
     mid0: np.ndarray  # features + ahat @ features
+    ahat_t: np.ndarray
+    mid0_t: np.ndarray
     act: Callable
     act_grad: Callable
 
@@ -258,9 +257,10 @@ def _prepare(graph: ModelGraph, settings: AttackSettings) -> _Prepared:
     ahat = graph.adjacency / graph.adjacency.sum(axis=1, keepdims=True)
     mid0 = graph.features + ahat @ graph.features
     if settings.activation == "tanh":
-        return _Prepared(ahat, mid0, np.tanh, lambda s, h: 1.0 - h * h)
+        return _Prepared(ahat, mid0, ahat.T, mid0.T, np.tanh, lambda s, h: 1.0 - h * h)
     return _Prepared(
-        ahat, mid0, lambda s: np.maximum(s, 0.0), lambda s, h: (s > 0).astype(np.float64)
+        ahat, mid0, ahat.T, mid0.T,
+        lambda s: np.maximum(s, 0.0), lambda s, h: (s > 0).astype(np.float64),
     )
 
 
@@ -368,8 +368,24 @@ def _clamp(x: np.ndarray) -> np.ndarray:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    """numerics.sigmoid for clamped x, whose exp cannot overflow."""
+    """numerics.sigmoid without its np.errstate: for clamped x, whose exp
+    cannot overflow, or inside the caller's own np.errstate."""
     return 1.0 / (1.0 + np.exp(-x))
+
+
+class _Signed(NamedTuple):
+    """A LinkSample in signed form. positive and negative never overlap,
+    so weight * softplus(sign * c) and signed * sigmoid(sign * c) give the
+    link terms and their gradient with the bits of both summed."""
+
+    sign: np.ndarray    # -1 on positive links, +1 elsewhere
+    weight: np.ndarray  # positive + negative
+    signed: np.ndarray  # negative - positive
+
+
+def _signed(links: LinkSample) -> _Signed:
+    pos, neg = links.positive, links.negative
+    return _Signed(np.where(pos > 0, -1.0, 1.0), pos + neg, neg - pos)
 
 
 class _Scores(NamedTuple):
@@ -377,35 +393,33 @@ class _Scores(NamedTuple):
 
     loss: np.ndarray
     s: np.ndarray      # link logits z_v . z_u
-    c: np.ndarray      # s clamped to +-LOGIT_CLAMP
+    sc: np.ndarray     # sign * (s clamped to +-LOGIT_CLAMP)
     h1: np.ndarray     # scoring-MLP hidden layer
     t: np.ndarray      # scoring-MLP logits
-    ct: np.ndarray     # t clamped to +-LOGIT_CLAMP
+    nct: np.ndarray    # -(t clamped to +-LOGIT_CLAMP)
     exp_logvar: np.ndarray | None
 
 
 def _scores(
-    hidden: np.ndarray, latent: LatentState, enc: EncoderState, links: LinkSample, beta: float
+    hidden: np.ndarray, latent: LatentState, enc: EncoderState, links: _Signed, beta: float
 ) -> _Scores:
     """Per-node link reconstruction cross-entropy, plus the per-node MLP
     score term, plus beta-weighted KL; -log(clip(sigmoid(x))) is
     softplus(-clamped x)."""
     z = latent.z
     s = z @ _mT(z)
-    c = _clamp(s)
-    loss = (
-        links.positive * np.logaddexp(0.0, -c) + links.negative * np.logaddexp(0.0, c)
-    ).sum(axis=(-2, -1))
+    sc = links.sign * _clamp(s)
+    loss = (links.weight * np.logaddexp(0.0, sc)).sum(axis=(-2, -1))
     h1 = np.tanh(hidden @ enc.psi_w1 + enc.psi_b1[..., None, :])
     t = np.matmul(h1, enc.psi_w2[..., None])[..., 0] + enc.psi_b2[..., None]
-    ct = _clamp(t)
-    loss = loss + np.logaddexp(0.0, -ct).sum(axis=-1)
+    nct = -_clamp(t)
+    loss = loss + np.logaddexp(0.0, nct).sum(axis=-1)
     exp_logvar = None
     if beta > 0:
         exp_logvar = np.exp(latent.logvar)
         kl = -0.5 * (1.0 + latent.logvar - latent.mu * latent.mu - exp_logvar).sum(axis=(-2, -1))
         loss = loss + beta * kl
-    return _Scores(loss, s, c, h1, t, ct, exp_logvar)
+    return _Scores(loss, s, sc, h1, t, nct, exp_logvar)
 
 
 def graph_loss(
@@ -422,7 +436,7 @@ def graph_loss(
         raise ValueError(
             f"hidden rows {hidden.shape[0]} != node count {graph.node_count}"
         )
-    return float(_scores(hidden, latent, enc, links, settings.beta).loss)
+    return float(_scores(hidden, latent, enc, _signed(links), settings.beta).loss)
 
 
 def _gradients(
@@ -430,66 +444,53 @@ def _gradients(
     fw: _Forward,
     sc: _Scores,
     enc: EncoderState,
-    links: LinkSample,
+    signed: np.ndarray,
     eps: np.ndarray | None,
     beta: float,
-) -> EncoderState:
-    """Analytic gradients of the loss, reusing the pass's own scores."""
+    out: EncoderState,
+) -> None:
+    """Analytic gradients of the loss, reusing the pass's own scores,
+    written into out's blocks."""
     hidden, latent = fw.hiddens[-1], fw.latent
     z = latent.z
 
     # Backward through the link terms into z; s[v, u] = z_v . z_u, and
     # sigmoid(s) - 1 is written as -sigmoid(-s) to keep precision when
-    # saturated. The gradient is zero outside the clamp and c equals s
-    # inside it.
-    coeff = np.where(
-        np.abs(sc.s) < LOGIT_CLAMP,
-        links.negative * _sigmoid(sc.c) - links.positive * _sigmoid(-sc.c),
-        0.0,
-    )
+    # saturated. The gradient is zero outside the clamp and the clamped
+    # s equals s inside it.
+    coeff = np.where(np.abs(sc.s) < LOGIT_CLAMP, signed * _sigmoid(sc.sc), 0.0)
     gz = coeff @ z + _mT(coeff) @ z
 
     # Backward through the scoring MLP into its weights and the hidden state.
     h1 = sc.h1
-    gt = np.where(np.abs(sc.t) < LOGIT_CLAMP, -_sigmoid(-sc.ct), 0.0)
-    g_psi_w2 = np.matmul(_mT(h1), gt[..., None])[..., 0]
-    g_psi_b2 = gt.sum(axis=-1)
+    gt = np.where(np.abs(sc.t) < LOGIT_CLAMP, -_sigmoid(sc.nct), 0.0)
+    np.matmul(_mT(h1), gt[..., None], out=out.psi_w2[..., None])
+    gt.sum(axis=-1, out=out.psi_b2)
     gs1 = (gt[..., None] * enc.psi_w2[..., None, :]) * (1.0 - h1 * h1)
     hidden_t = _mT(hidden)
-    g_psi_w1 = hidden_t @ gs1
-    g_psi_b1 = gs1.sum(axis=-2)
+    np.matmul(hidden_t, gs1, out=out.psi_w1)
+    gs1.sum(axis=-2, out=out.psi_b1)
     g_hidden_psi = gs1 @ _mT(enc.psi_w1)
 
-    # Latent heads (z = mu + std * eps, with the KL term when beta > 0).
-    gmu, glogvar = gz, np.zeros_like(latent.logvar)
+    # Latent heads (z = mu + std * eps, with the KL term when beta > 0); a
+    # scalar 0.0 stands for the zero glogvar that a term is added to.
+    gmu, glogvar = gz, np.zeros_like(latent.logvar) if eps is None and beta == 0 else 0.0
     if eps is not None:
         glogvar = glogvar + gz * eps * 0.5 * fw.std
     if beta > 0:
         gmu = gmu + beta * latent.mu
         glogvar = glogvar + beta * 0.5 * (sc.exp_logvar - 1.0)
-    g_mu_head = hidden_t @ gmu
-    g_logvar_head = hidden_t @ glogvar
-    g_hidden = gmu @ _mT(enc.mu_head) + glogvar @ _mT(enc.logvar_head) + g_hidden_psi
+    np.matmul(hidden_t, gmu, out=out.mu_head)
+    np.matmul(hidden_t, glogvar, out=out.logvar_head)
+    g = gmu @ _mT(enc.mu_head) + glogvar @ _mT(enc.logvar_head) + g_hidden_psi
 
     # Graph layers, last to first; nothing flows into the fixed features.
-    g_layers: list[np.ndarray] = [None] * len(enc.layer_weights)  # type: ignore[list-item]
-    g = g_hidden
     for l in range(len(enc.layer_weights) - 1, -1, -1):
         gs = g * prep.act_grad(fw.preacts[l], fw.hiddens[l])
-        g_layers[l] = _mT(fw.mids[l]) @ gs
+        np.matmul(_mT(fw.mids[l]) if l else prep.mid0_t, gs, out=out.layer_weights[l])
         if l:
             gmid = gs @ _mT(enc.layer_weights[l])
-            g = gmid + _mT(prep.ahat) @ gmid
-
-    return EncoderState(
-        layer_weights=g_layers,
-        mu_head=g_mu_head,
-        logvar_head=g_logvar_head,
-        psi_w1=g_psi_w1,
-        psi_b1=g_psi_b1,
-        psi_w2=g_psi_w2,
-        psi_b2=g_psi_b2,
-    )
+            g = gmid + prep.ahat_t @ gmid
 
 
 def loss_and_grads(
@@ -502,8 +503,12 @@ def loss_and_grads(
     """Evaluate the generation loss and its analytic gradients."""
     prep = _prepare(graph, settings)
     fw = _forward(prep, enc, eps)
-    sc = _scores(fw.hiddens[-1], fw.latent, enc, links, settings.beta)
-    return float(sc.loss), _gradients(prep, fw, sc, enc, links, eps, settings.beta)
+    signed = _signed(links)
+    sc = _scores(fw.hiddens[-1], fw.latent, enc, signed, settings.beta)
+    shapes = [b.shape for b in enc.blocks()]
+    grads = EncoderState.view(np.empty(sum(b.size for b in enc.blocks())), shapes)
+    _gradients(prep, fw, sc, enc, signed.signed, eps, settings.beta, grads)
+    return float(sc.loss), grads
 
 
 def init_encoder(
@@ -531,8 +536,9 @@ def init_encoder(
 
 class _Live:
     """The encoders of a stack still training, with their link targets
-    and noise. ids[i] is the stream index of row i; an encoder that fails
-    leaves the stack, and its exception is kept in failed."""
+    and noise. Row i of params (and of grads) holds every block of the
+    encoder of stream ids[i], and enc (genc) views them as blocks. An
+    encoder that fails leaves the stack; its exception is kept in failed."""
 
     def __init__(self, graph: ModelGraph, settings: AttackSettings, rngs: Sequence[RngStream]):
         encs, links, noise = [], [], []
@@ -541,22 +547,31 @@ class _Live:
             links.append(sample_links(graph, settings, rng))
             if settings.beta > 0:
                 noise.append(rng.gen.standard_normal((graph.node_count, settings.d_z)))
-        self.enc = EncoderState.stack(encs)
-        self.links = LinkSample(
+        self.shapes = [b.shape for b in encs[0].blocks()]
+        self.params = np.stack([np.concatenate([b.ravel() for b in e.blocks()]) for e in encs])
+        self.grads = np.empty_like(self.params)
+        self.links = links  # by stream index
+        self.signed = _signed(LinkSample(
             np.stack([l.positive for l in links]), np.stack([l.negative for l in links])
-        )
+        ))
         self.eps = np.stack(noise) if noise else None
         self.ids = np.arange(len(rngs))
         self.failed: dict[int, Exception] = {}
+        self._view()
+
+    def _view(self) -> None:
+        self.enc = EncoderState.view(self.params, self.shapes)
+        self.genc = EncoderState.view(self.grads, self.shapes)
 
     def drop(self, bad: np.ndarray, errors: Sequence[Exception]) -> None:
         for j, error in zip(self.ids[bad], errors):
             self.failed[int(j)] = error
         keep = ~bad
-        self.enc = self.enc.map(lambda a: a[keep])
-        self.links = LinkSample(self.links.positive[keep], self.links.negative[keep])
+        self.params, self.grads = self.params[keep], self.grads[keep]
+        self.signed = _Signed(*(a[keep] for a in self.signed))
         self.eps = None if self.eps is None else self.eps[keep]
         self.ids = self.ids[keep]
+        self._view()
 
     def forward(self, prep: _Prepared) -> _Forward | None:
         """The pass of every encoder whose hidden states stay finite, or
@@ -568,17 +583,6 @@ class _Live:
                 self.drop(exc.bad, [exc] * int(exc.bad.sum()))
         return None
 
-    def loss_and_grads(
-        self, prep: _Prepared, beta: float
-    ) -> tuple[np.ndarray, EncoderState] | None:
-        """The loss and gradients of every encoder left after the forward
-        pass, or None once none is left."""
-        fw = self.forward(prep)
-        if fw is None:
-            return None
-        sc = _scores(fw.hiddens[-1], fw.latent, self.enc, self.links, beta)
-        return sc.loss, _gradients(prep, fw, sc, self.enc, self.links, self.eps, beta)
-
 
 def train_gae_stack(
     graph: ModelGraph, settings: AttackSettings, rngs: Sequence[RngStream]
@@ -587,22 +591,26 @@ def train_gae_stack(
 
     Each stream draws its encoder's initialization, link targets and
     variational noise, in that order; each epoch is then one forward and
-    one backward pass over the whole stack. Entry j is exactly what
-    train_gae(graph, settings, rngs[j]) returns, or the exception it
-    raises: an encoder whose hidden state goes non-finite or whose loss
-    diverges leaves the stack at that epoch, and the others train on.
+    one backward pass over the whole stack, and one gradient step on one
+    parameter buffer. Entry j is exactly what train_gae(graph, settings,
+    rngs[j]) returns, or the exception it raises: an encoder whose hidden
+    state goes non-finite or whose loss diverges leaves the stack at that
+    epoch, and the others train on.
     """
     prep = _prepare(graph, settings)
     live = _Live(graph, settings, rngs)
     trace = np.empty((settings.gae_epochs + 1, len(rngs)))
     lr, beta = settings.gae_learning_rate, settings.beta
     for epoch in range(settings.gae_epochs):
-        step = live.loss_and_grads(prep, beta)
-        if step is None:
+        fw = live.forward(prep)
+        if fw is None:
             break
-        loss, grads = step
-        bad = ~(np.isfinite(loss) & (loss <= DIVERGENCE_LIMIT))
-        if bad.any():
+        sc = _scores(fw.hiddens[-1], fw.latent, live.enc, live.signed, beta)
+        _gradients(prep, fw, sc, live.enc, live.signed.signed, live.eps, beta, live.genc)
+        loss = sc.loss
+        ok = [math.isfinite(v) and v <= DIVERGENCE_LIMIT for v in loss.tolist()]
+        if not all(ok):
+            bad = ~np.array(ok)
             live.drop(bad, [
                 RuntimeError(
                     f"graph training diverged (loss {value:.4g} at epoch {epoch}); "
@@ -610,20 +618,19 @@ def train_gae_stack(
                 )
                 for value in loss[bad].tolist()
             ])
-            loss, grads = loss[~bad], grads.map(lambda g: g[~bad])
+            loss = loss[~bad]
         trace[epoch, live.ids] = loss
-        for p, g in zip(live.enc.blocks(), grads.blocks()):
-            p -= lr * g
+        live.params -= lr * live.grads
 
     fw = live.forward(prep)
     results: dict[int, GaeTrainResult | Exception] = dict(live.failed)
     if fw is not None:
-        trace[-1, live.ids] = _scores(fw.hiddens[-1], fw.latent, live.enc, live.links, beta).loss
+        trace[-1, live.ids] = _scores(fw.hiddens[-1], fw.latent, live.enc, live.signed, beta).loss
         for i, j in enumerate(live.ids.tolist()):
             results[j] = GaeTrainResult(
-                encoder=live.enc.map(lambda a: a[i]),
+                encoder=EncoderState.view(live.params[i], live.shapes),
                 loss_trace=trace[:, j].tolist(),
-                links=LinkSample(live.links.positive[i], live.links.negative[i]),
+                links=live.links[j],
                 eps=None if live.eps is None else live.eps[i],
                 latent=LatentState(fw.latent.mu[i], fw.latent.logvar[i], fw.latent.z[i]),
             )
@@ -692,12 +699,54 @@ def surrogate_gradient(
     ascent: np.ndarray,
 ) -> np.ndarray:
     """Analytic gradient of :func:`surrogate_objective` w.r.t. z_a."""
-    a = sigmoid(benign_latents @ z_a)
-    asum = float(a.sum())
-    c = benign_models @ ascent
-    mix = float(a @ c) / asum
+    with np.errstate(all="ignore"):
+        grad, asum = _surrogate_gradients(z_a[None], benign_latents[None], benign_models @ ascent)
+    if asum[0, 0] == 0:
+        raise ZeroDivisionError("float division by zero")
+    return grad[0]
+
+
+def _surrogate_gradients(z_a, benign_z, c) -> tuple[np.ndarray, np.ndarray]:
+    """The gradient and decoded row sum of k attackers at once: z_a (k,
+    d_z), benign_z (k, m, d_z), c (m,) the benign models dotted with the
+    ascent. Each product is the one-attacker BLAS call (matrix-vector,
+    dot, vector-matrix) on the same operands, so each row gets its own
+    bits; a zero row sum gives a non-finite gradient."""
+    a = _sigmoid(np.matmul(benign_z, z_a[..., None])[..., 0])
+    asum = a.sum(axis=-1, keepdims=True)
+    mix = np.matmul(a[..., None, :], c[:, None])[..., 0] / asum
     coeff = (c - mix) / asum * a * (1.0 - a)
-    return coeff @ benign_latents
+    return np.matmul(coeff[..., None, :], benign_z)[..., 0, :], asum
+
+
+def adversarial_reconstruct_stack(
+    graph: ModelGraph, latents: Sequence[LatentState], ascent: np.ndarray, settings: AttackSettings
+) -> list[np.ndarray | Exception]:
+    """Ascend the attacker node's latent of every state as one stack.
+
+    Entry j is exactly what adversarial_reconstruct(graph, latents[j],
+    ascent, settings) returns, or the exception it raises; a latent that
+    fails leaves the stack at that step and the others ascend on.
+    """
+    z = np.stack([latent.z for latent in latents])
+    benign_z, z_a, ids = z[:, :-1], z[:, -1], np.arange(len(latents))
+    c = graph.raw_models[:-1] @ ascent
+    results: dict[int, np.ndarray | Exception] = {}
+    with np.errstate(all="ignore"):
+        for step in range(settings.ascent_steps):
+            grad, asum = _surrogate_gradients(z_a, benign_z, c)
+            z_a = z_a + settings.ascent_step_size * grad
+            finite = np.isfinite(z_a).all(axis=-1)
+            if not finite.all():
+                for j, zero in zip(ids[~finite].tolist(), (asum[~finite, 0] == 0).tolist()):
+                    results[j] = (
+                        ZeroDivisionError("float division by zero") if zero
+                        else FloatingPointError(f"non-finite ascent state at step {step}")
+                    )
+                z_a, benign_z, ids = z_a[finite], benign_z[finite], ids[finite]
+        rows = _sigmoid(np.matmul(benign_z, z_a[..., None])[..., 0])
+    results.update(zip(ids.tolist(), rows))
+    return [results[j] for j in range(len(latents))]
 
 
 def adversarial_reconstruct(
@@ -706,22 +755,19 @@ def adversarial_reconstruct(
     ascent: np.ndarray,
     settings: AttackSettings,
 ) -> np.ndarray:
-    """Gradient-ascend the attacker node's latent, then decode its row.
+    """Gradient-ascend the attacker node's latent, then decode its row:
+    the one-attacker case of :func:`adversarial_reconstruct_stack`.
 
-    latent is the trained encoder's deterministic latent state for the
-    graph (z = mu). Returns the decoded adjacency row over the benign
-    nodes, entries in (0, 1). With a zero ascent vector the row is the
-    unperturbed decode.
+    The ascent starts from latent.z. The attack passes
+    GaeTrainResult.latent, whose z is mu + std * eps when beta > 0 (one
+    noisy sample, not mu); whether it should start from mu is open.
+    Returns the decoded adjacency row over the benign nodes, entries in
+    (0, 1). With a zero ascent vector the row is the unperturbed decode.
     """
-    benign_z = latent.z[:-1]
-    benign_models = graph.raw_models[:-1]
-    z_a = latent.z[-1].copy()
-    for step in range(settings.ascent_steps):
-        grad = surrogate_gradient(z_a, benign_z, benign_models, ascent)
-        z_a = z_a + settings.ascent_step_size * grad
-        if not np.isfinite(z_a).all():
-            raise FloatingPointError(f"non-finite ascent state at step {step}")
-    return sigmoid(benign_z @ z_a)
+    [row] = adversarial_reconstruct_stack(graph, [latent], ascent, settings)
+    if isinstance(row, Exception):
+        raise row
+    return row
 
 
 def resolve_threshold(settings: AttackSettings, overheard) -> float:
@@ -733,6 +779,18 @@ def resolve_threshold(settings: AttackSettings, overheard) -> float:
     pairwise = np.linalg.norm(models[:, None, :] - models[None, :, :], axis=-1)
     upper = pairwise[np.triu_indices(len(models), k=1)]
     return float(np.percentile(upper, settings.d_thresh_percentile))
+
+
+def _bisect(ok: Callable[[float], bool], good: float, bad: float) -> float:
+    """The point where ok still holds nearest bad, bisecting from good
+    (ok holds) and bad (it does not) until they are BISECT_TOL apart."""
+    while abs(bad - good) > BISECT_TOL:
+        mid = 0.5 * (good + bad)
+        if ok(mid):
+            good = mid
+        else:
+            bad = mid
+    return good
 
 
 def _max_distance(v: np.ndarray, models: np.ndarray) -> float:
@@ -785,26 +843,12 @@ def generate_malicious(
             if feasible(omega_raw + thresh * ascent):
                 gamma = thresh
             else:
-                lo, hi = 0.0, thresh
-                while hi - lo > BISECT_TOL:
-                    mid = 0.5 * (lo + hi)
-                    if feasible(omega_raw + mid * ascent):
-                        lo = mid
-                    else:
-                        hi = mid
-                gamma = lo
+                gamma = _bisect(lambda g: feasible(omega_raw + g * ascent), 0.0, thresh)
         omega = omega_raw + gamma * ascent
     else:
         centroid = models.mean(axis=0)
         if feasible(centroid):
-            lo, hi = 0.0, 1.0  # lo infeasible, hi feasible
-            while hi - lo > BISECT_TOL:
-                mid = 0.5 * (lo + hi)
-                if feasible((1.0 - mid) * omega_raw + mid * centroid):
-                    hi = mid
-                else:
-                    lo = mid
-            pull_t = hi
+            pull_t = _bisect(lambda t: feasible((1.0 - t) * omega_raw + t * centroid), 1.0, 0.0)
         else:
             pull_t = 1.0  # best effort; flagged through constraint_ok
         omega = (1.0 - pull_t) * omega_raw + pull_t * centroid
@@ -834,7 +878,8 @@ def run_attack_group(
 
     The graph, the ascent direction and the stealth radius depend only
     on what the attackers share, so each is computed once; the encoders
-    train as one stack (:func:`train_gae_stack`). Entry j is what
+    train as one stack (:func:`train_gae_stack`) and the latents ascend
+    as one (:func:`adversarial_reconstruct_stack`). Entry j is what
     :func:`run_attack` returns for attacker j, or the first exception its
     pipeline raises, so that the caller can raise whichever failure the
     attackers would hit first one at a time. With fewer than two
@@ -843,13 +888,7 @@ def run_attack_group(
     training", "reconstruction" and "generation".
     """
     def result(device_id: int, params: np.ndarray, diag: AttackDiagnostics) -> AttackResult:
-        update = ReportedUpdate(
-            device_id=device_id,
-            params=params,
-            reported_samples=reported_samples,
-            is_malicious=True,
-        )
-        return AttackResult(update=update, diagnostics=diag)
+        return AttackResult(ReportedUpdate(device_id, params, reported_samples, True), diag)
 
     attacker_prev = as_params(attacker_prev)
     if len(overheard) < 2:
@@ -867,28 +906,33 @@ def run_attack_group(
     with timed("gae training", stage_seconds):
         trainings = train_gae_stack(graph, settings, rngs)
 
-    results: list[AttackResult | Exception] = []
-    ascent = thresh = None
-    for device_id, trained in zip(device_ids, trainings):
-        if isinstance(trained, Exception):
-            results.append(trained)
+    results: list[AttackResult | Exception] = list(trainings)
+    trained = [j for j, t in enumerate(trainings) if not isinstance(t, Exception)]
+    rows: list[np.ndarray | Exception] = []
+    if trained:
+        with timed("reconstruction", stage_seconds):
+            try:
+                ascent = estimate_ascent_direction(global_history, overheard)
+                rows = adversarial_reconstruct_stack(
+                    graph, [trainings[j].latent for j in trained], ascent, settings
+                )
+            except Exception as exc:  # noqa: BLE001 - every trained attacker's failure
+                rows = [exc] * len(trained)
+    thresh = None
+    for j, a_adv in zip(trained, rows):
+        if isinstance(a_adv, Exception):
+            results[j] = a_adv
             continue
-        diag = AttackDiagnostics(
-            device_id, delta_g_initial=trained.loss_trace[0], delta_g_final=trained.loss_trace[-1]
-        )
+        trace = trainings[j].loss_trace
+        diag = AttackDiagnostics(device_ids[j], delta_g_initial=trace[0], delta_g_final=trace[-1])
         try:
-            with timed("reconstruction", stage_seconds):
-                if ascent is None:
-                    ascent = estimate_ascent_direction(global_history, overheard)
-                a_adv = adversarial_reconstruct(graph, trained.latent, ascent, settings)
             with timed("generation", stage_seconds):
                 if thresh is None:
                     thresh = resolve_threshold(settings, overheard)
                 omega = generate_malicious(a_adv, overheard, ascent, thresh, diag=diag)
+            results[j] = result(device_ids[j], omega, diag)
         except Exception as exc:  # noqa: BLE001 - handed to the caller to raise in order
-            results.append(exc)
-            continue
-        results.append(result(device_id, omega, diag))
+            results[j] = exc
     return results
 
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -268,6 +269,20 @@ def run_simulation(
     return records
 
 
+@contextmanager
+def _writing(path: Path, newline: str | None = None):
+    """Write path through a temporary file beside it that replaces path
+    when the block completes and is removed if it fails."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def emit_outputs(
     records: list[RoundRecord],
     cfg: SimConfig,
@@ -276,7 +291,8 @@ def emit_outputs(
     stage_seconds: dict[str, float] | None = None,
 ) -> dict[str, Path]:
     """Write rounds.csv, summary.json, attack_diag.csv (when the graph
-    attack ran), and run_meta.json.
+    attack ran), and run_meta.json, each through a temporary file that
+    replaces it whole.
 
     Everything except run_meta.json is a deterministic function of
     (config, seed); timing lives only in run_meta.json so the other
@@ -291,7 +307,7 @@ def emit_outputs(
     written: dict[str, Path] = {}
     with timed("emit", stage_seconds):
         rounds_path = out / "rounds.csv"
-        with open(rounds_path, "w", newline="") as fh:
+        with _writing(rounds_path, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(ROUNDS_CSV_COLUMNS)
             for record in records:
@@ -312,14 +328,14 @@ def emit_outputs(
             **trace_summary(records, last_k=20),
         }
         summary_path = out / "summary.json"
-        with open(summary_path, "w") as fh:
+        with _writing(summary_path) as fh:
             json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
         written["summary"] = summary_path
 
         if cfg.attack.kind == "avgae" and cfg.devices.n_malicious > 0:
             diag_path = out / "attack_diag.csv"
-            with open(diag_path, "w", newline="") as fh:
+            with _writing(diag_path, newline="") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(ATTACK_DIAG_COLUMNS)
                 for record in records:
@@ -335,7 +351,7 @@ def emit_outputs(
             written["attack_diag"] = diag_path
 
     meta_path = out / "run_meta.json"
-    with open(meta_path, "w") as fh:
+    with _writing(meta_path) as fh:
         json.dump(
             {
                 "wall_clock_seconds": elapsed_seconds,

@@ -4,15 +4,36 @@ import numpy as np
 import pytest
 
 from edgefl.data import (
+    IMAGES_MAGIC,
+    LABELS_MAGIC,
     Dataset,
     binarize,
     load_idx,
     partition_iid,
     synth_logistic,
-    write_idx_images,
-    write_idx_labels,
 )
 from edgefl.numerics import RngStream
+
+
+def write_idx_images(path, images):
+    """Write a (n, rows, cols) uint8 array in IDX image format."""
+    images = np.asarray(images, dtype=np.uint8)
+    if images.ndim != 3:
+        raise ValueError(f"expected (n, rows, cols) array, got shape {images.shape}")
+    n, rows, cols = images.shape
+    with open(path, "wb") as fh:
+        fh.write(struct.pack(">IIII", IMAGES_MAGIC, n, rows, cols))
+        fh.write(images.tobytes())
+
+
+def write_idx_labels(path, labels):
+    """Write a (n,) uint8 array in IDX label format."""
+    labels = np.asarray(labels, dtype=np.uint8)
+    if labels.ndim != 1:
+        raise ValueError(f"expected 1-D label array, got shape {labels.shape}")
+    with open(path, "wb") as fh:
+        fh.write(struct.pack(">II", LABELS_MAGIC, labels.shape[0]))
+        fh.write(labels.tobytes())
 
 
 def _fixture_pair(tmp_path, images, labels):

@@ -14,6 +14,7 @@ from edgefl.graph_attack import (
     LatentState,
     ModelGraph,
     adversarial_reconstruct,
+    adversarial_reconstruct_stack,
     build_graph,
     encode,
     estimate_ascent_direction,
@@ -29,7 +30,7 @@ from edgefl.graph_attack import (
     train_gae,
     train_gae_stack,
 )
-from edgefl.numerics import Projector, RngStream
+from edgefl.numerics import Projector, RngStream, cosine_similarity
 
 SMALL = AttackSettings(
     d_feat=4, d_z=3, hidden_dims=(5, 3), gae_epochs=10, psi_hidden=4,
@@ -76,6 +77,25 @@ def test_build_graph_matches_pairwise_cosine_oracle():
                 denom = np.linalg.norm(q[i]) * np.linalg.norm(q[j])
                 expected = max(0.0, float(q[i] @ q[j]) / denom)
             assert abs(graph.adjacency[i, j] - expected) <= 1e-12
+
+
+def test_build_graph_equals_the_per_pair_cosine_loop_byte_for_byte():
+    rng = np.random.default_rng(51)
+    for trial in range(60):
+        n, dim = int(rng.integers(3, 41)), int(rng.integers(2, 12))
+        scale = [1e-3, 1.0, 1e3][trial % 3]
+        models = [rng.normal(size=dim) * scale for _ in range(n - 1)]
+        models[int(rng.integers(n - 1))] = np.zeros(dim)  # a norm below the floor
+        models[0] = -models[1]  # a cosine of exactly -1
+        prev = rng.normal(size=dim)
+        proj = Projector.random(dim, int(rng.integers(1, dim + 1)), RngStream(trial, "proj"))
+        graph = build_graph(models, prev, proj)
+        expected = np.eye(n)
+        for i in range(n):
+            for j in range(i + 1, n):
+                value = max(0.0, cosine_similarity(graph.features[i], graph.features[j]))
+                expected[i, j] = expected[j, i] = value
+        assert graph.adjacency.tobytes() == expected.tobytes()
 
 
 def test_build_graph_attacker_node_last_and_guard():
@@ -597,6 +617,92 @@ def test_adversarial_reconstruct_zero_step_size_is_unperturbed():
     ascent /= np.linalg.norm(ascent)
     row = adversarial_reconstruct(graph, latent, ascent, settings)
     np.testing.assert_allclose(row, expit(latent.z[:-1] @ latent.z[-1]), atol=1e-15)
+
+
+def _reference_ascent(graph, z, ascent, settings):
+    """One attacker's latent ascent as plain 1-D numpy with float
+    divisions: the loop the stacked ascent must match bit for bit."""
+
+    def sig(x):
+        with np.errstate(over="ignore"):
+            return 1.0 / (1.0 + np.exp(-x))
+
+    benign_z, benign_models, z_a = z[:-1], graph.raw_models[:-1], z[-1].copy()
+    for step in range(settings.ascent_steps):
+        a = sig(benign_z @ z_a)
+        asum = float(a.sum())
+        c = benign_models @ ascent
+        mix = float(a @ c) / asum
+        z_a = z_a + settings.ascent_step_size * (((c - mix) / asum * a * (1.0 - a)) @ benign_z)
+        if not np.isfinite(z_a).all():
+            raise FloatingPointError(f"non-finite ascent state at step {step}")
+    return sig(benign_z @ z_a)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_adversarial_reconstruct_stack_matches_per_attacker_loop_bit_for_bit(k):
+    rng = np.random.default_rng(70 + k)
+    settings = AttackSettings(
+        d_feat=4, d_z=3, hidden_dims=(5, 3), psi_hidden=4, gae_epochs=20,
+        gae_learning_rate=0.01, ascent_steps=30, ascent_step_size=0.5,
+        d_thresh_percentile=90.0,
+    )
+    graph, _, _ = _random_graph([6, 23, 40][k - 1], rng, settings=settings)
+    latents = [t.latent for t in train_gae_stack(
+        graph, settings, [RngStream(k, f"attacker-{j}") for j in range(k)]
+    )]
+    ascent = rng.normal(size=6)
+    ascent /= np.linalg.norm(ascent)
+    rows = adversarial_reconstruct_stack(graph, latents, ascent, settings)
+    assert len(rows) == k
+    for row, latent in zip(rows, latents):
+        np.testing.assert_array_equal(row, _reference_ascent(graph, latent.z, ascent, settings))
+        np.testing.assert_array_equal(row, adversarial_reconstruct(graph, latent, ascent, settings))
+
+
+@pytest.mark.parametrize("seed,scale,step_size,message", [
+    (35, 1e305, 0.1, "non-finite ascent state at step 0"),
+    (5, 1e150, 1e140, "float division by zero"),
+])
+def test_adversarial_reconstruct_stack_failure_stays_with_its_attacker(
+    seed, scale, step_size, message
+):
+    # Huge benign models make one of three ascents overflow, or underflow
+    # every decoded weight of one to zero; the other two ascend on.
+    rng = np.random.default_rng(seed)
+    raw = rng.normal(size=(6, 5)) * scale
+    graph = ModelGraph(adjacency=np.eye(6), features=np.zeros((6, 2)), raw_models=raw)
+    latents = [LatentState(mu=None, logvar=None, z=rng.normal(size=(6, 3)) * 3) for _ in range(3)]
+    ascent = rng.normal(size=5)
+    ascent /= np.linalg.norm(ascent)
+    settings = AttackSettings(
+        ascent_steps=30, ascent_step_size=step_size, d_thresh_percentile=90.0
+    )
+    with np.errstate(all="ignore"):
+        stacked = adversarial_reconstruct_stack(graph, latents, ascent, settings)
+        alone = [
+            _outcome_of(lambda l=l: adversarial_reconstruct(graph, l, ascent, settings))
+            for l in latents
+        ]
+        reference = [
+            _outcome_of(lambda l=l: _reference_ascent(graph, l.z, ascent, settings))
+            for l in latents
+        ]
+    assert [str(o) for o in reference if isinstance(o, Exception)] == [message]
+    for got, one, want in zip(stacked, alone, reference):
+        if isinstance(want, Exception):
+            assert type(got) is type(one) is type(want)
+            assert str(got) == str(one) == message
+        else:
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(one, want)
+
+
+def _outcome_of(fn):
+    try:
+        return fn()
+    except (FloatingPointError, ZeroDivisionError) as exc:
+        return exc
 
 
 def test_ascent_steps_monotone_objective():

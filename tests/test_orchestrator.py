@@ -433,6 +433,27 @@ def test_emit_outputs_no_attack_diag_for_benign_runs(tmp_path):
     assert not (tmp_path / "run" / "attack_diag.csv").exists()
 
 
+def test_failed_summary_write_leaves_no_partial_or_temporary_file(tmp_path, monkeypatch):
+    cfg = validate_config(MINIMAL)
+    records = run_simulation(cfg)
+    fresh, rerun = tmp_path / "fresh", tmp_path / "rerun"
+    emit_outputs(records, cfg, out_dir=rerun)
+    complete = (rerun / "summary.json").read_bytes()
+
+    def half_written(obj, fh, **kwargs):
+        fh.write('{\n  "config": {')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(simulation.json, "dump", half_written)
+    for out in (fresh, rerun):
+        with pytest.raises(OSError, match="disk full"):
+            emit_outputs(records, cfg, out_dir=out)
+    # rounds.csv was written whole before the summary failed.
+    assert sorted(p.name for p in fresh.iterdir()) == ["rounds.csv"]
+    assert sorted(p.name for p in rerun.iterdir()) == ["rounds.csv", "run_meta.json", "summary.json"]
+    assert (rerun / "summary.json").read_bytes() == complete
+
+
 def test_identical_seed_produces_identical_bytes(tmp_path):
     cfg = validate_config(_tiny_attack_config())
     for name in ("a", "b"):
