@@ -44,30 +44,12 @@ class Dataset:
         return Dataset(self.x[indices], self.y[indices])
 
 
-@dataclass(frozen=True)
-class LocalDataset:
-    """One device's training shard."""
-
-    device_id: int
-    data: Dataset
-
-    def __post_init__(self):
-        if len(self.data) < 1:
-            raise ValueError(f"device {self.device_id}: local dataset is empty")
-
-    @property
-    def size(self) -> int:
-        return len(self.data)
-
-
 @dataclass(frozen=True, eq=False)
-class ShardStack(Sequence):
+class ShardStack:
     """Every device's training shard in one zero-padded block.
 
     x: (n, m_max, d) and y: (n, m_max). Device device_ids[k] owns the
     first counts[k] rows of block k; every row past them is zero.
-    Indexing yields :class:`LocalDataset` views into the block, so the
-    samples are held once.
     """
 
     x: np.ndarray
@@ -85,19 +67,12 @@ class ShardStack(Sequence):
             )
 
     @classmethod
-    def of(cls, ds) -> "ShardStack":
-        """One device's shard as a stack of one, without copying; a bare
-        :class:`Dataset` is labelled device 0."""
-        device_id = ds.device_id if isinstance(ds, LocalDataset) else 0
-        data = ds.data if isinstance(ds, LocalDataset) else ds
-        return cls(data.x[None], data.y[None], np.array([len(data)]), (device_id,))
+    def of(cls, ds: Dataset) -> "ShardStack":
+        """A dataset as a stack of one, device 0, without copying."""
+        return cls(ds.x[None], ds.y[None], np.array([len(ds)]), (0,))
 
     def __len__(self) -> int:
         return len(self.device_ids)
-
-    def __getitem__(self, k: int) -> LocalDataset:
-        m = int(self.counts[k])
-        return LocalDataset(self.device_ids[k], Dataset(self.x[k, :m], self.y[k, :m]))
 
     def rows(self, start: int, stop: int) -> "ShardStack":
         """Devices start..stop-1 as a stack viewing the same block."""

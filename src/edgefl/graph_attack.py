@@ -116,10 +116,6 @@ class ModelGraph:
     def node_count(self) -> int:
         return self.adjacency.shape[0]
 
-    @property
-    def attacker_index(self) -> int:
-        return self.node_count - 1
-
 
 @dataclass
 class EncoderState:
@@ -206,9 +202,7 @@ class AttackResult:
 class GaeTrainResult:
     encoder: EncoderState
     loss_trace: list[float]
-    links: LinkSample
-    eps: np.ndarray | None
-    latent: LatentState  # of the trained encoder under eps
+    latent: LatentState  # of the trained encoder under its noise
 
 
 def build_graph(
@@ -550,7 +544,6 @@ class _Live:
         self.shapes = [b.shape for b in encs[0].blocks()]
         self.params = np.stack([np.concatenate([b.ravel() for b in e.blocks()]) for e in encs])
         self.grads = np.empty_like(self.params)
-        self.links = links  # by stream index
         self.signed = _signed(LinkSample(
             np.stack([l.positive for l in links]), np.stack([l.negative for l in links])
         ))
@@ -584,18 +577,21 @@ class _Live:
         return None
 
 
-def train_gae_stack(
+def train_gae(
     graph: ModelGraph, settings: AttackSettings, rngs: Sequence[RngStream]
 ) -> list[GaeTrainResult | Exception]:
-    """Train one encoder per stream on the same graph, all as one stack.
+    """Train one encoder per stream on the same graph by full-graph
+    gradient descent on the loss, all as one stack.
 
     Each stream draws its encoder's initialization, link targets and
-    variational noise, in that order; each epoch is then one forward and
-    one backward pass over the whole stack, and one gradient step on one
-    parameter buffer. Entry j is exactly what train_gae(graph, settings,
-    rngs[j]) returns, or the exception it raises: an encoder whose hidden
-    state goes non-finite or whose loss diverges leaves the stack at that
-    epoch, and the others train on.
+    variational noise, in that order, once, so each objective is fixed;
+    each epoch is then one forward and one backward pass over the whole
+    stack, and one gradient step on one parameter buffer. Entry j holds
+    the loss before every step plus the loss at the trained weights,
+    whose latent state comes with them; it is bit for bit what stream j
+    gets in a stack of one. An encoder whose hidden state goes non-finite
+    or whose loss diverges leaves the stack at that epoch, its entry is
+    that exception, and the others train on.
     """
     prep = _prepare(graph, settings)
     live = _Live(graph, settings, rngs)
@@ -630,28 +626,9 @@ def train_gae_stack(
             results[j] = GaeTrainResult(
                 encoder=EncoderState.view(live.params[i], live.shapes),
                 loss_trace=trace[:, j].tolist(),
-                links=live.links[j],
-                eps=None if live.eps is None else live.eps[i],
                 latent=LatentState(fw.latent.mu[i], fw.latent.logvar[i], fw.latent.z[i]),
             )
     return [results[j] for j in range(len(rngs))]
-
-
-def train_gae(
-    graph: ModelGraph, settings: AttackSettings, rng: RngStream
-) -> GaeTrainResult:
-    """Train the encoder by full-graph gradient descent on the loss: the
-    one-encoder case of :func:`train_gae_stack`.
-
-    Negative link targets and the variational noise are drawn once so
-    the objective is fixed; the loss trace holds the value before every
-    step plus the value at the trained weights, whose latent state is
-    returned with them.
-    """
-    [result] = train_gae_stack(graph, settings, [rng])
-    if isinstance(result, Exception):
-        raise result
-    return result
 
 
 def estimate_ascent_direction(global_history, overheard) -> np.ndarray:
@@ -692,41 +669,34 @@ def surrogate_objective(
     return mix - float(c.mean())
 
 
-def surrogate_gradient(
-    z_a: np.ndarray,
-    benign_latents: np.ndarray,
-    benign_models: np.ndarray,
-    ascent: np.ndarray,
-) -> np.ndarray:
-    """Analytic gradient of :func:`surrogate_objective` w.r.t. z_a."""
-    with np.errstate(all="ignore"):
-        grad, asum = _surrogate_gradients(z_a[None], benign_latents[None], benign_models @ ascent)
-    if asum[0, 0] == 0:
-        raise ZeroDivisionError("float division by zero")
-    return grad[0]
-
-
-def _surrogate_gradients(z_a, benign_z, c) -> tuple[np.ndarray, np.ndarray]:
-    """The gradient and decoded row sum of k attackers at once: z_a (k,
-    d_z), benign_z (k, m, d_z), c (m,) the benign models dotted with the
-    ascent. Each product is the one-attacker BLAS call (matrix-vector,
-    dot, vector-matrix) on the same operands, so each row gets its own
-    bits; a zero row sum gives a non-finite gradient."""
+def surrogate_gradient(z_a: np.ndarray, benign_z: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Analytic gradient of :func:`surrogate_objective` w.r.t. z_a, for k
+    attackers at once: z_a (k, d_z), benign_z (k, m, d_z), c (m,) the
+    benign models dotted with the ascent. Each product is the
+    one-attacker BLAS call (matrix-vector, dot, vector-matrix) on the
+    same operands, so each row gets its own bits; a decoded row that sums
+    to zero gives a non-finite gradient."""
     a = _sigmoid(np.matmul(benign_z, z_a[..., None])[..., 0])
     asum = a.sum(axis=-1, keepdims=True)
     mix = np.matmul(a[..., None, :], c[:, None])[..., 0] / asum
     coeff = (c - mix) / asum * a * (1.0 - a)
-    return np.matmul(coeff[..., None, :], benign_z)[..., 0, :], asum
+    return np.matmul(coeff[..., None, :], benign_z)[..., 0, :]
 
 
-def adversarial_reconstruct_stack(
+def adversarial_reconstruct(
     graph: ModelGraph, latents: Sequence[LatentState], ascent: np.ndarray, settings: AttackSettings
 ) -> list[np.ndarray | Exception]:
-    """Ascend the attacker node's latent of every state as one stack.
+    """Gradient-ascend the attacker node's latent of every state, as one
+    stack, then decode its row.
 
-    Entry j is exactly what adversarial_reconstruct(graph, latents[j],
-    ascent, settings) returns, or the exception it raises; a latent that
-    fails leaves the stack at that step and the others ascend on.
+    Each ascent starts from latent.z. The attack passes
+    GaeTrainResult.latent, whose z is mu + std * eps when beta > 0 (one
+    noisy sample, not mu); whether it should start from mu is open.
+    Entry j is the decoded adjacency row of latents[j] over the benign
+    nodes, entries in (0, 1); with a zero ascent vector it is the
+    unperturbed decode. A latent whose ascent state goes non-finite
+    leaves the stack at that step, its entry is a FloatingPointError
+    naming the step, and the others ascend on.
     """
     z = np.stack([latent.z for latent in latents])
     benign_z, z_a, ids = z[:, :-1], z[:, -1], np.arange(len(latents))
@@ -734,40 +704,15 @@ def adversarial_reconstruct_stack(
     results: dict[int, np.ndarray | Exception] = {}
     with np.errstate(all="ignore"):
         for step in range(settings.ascent_steps):
-            grad, asum = _surrogate_gradients(z_a, benign_z, c)
-            z_a = z_a + settings.ascent_step_size * grad
+            z_a = z_a + settings.ascent_step_size * surrogate_gradient(z_a, benign_z, c)
             finite = np.isfinite(z_a).all(axis=-1)
             if not finite.all():
-                for j, zero in zip(ids[~finite].tolist(), (asum[~finite, 0] == 0).tolist()):
-                    results[j] = (
-                        ZeroDivisionError("float division by zero") if zero
-                        else FloatingPointError(f"non-finite ascent state at step {step}")
-                    )
+                for j in ids[~finite].tolist():
+                    results[j] = FloatingPointError(f"non-finite ascent state at step {step}")
                 z_a, benign_z, ids = z_a[finite], benign_z[finite], ids[finite]
         rows = _sigmoid(np.matmul(benign_z, z_a[..., None])[..., 0])
     results.update(zip(ids.tolist(), rows))
     return [results[j] for j in range(len(latents))]
-
-
-def adversarial_reconstruct(
-    graph: ModelGraph,
-    latent: LatentState,
-    ascent: np.ndarray,
-    settings: AttackSettings,
-) -> np.ndarray:
-    """Gradient-ascend the attacker node's latent, then decode its row:
-    the one-attacker case of :func:`adversarial_reconstruct_stack`.
-
-    The ascent starts from latent.z. The attack passes
-    GaeTrainResult.latent, whose z is mu + std * eps when beta > 0 (one
-    noisy sample, not mu); whether it should start from mu is open.
-    Returns the decoded adjacency row over the benign nodes, entries in
-    (0, 1). With a zero ascent vector the row is the unperturbed decode.
-    """
-    [row] = adversarial_reconstruct_stack(graph, [latent], ascent, settings)
-    if isinstance(row, Exception):
-        raise row
-    return row
 
 
 def resolve_threshold(settings: AttackSettings, overheard) -> float:
@@ -862,7 +807,7 @@ def generate_malicious(
     return ensure_finite("malicious model", omega)
 
 
-def run_attack_group(
+def run_attack(
     overheard: Sequence[np.ndarray],
     attacker_prev,
     global_history: Sequence[np.ndarray],
@@ -874,18 +819,20 @@ def run_attack_group(
     stage_seconds: dict[str, float] | None = None,
 ) -> list[AttackResult | Exception]:
     """The per-round pipeline of every attacker that overhears the same
-    models, attacker device_ids[j] drawing from rngs[j].
+    models, attacker device_ids[j] drawing from rngs[j]: graph
+    construction, encoder training, adversarial reconstruction and
+    constrained generation.
 
     The graph, the ascent direction and the stealth radius depend only
     on what the attackers share, so each is computed once; the encoders
-    train as one stack (:func:`train_gae_stack`) and the latents ascend
-    as one (:func:`adversarial_reconstruct_stack`). Entry j is what
-    :func:`run_attack` returns for attacker j, or the first exception its
-    pipeline raises, so that the caller can raise whichever failure the
-    attackers would hit first one at a time. With fewer than two
-    overheard models every attack is skipped. When stage_seconds is
-    given, wall time is added into it under "graph build", "gae
-    training", "reconstruction" and "generation".
+    train as one stack (:func:`train_gae`) and the latents ascend as one
+    (:func:`adversarial_reconstruct`). Entry j is attacker j's result,
+    the same as in a group of one, or the first exception its pipeline
+    raises, so that the caller can raise whichever failure the attackers
+    would hit first one at a time. With fewer than two overheard models
+    every attack is skipped and each attacker resubmits its previous
+    model. When stage_seconds is given, wall time is added into it under
+    "graph build", "gae training", "reconstruction" and "generation".
     """
     def result(device_id: int, params: np.ndarray, diag: AttackDiagnostics) -> AttackResult:
         return AttackResult(ReportedUpdate(device_id, params, reported_samples, True), diag)
@@ -904,7 +851,7 @@ def run_attack_group(
         except Exception as exc:  # noqa: BLE001 - every attacker's first failure
             return [exc] * len(device_ids)
     with timed("gae training", stage_seconds):
-        trainings = train_gae_stack(graph, settings, rngs)
+        trainings = train_gae(graph, settings, rngs)
 
     results: list[AttackResult | Exception] = list(trainings)
     trained = [j for j, t in enumerate(trainings) if not isinstance(t, Exception)]
@@ -913,7 +860,7 @@ def run_attack_group(
         with timed("reconstruction", stage_seconds):
             try:
                 ascent = estimate_ascent_direction(global_history, overheard)
-                rows = adversarial_reconstruct_stack(
+                rows = adversarial_reconstruct(
                     graph, [trainings[j].latent for j in trained], ascent, settings
                 )
             except Exception as exc:  # noqa: BLE001 - every trained attacker's failure
@@ -934,30 +881,3 @@ def run_attack_group(
         except Exception as exc:  # noqa: BLE001 - handed to the caller to raise in order
             results[j] = exc
     return results
-
-
-def run_attack(
-    overheard: Sequence[np.ndarray],
-    attacker_prev,
-    global_history: Sequence[np.ndarray],
-    settings: AttackSettings,
-    rng: RngStream,
-    projector: Projector,
-    reported_samples: int,
-    device_id: int,
-) -> AttackResult:
-    """Full per-round pipeline for one attacker: the one-attacker case of
-    :func:`run_attack_group`.
-
-    Composes graph construction, encoder training, adversarial
-    reconstruction, and constrained generation. With fewer than two
-    overheard models the attack is skipped and the attacker resubmits
-    its previous model.
-    """
-    [result] = run_attack_group(
-        overheard, attacker_prev, global_history, settings, [rng], projector,
-        reported_samples, [device_id],
-    )
-    if isinstance(result, Exception):
-        raise result
-    return result

@@ -35,10 +35,6 @@ class RngStream:
         key = int.from_bytes(digest, "big")
         self.gen = np.random.Generator(np.random.Philox(key=[self.seed, key]))
 
-    def spawn(self, label: str) -> "RngStream":
-        """Derive an independent child stream from this one."""
-        return RngStream(self.seed, f"{self.stream_id}/{label}")
-
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id!r})"
 

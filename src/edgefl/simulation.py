@@ -18,7 +18,7 @@ from .baselines import gaussian_noise_attack, sign_flip_attack
 from .channel import DevicePosition, eavesdrop_set
 from .config import SimConfig, config_echo
 from .data import Dataset, ShardStack, binarize, load_idx, partition_iid, synth_logistic
-from .graph_attack import AttackDiagnostics, AttackResult, run_attack_group
+from .graph_attack import AttackDiagnostics, AttackResult, run_attack
 from .metrics import DeviceRecord, RoundRecord, test_accuracy, trace_summary
 from .numerics import Projector, RngStream, ensure_finite, euclidean_distance, timed
 from .training import stack_loss, train_stack
@@ -197,7 +197,7 @@ def run_simulation(
         graph_results: dict[int, AttackResult | Exception] = {}
         if attack.kind == "avgae":
             for ids in setup.attack_groups:
-                graph_results.update(zip(ids, run_attack_group(
+                graph_results.update(zip(ids, run_attack(
                     [locals_by_id[i] for i in setup.overheard_ids[ids[0]]],
                     global_params, global_history, attack.avgae,
                     [setup.attacker_streams[i] for i in ids], setup.projector, b_a, ids,

@@ -166,8 +166,8 @@ def train_stack(
     workers: int = 1,
 ) -> np.ndarray:
     """Run local_iterations steps of gradient descent on every device of
-    the stack at once, each from w_init; row k of the result is device
-    stack.device_ids[k]'s model.
+    the stack at once, each from w_init, which is never mutated; row k of
+    the result is device stack.device_ids[k]'s model.
 
     Full-batch by default; when settings.batch_size is set, each step
     draws each device's batch from its own stream rngs[k]. A non-finite
@@ -197,14 +197,3 @@ def train_stack(
         raise min(failures, key=lambda e: getattr(e, "order", (-1, False)))
     return np.concatenate([f.result() for f in futures])
 
-
-def train_local(
-    kind: LossKind,
-    w_init,
-    ds,
-    settings: TrainSettings,
-    rng: RngStream,
-) -> np.ndarray:
-    """One device's case of :func:`train_stack`; ds is a Dataset or a
-    LocalDataset. w_init is never mutated."""
-    return train_stack(kind, w_init, ShardStack.of(ds), settings, [rng])[0]

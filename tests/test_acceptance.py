@@ -191,7 +191,8 @@ def test_criterion_1_gradient_correctness():
             lambda: surrogate_objective(z_a, benign_z, benign_models, ascent), z_a
         )
         assert _block_close(
-            surrogate_gradient(z_a, benign_z, benign_models, ascent), fd, TOL_GRAD_GAE
+            surrogate_gradient(z_a[None], benign_z[None], benign_models @ ascent)[0], fd,
+            TOL_GRAD_GAE,
         )
         checked_blocks += 1
 

@@ -170,24 +170,29 @@ def _key(row):
     return tuple(row)
 
 
+def _shard_rows(stack):
+    """Each device's feature rows of the stack, without the padding."""
+    return [stack.x[k, :m] for k, m in enumerate(stack.counts)]
+
+
 def test_partition_single_device_is_permutation():
     ds = synth_logistic(40, 3, np.ones(3), RngStream(4, "synth"))
-    [shard] = partition_iid(ds, 1, [40], RngStream(4, "part"))
-    assert shard.device_id == 1 and shard.size == 40
-    assert sorted(map(_key, shard.data.x)) == sorted(map(_key, ds.x))
+    stack = partition_iid(ds, 1, [40], RngStream(4, "part"))
+    assert stack.device_ids == (1,) and stack.counts.tolist() == [40]
+    assert sorted(map(_key, stack.x[0])) == sorted(map(_key, ds.x))
 
 
 def test_partition_disjoint_singletons():
     ds = Dataset(np.array([[1.0], [2.0]]), np.array([0.0, 1.0]))
     shards = partition_iid(ds, 2, [1, 1], RngStream(5, "part"))
-    values = {shards[0].data.x[0, 0], shards[1].data.x[0, 0]}
+    values = {shards.x[0, 0, 0], shards.x[1, 0, 0]}
     assert values == {1.0, 2.0}
 
 
 def test_partition_multiset_equality_oracle():
     ds = synth_logistic(1000, 4, np.ones(4), RngStream(6, "synth"))
     shards = partition_iid(ds, 5, [200] * 5, RngStream(6, "part"))
-    union = sorted(_key(row) for s in shards for row in s.data.x)
+    union = sorted(_key(row) for rows in _shard_rows(shards) for row in rows)
     assert union == sorted(map(_key, ds.x))
 
 
@@ -200,9 +205,9 @@ def test_partition_random_configurations_disjoint_and_exact():
         ds = Dataset(np.arange(total, dtype=float)[:, None], np.zeros(total))
         shards = partition_iid(ds, n_dev, sizes, RngStream(int(rng.integers(1e6)), "part"))
         seen: list[float] = []
-        for shard, size in zip(shards, sizes):
-            assert shard.size == size
-            seen.extend(shard.data.x[:, 0].tolist())
+        assert shards.counts.tolist() == sizes
+        for rows in _shard_rows(shards):
+            seen.extend(rows[:, 0].tolist())
         assert len(seen) == len(set(seen)) == sum(sizes)
 
 
@@ -211,12 +216,8 @@ def test_partition_deals_into_one_zero_padded_stack():
     stack = partition_iid(ds, 3, [4, 7, 2], RngStream(8, "part"))
     assert stack.x.shape == (3, 7, 3) and stack.y.shape == (3, 7)
     assert stack.counts.tolist() == [4, 7, 2] and stack.device_ids == (1, 2, 3)
-    for k, shard in enumerate(stack):
-        assert shard.device_id == k + 1 and shard.size == stack.counts[k]
-        # Shards view the stack: the samples are held once.
-        assert np.shares_memory(shard.data.x, stack.x)
-        assert np.shares_memory(shard.data.y, stack.y)
-        assert not stack.x[k, shard.size:].any() and not stack.y[k, shard.size:].any()
+    for k, size in enumerate(stack.counts):
+        assert not stack.x[k, size:].any() and not stack.y[k, size:].any()
     part = stack.rows(1, 3)
     assert part.device_ids == (2, 3) and np.shares_memory(part.x, stack.x)
 

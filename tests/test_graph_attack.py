@@ -14,7 +14,6 @@ from edgefl.graph_attack import (
     LatentState,
     ModelGraph,
     adversarial_reconstruct,
-    adversarial_reconstruct_stack,
     build_graph,
     encode,
     estimate_ascent_direction,
@@ -28,7 +27,6 @@ from edgefl.graph_attack import (
     surrogate_gradient,
     surrogate_objective,
     train_gae,
-    train_gae_stack,
 )
 from edgefl.numerics import Projector, RngStream, cosine_similarity
 
@@ -48,6 +46,17 @@ def _random_graph(n_nodes, rng, dim=6, settings=SMALL):
 def _loss_value(graph, enc, settings, links, eps=None):
     hidden, latent = encode(graph, enc, settings, eps)
     return graph_loss(graph, hidden, latent, enc, settings, links)
+
+
+def _objective_of(graph, settings, rng):
+    """The link targets and noise a training run on rng draws after its
+    initialization, redrawn from a fresh stream of the same key."""
+    init_encoder(graph, settings, rng)
+    links = sample_links(graph, settings, rng)
+    eps = None
+    if settings.beta > 0:
+        eps = rng.gen.standard_normal((graph.node_count, settings.d_z))
+    return links, eps
 
 
 # ---------------------------------------------------------------- build_graph
@@ -102,7 +111,7 @@ def test_build_graph_attacker_node_last_and_guard():
     rng = np.random.default_rng(51)
     graph, models, prev = _random_graph(4, rng)
     np.testing.assert_array_equal(graph.raw_models[-1], prev)
-    assert graph.attacker_index == 3
+    assert graph.node_count == 4
     with pytest.raises(ValueError, match="at least 2"):
         build_graph([models[0]], prev, Projector.identity(6))
 
@@ -324,7 +333,7 @@ def test_surrogate_gradient_matches_finite_differences():
         benign_models = rng.normal(size=(k, dim))
         ascent = rng.normal(size=dim)
         ascent /= np.linalg.norm(ascent)
-        grad = surrogate_gradient(z_a, benign_z, benign_models, ascent)
+        [grad] = surrogate_gradient(z_a[None], benign_z[None], benign_models @ ascent)
         fd = _fd_block(
             lambda: surrogate_objective(z_a, benign_z, benign_models, ascent), z_a
         )
@@ -340,7 +349,7 @@ def test_train_gae_zero_epochs_returns_initialization():
         d_thresh_percentile=90.0,
     )
     graph, _, _ = _random_graph(4, rng, settings=settings)
-    result = train_gae(graph, settings, RngStream(77, "atk"))
+    [result] = train_gae(graph, settings, [RngStream(77, "atk")])
     reference = init_encoder(graph, settings, RngStream(77, "atk"))
     for got, want in zip(result.encoder.layer_weights, reference.layer_weights):
         np.testing.assert_array_equal(got, want)
@@ -355,16 +364,17 @@ def test_train_gae_descends_and_is_deterministic():
         d_feat=4, d_z=3, hidden_dims=(5, 3), psi_hidden=4, gae_epochs=40,
         d_thresh_percentile=90.0,
     )
-    a = train_gae(graph, settings, RngStream(5, "atk"))
-    b = train_gae(graph, settings, RngStream(5, "atk"))
+    [a] = train_gae(graph, settings, [RngStream(5, "atk")])
+    [b] = train_gae(graph, settings, [RngStream(5, "atk")])
     assert a.loss_trace[-1] <= a.loss_trace[0]
     assert a.loss_trace == b.loss_trace
     for wa, wb in zip(a.encoder.blocks(), b.encoder.blocks()):
         np.testing.assert_array_equal(wa, wb)
     # The returned latent and final loss are those of the trained weights.
-    _, latent = encode(graph, a.encoder, settings, eps=a.eps)
+    links, eps = _objective_of(graph, settings, RngStream(5, "atk"))
+    _, latent = encode(graph, a.encoder, settings, eps=eps)
     np.testing.assert_array_equal(a.latent.z, latent.z)
-    assert a.loss_trace[-1] == _loss_value(graph, a.encoder, settings, a.links, a.eps)
+    assert a.loss_trace[-1] == _loss_value(graph, a.encoder, settings, links, eps)
 
 
 def test_train_gae_one_epoch_steps_every_block():
@@ -374,9 +384,10 @@ def test_train_gae_one_epoch_steps_every_block():
         d_thresh_percentile=90.0,
     )
     graph, _, _ = _random_graph(5, rng, settings=settings)
-    trained = train_gae(graph, settings, RngStream(14, "atk"))
+    [trained] = train_gae(graph, settings, [RngStream(14, "atk")])
     start = init_encoder(graph, settings, RngStream(14, "atk"))
-    _, grads = loss_and_grads(graph, start, settings, trained.links, trained.eps)
+    links, eps = _objective_of(graph, settings, RngStream(14, "atk"))
+    _, grads = loss_and_grads(graph, start, settings, links, eps)
     # blocks() lists each layer weight plus every other field once.
     assert len(start.blocks()) == len(start.layer_weights) + len(fields(EncoderState)) - 1
     for after, before, g in zip(trained.encoder.blocks(), start.blocks(), grads.blocks()):
@@ -391,12 +402,12 @@ def test_train_gae_divergence_suggests_smaller_lr():
         d_feat=4, d_z=3, hidden_dims=(5, 3), psi_hidden=4, gae_epochs=200,
         gae_learning_rate=1e6, d_thresh_percentile=90.0,
     )
-    with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(RuntimeError, match="gae_learning_rate"):
-        train_gae(graph, settings, RngStream(6, "atk"))
+    with np.errstate(over="ignore", invalid="ignore"):
+        [result] = train_gae(graph, settings, [RngStream(6, "atk")])
+    assert isinstance(result, RuntimeError) and "gae_learning_rate" in str(result)
 
 
-# ------------------------------------------------------------ train_gae_stack
+# ---------------------------------------------------------- train_gae stacked
 
 def _reference_train(graph, settings, rng):
     """One attacker's training as plain 2-D numpy, one operation at a time:
@@ -490,7 +501,7 @@ def test_train_gae_stack_matches_per_attacker_loop_bit_for_bit(k, activation, be
     )
     graph, _, _ = _random_graph(7, np.random.default_rng(90 + k), settings=settings)
     streams = [RngStream(k, f"attacker-{j}") for j in range(k)]
-    stacked = train_gae_stack(graph, settings, streams)
+    stacked = train_gae(graph, settings, streams)
     assert len(stacked) == k
     for j, got in enumerate(stacked):
         assert isinstance(got, GaeTrainResult)
@@ -500,13 +511,6 @@ def test_train_gae_stack_matches_per_attacker_loop_bit_for_bit(k, activation, be
         np.testing.assert_array_equal(got.loss_trace[0], trace[0])
         np.testing.assert_array_equal(got.loss_trace[-1], trace[-1])
         np.testing.assert_array_equal(got.latent.z, z)
-
-
-def _outcome(fn):
-    try:
-        return fn()
-    except (RuntimeError, FloatingPointError) as exc:
-        return exc
 
 
 def _assert_same_outcome(got, want):
@@ -522,7 +526,7 @@ def _assert_same_outcome(got, want):
 
 def test_train_gae_stack_divergence_leaves_the_others_training():
     # At this learning rate the four encoders diverge at epochs 3, 11 and
-    # 3, and one trains through; each entry is what train_gae gives alone.
+    # 3, and one trains through; each entry is what a stack of one gives.
     rng = np.random.default_rng(5)
     settings = AttackSettings(
         d_feat=4, d_z=3, hidden_dims=(5, 3), psi_hidden=4, gae_epochs=30,
@@ -531,8 +535,8 @@ def test_train_gae_stack_divergence_leaves_the_others_training():
     graph, _, _ = _random_graph(6, rng, settings=settings)
     streams = lambda: [RngStream(5, f"a{j}") for j in range(4)]
     with np.errstate(over="ignore", invalid="ignore"):
-        stacked = train_gae_stack(graph, settings, streams())
-        alone = [_outcome(lambda r=r: train_gae(graph, settings, r)) for r in streams()]
+        stacked = train_gae(graph, settings, streams())
+        alone = [train_gae(graph, settings, [r])[0] for r in streams()]
     epochs = [str(o).split(" at epoch ")[1] for o in alone if isinstance(o, Exception)]
     assert len(set(epochs)) >= 2 and not all(isinstance(o, Exception) for o in alone)
     for got, want in zip(stacked, alone):
@@ -550,8 +554,8 @@ def test_train_gae_stack_nonfinite_hidden_names_each_encoders_layer():
     )
     streams = lambda: [RngStream(5, f"a{j}") for j in range(4)]
     with np.errstate(over="ignore", invalid="ignore"):
-        stacked = train_gae_stack(graph, settings, streams())
-        alone = [_outcome(lambda r=r: train_gae(graph, settings, r)) for r in streams()]
+        stacked = train_gae(graph, settings, streams())
+        alone = [train_gae(graph, settings, [r])[0] for r in streams()]
     messages = {str(o) for o in alone if isinstance(o, Exception)}
     assert messages == {
         "non-finite hidden state at layer 1", "non-finite hidden state at layer 2"
@@ -596,10 +600,10 @@ def test_ascent_direction_mean_subtract_oracle():
 def test_adversarial_reconstruct_zero_ascent_is_unperturbed_decode():
     rng = np.random.default_rng(63)
     graph, _, _ = _random_graph(5, rng)
-    enc = train_gae(graph, SMALL, RngStream(8, "atk")).encoder
+    enc = train_gae(graph, SMALL, [RngStream(8, "atk")])[0].encoder
     _, latent = encode(graph, enc, SMALL, eps=None)
     expected = expit(latent.z[:-1] @ latent.z[-1])
-    row = adversarial_reconstruct(graph, latent, np.zeros(6), SMALL)
+    [row] = adversarial_reconstruct(graph, [latent], np.zeros(6), SMALL)
     np.testing.assert_allclose(row, expected, atol=1e-15)
     assert ((row > 0) & (row < 1)).all()
 
@@ -611,17 +615,18 @@ def test_adversarial_reconstruct_zero_step_size_is_unperturbed():
         d_feat=4, d_z=3, hidden_dims=(5, 3), psi_hidden=4, ascent_steps=1,
         ascent_step_size=0.0, d_thresh_percentile=90.0,
     )
-    enc = train_gae(graph, settings, RngStream(10, "atk")).encoder
+    enc = train_gae(graph, settings, [RngStream(10, "atk")])[0].encoder
     _, latent = encode(graph, enc, settings, eps=None)
     ascent = rng.normal(size=6)
     ascent /= np.linalg.norm(ascent)
-    row = adversarial_reconstruct(graph, latent, ascent, settings)
+    [row] = adversarial_reconstruct(graph, [latent], ascent, settings)
     np.testing.assert_allclose(row, expit(latent.z[:-1] @ latent.z[-1]), atol=1e-15)
 
 
 def _reference_ascent(graph, z, ascent, settings):
-    """One attacker's latent ascent as plain 1-D numpy with float
-    divisions: the loop the stacked ascent must match bit for bit."""
+    """One attacker's latent ascent as plain 1-D numpy: the loop the
+    stacked ascent must match bit for bit. A decoded row that sums to
+    zero makes the step non-finite (0 / 0)."""
 
     def sig(x):
         with np.errstate(over="ignore"):
@@ -630,9 +635,10 @@ def _reference_ascent(graph, z, ascent, settings):
     benign_z, benign_models, z_a = z[:-1], graph.raw_models[:-1], z[-1].copy()
     for step in range(settings.ascent_steps):
         a = sig(benign_z @ z_a)
-        asum = float(a.sum())
+        asum = a.sum()
         c = benign_models @ ascent
-        mix = float(a @ c) / asum
+        with np.errstate(invalid="ignore", divide="ignore"):
+            mix = (a @ c) / asum
         z_a = z_a + settings.ascent_step_size * (((c - mix) / asum * a * (1.0 - a)) @ benign_z)
         if not np.isfinite(z_a).all():
             raise FloatingPointError(f"non-finite ascent state at step {step}")
@@ -648,27 +654,29 @@ def test_adversarial_reconstruct_stack_matches_per_attacker_loop_bit_for_bit(k):
         d_thresh_percentile=90.0,
     )
     graph, _, _ = _random_graph([6, 23, 40][k - 1], rng, settings=settings)
-    latents = [t.latent for t in train_gae_stack(
+    latents = [t.latent for t in train_gae(
         graph, settings, [RngStream(k, f"attacker-{j}") for j in range(k)]
     )]
     ascent = rng.normal(size=6)
     ascent /= np.linalg.norm(ascent)
-    rows = adversarial_reconstruct_stack(graph, latents, ascent, settings)
+    rows = adversarial_reconstruct(graph, latents, ascent, settings)
     assert len(rows) == k
     for row, latent in zip(rows, latents):
         np.testing.assert_array_equal(row, _reference_ascent(graph, latent.z, ascent, settings))
-        np.testing.assert_array_equal(row, adversarial_reconstruct(graph, latent, ascent, settings))
+        [alone] = adversarial_reconstruct(graph, [latent], ascent, settings)
+        np.testing.assert_array_equal(row, alone)
 
 
 @pytest.mark.parametrize("seed,scale,step_size,message", [
     (35, 1e305, 0.1, "non-finite ascent state at step 0"),
-    (5, 1e150, 1e140, "float division by zero"),
+    (5, 1e150, 1e140, "non-finite ascent state at step 1"),
 ])
 def test_adversarial_reconstruct_stack_failure_stays_with_its_attacker(
     seed, scale, step_size, message
 ):
     # Huge benign models make one of three ascents overflow, or underflow
-    # every decoded weight of one to zero; the other two ascend on.
+    # every decoded weight of one to zero, a 0 / 0 at that step; the other
+    # two ascend on.
     rng = np.random.default_rng(seed)
     raw = rng.normal(size=(6, 5)) * scale
     graph = ModelGraph(adjacency=np.eye(6), features=np.zeros((6, 2)), raw_models=raw)
@@ -679,11 +687,8 @@ def test_adversarial_reconstruct_stack_failure_stays_with_its_attacker(
         ascent_steps=30, ascent_step_size=step_size, d_thresh_percentile=90.0
     )
     with np.errstate(all="ignore"):
-        stacked = adversarial_reconstruct_stack(graph, latents, ascent, settings)
-        alone = [
-            _outcome_of(lambda l=l: adversarial_reconstruct(graph, l, ascent, settings))
-            for l in latents
-        ]
+        stacked = adversarial_reconstruct(graph, latents, ascent, settings)
+        alone = [adversarial_reconstruct(graph, [l], ascent, settings)[0] for l in latents]
         reference = [
             _outcome_of(lambda l=l: _reference_ascent(graph, l.z, ascent, settings))
             for l in latents
@@ -701,14 +706,14 @@ def test_adversarial_reconstruct_stack_failure_stays_with_its_attacker(
 def _outcome_of(fn):
     try:
         return fn()
-    except (FloatingPointError, ZeroDivisionError) as exc:
+    except FloatingPointError as exc:
         return exc
 
 
 def test_ascent_steps_monotone_objective():
     rng = np.random.default_rng(65)
     graph, _, _ = _random_graph(3, rng)
-    enc = train_gae(graph, SMALL, RngStream(12, "atk")).encoder
+    enc = train_gae(graph, SMALL, [RngStream(12, "atk")])[0].encoder
     _, latent = encode(graph, enc, SMALL, eps=None)
     ascent = rng.normal(size=6)
     ascent /= np.linalg.norm(ascent)
@@ -716,7 +721,7 @@ def test_ascent_steps_monotone_objective():
     benign_z, benign_models = latent.z[:-1], graph.raw_models[:-1]
     previous = surrogate_objective(z, benign_z, benign_models, ascent)
     for _ in range(25):
-        z = z + 0.01 * surrogate_gradient(z, benign_z, benign_models, ascent)
+        z = z + 0.01 * surrogate_gradient(z[None], benign_z[None], benign_models @ ascent)[0]
         current = surrogate_objective(z, benign_z, benign_models, ascent)
         assert current >= previous - 1e-12
         previous = current
@@ -725,7 +730,7 @@ def test_ascent_steps_monotone_objective():
 def test_decoded_adjacency_from_symmetric_latents_is_symmetric():
     rng = np.random.default_rng(66)
     graph, _, _ = _random_graph(5, rng)
-    enc = train_gae(graph, SMALL, RngStream(13, "atk")).encoder
+    enc = train_gae(graph, SMALL, [RngStream(13, "atk")])[0].encoder
     _, latent = encode(graph, enc, SMALL, eps=None)
     decoded = expit(latent.z @ latent.z.T)
     np.testing.assert_allclose(decoded, decoded.T, atol=1e-12)
@@ -834,10 +839,11 @@ def _attack_inputs(rng, n_benign=5, dim=6):
     return overheard, attacker_prev, [prev_global], proj
 
 
+
 def test_run_attack_skips_below_two_overheard():
     rng = np.random.default_rng(71)
     overheard, prev, history, proj = _attack_inputs(rng, n_benign=1)
-    result = run_attack(overheard, prev, history, SMALL, RngStream(4, "atk"), proj, 200, 9)
+    [result] = run_attack(overheard, prev, history, SMALL, [RngStream(4, "atk")], proj, 200, [9])
     assert result.diagnostics.skipped
     assert "1 overheard" in result.diagnostics.skip_reason
     np.testing.assert_array_equal(result.update.params, prev)
@@ -849,8 +855,8 @@ def test_run_attack_skips_below_two_overheard():
 def test_run_attack_deterministic_given_seed():
     rng = np.random.default_rng(72)
     overheard, prev, history, proj = _attack_inputs(rng)
-    a = run_attack(overheard, prev, history, SMALL, RngStream(5, "atk"), proj, 100, 6)
-    b = run_attack(overheard, prev, history, SMALL, RngStream(5, "atk"), proj, 100, 6)
+    [a] = run_attack(overheard, prev, history, SMALL, [RngStream(5, "atk")], proj, 100, [6])
+    [b] = run_attack(overheard, prev, history, SMALL, [RngStream(5, "atk")], proj, 100, [6])
     np.testing.assert_array_equal(a.update.params, b.update.params)
     assert a.diagnostics.delta_g_final == b.diagnostics.delta_g_final
 
@@ -862,15 +868,15 @@ def test_run_attack_beta_zero_fully_deterministic():
         d_feat=4, d_z=3, hidden_dims=(5, 3), psi_hidden=4, gae_epochs=10,
         beta=0.0, d_thresh_percentile=90.0,
     )
-    a = run_attack(overheard, prev, history, settings, RngStream(6, "atk"), proj, 100, 6)
-    b = run_attack(overheard, prev, history, settings, RngStream(6, "atk"), proj, 100, 6)
+    [a] = run_attack(overheard, prev, history, settings, [RngStream(6, "atk")], proj, 100, [6])
+    [b] = run_attack(overheard, prev, history, settings, [RngStream(6, "atk")], proj, 100, [6])
     np.testing.assert_array_equal(a.update.params, b.update.params)
 
 
 def test_run_attack_end_to_end_constraint_and_nontriviality():
     rng = np.random.default_rng(74)
     overheard, prev, history, proj = _attack_inputs(rng)
-    result = run_attack(overheard, prev, history, SMALL, RngStream(7, "atk"), proj, 100, 6)
+    [result] = run_attack(overheard, prev, history, SMALL, [RngStream(7, "atk")], proj, 100, [6])
     omega = result.update.params
     worst = max(np.linalg.norm(omega - m) for m in overheard)
     assert worst <= result.diagnostics.d_thresh + 1e-9

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -11,7 +12,7 @@ import pytest
 import yaml
 
 import edgefl
-from edgefl import simulation
+from edgefl import graph_attack, simulation
 from edgefl.channel import eavesdrop_set
 from edgefl.cli import main as cli_main
 from edgefl.config import ConfigError, config_echo, validate_config
@@ -19,7 +20,7 @@ from edgefl.data import partition_iid, synth_logistic
 from edgefl.graph_attack import run_attack
 from edgefl.numerics import RngStream
 from edgefl.simulation import ROUNDS_CSV_COLUMNS, emit_outputs, run_simulation
-from edgefl.training import LossKind, train_local
+from edgefl.training import LossKind, train_stack
 
 MINIMAL = "rounds: 2\ndevices: {n_benign: 2, samples_per_device: 30}\ndataset: {dim: 4, n_test: 50}\n"
 
@@ -301,6 +302,23 @@ def test_d_feat_resolves_to_model_dim():
     assert cfg2.attack.avgae.d_feat == 6 and cfg2.attack.avgae.identity_projection
 
 
+def test_every_benchmark_workload_config_validates(tmp_path, monkeypatch):
+    # The benchmark builds each run from a shipped config plus override
+    # keys (workers among them); a removed or renamed key fails here first.
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location(
+        "benchmark_workloads", root / "benchmarks" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
+    spec.loader.exec_module(workloads)
+    assert workloads.WORKLOADS
+    for name, workload in workloads.WORKLOADS.items():
+        text = (root / workload.config).read_text()
+        cfg = validate_config(text, workload.overrides_for(0, tmp_path / name))
+        assert cfg.rounds == workload.rounds and cfg.workers == 1
+
+
 # ---------------------------------------------------------------- simulation
 
 def test_single_party_round_equals_local_training():
@@ -317,9 +335,9 @@ def test_single_party_round_equals_local_training():
     w_true = w_rng.gen.standard_normal(d) * (cfg.dataset.w_scale / math.sqrt(d))
     pool = synth_logistic(50 + 60, d, w_true, RngStream(3, "data"))
     train = pool.subset(np.arange(50))
-    [shard] = partition_iid(train, 1, [50], RngStream(3, "partitioner"))
-    expected = train_local(
-        cfg.loss, np.zeros(d), shard, cfg.training, RngStream(3, "device-1")
+    shards = partition_iid(train, 1, [50], RngStream(3, "partitioner"))
+    [expected] = train_stack(
+        cfg.loss, np.zeros(d), shards, cfg.training, [RngStream(3, "device-1")]
     )
     np.testing.assert_array_equal(record.global_params, expected)
 
@@ -534,25 +552,24 @@ attack:
 
 
 def _one_attacker_at_a_time(monkeypatch, failures=None):
-    """Run every graph attacker through run_attack on its own, in place of
-    the grouped step, handing a failure back as the grouped step does;
-    failures, when given, collects each failing attacker's message."""
+    """Run every graph attacker through run_attack in a group of its own,
+    in place of the grouped step, handing a failure back as the grouped
+    step does; failures, when given, collects each failing attacker's
+    message."""
 
     def per_attacker(overheard, prev, history, settings, rngs, projector, b_a, ids,
                      stage_seconds=None):
         results = []
         for rng, attacker_id in zip(rngs, ids):
-            try:
-                results.append(run_attack(
-                    overheard, prev, history, settings, rng, projector, b_a, attacker_id
-                ))
-            except Exception as exc:  # noqa: BLE001 - compared with the grouped step
-                results.append(exc)
-                if failures is not None:
-                    failures[attacker_id] = str(exc)
+            [result] = run_attack(
+                overheard, prev, history, settings, [rng], projector, b_a, [attacker_id]
+            )
+            results.append(result)
+            if isinstance(result, Exception) and failures is not None:
+                failures[attacker_id] = str(result)
         return results
 
-    monkeypatch.setattr(simulation, "run_attack_group", per_attacker)
+    monkeypatch.setattr(simulation, "run_attack", per_attacker)
 
 
 def test_grouped_attackers_match_a_per_attacker_loop(tmp_path, monkeypatch):
@@ -590,6 +607,30 @@ def test_grouped_divergence_names_the_attacker_and_epoch_of_the_sequential_loop(
         "round 1, stage attack (device 7): graph training diverged"
     )
     assert "at epoch 12)" in str(grouped.value)
+
+
+def test_round_loop_calls_every_traced_graph_attack_stage(monkeypatch):
+    # The benchmark times the graph attack through these names, so the
+    # round loop must reach each of them, once per attacker and round.
+    names = (
+        "run_attack", "build_graph", "sample_links", "train_gae",
+        "adversarial_reconstruct", "generate_malicious",
+    )
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(graph_attack, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in (graph_attack, simulation):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting)
+    cfg = validate_config(_tiny_attack_config(rounds=2))
+    records = run_simulation(cfg)
+    assert not any(d.skipped for r in records for d in r.attack_diagnostics)
+    assert calls == dict.fromkeys(names, 2)
 
 
 def test_eavesdrop_sets_are_computed_once_per_run(monkeypatch):

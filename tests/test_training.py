@@ -11,7 +11,6 @@ from edgefl.training import (
     local_gradient,
     local_loss,
     stack_loss,
-    train_local,
     train_stack,
 )
 
@@ -27,6 +26,11 @@ def _finite_difference(f, w, h=1e-6):
         down[i] -= h
         grad[i] = (f(up) - f(down)) / (2 * h)
     return grad
+
+
+def _train_one(kind, w_init, ds, settings, rng):
+    """train_stack on ds as a stack of one device."""
+    return train_stack(kind, w_init, ShardStack.of(ds), settings, [rng])[0]
 
 
 def _one_row_loss(kind, w, x, y):
@@ -146,7 +150,7 @@ def test_train_local_returns_w_init_at_stationary_point():
     # Gradient is exactly zero here, so any number of steps is a no-op.
     ds = Dataset(np.array([[1.0, 0.0]]), np.array([0.0]))
     w0 = np.zeros(2)
-    out = train_local(
+    out = _train_one(
         LossKind.LINEAR, w0, ds, TrainSettings(alpha=0.0, learning_rate=1.0, local_iterations=1),
         RngStream(0, "d"),
     )
@@ -156,7 +160,7 @@ def test_train_local_returns_w_init_at_stationary_point():
 def test_train_local_never_mutates_w_init():
     ds = Dataset(np.array([[1.0]]), np.array([2.0]))
     w0 = np.zeros(1)
-    train_local(
+    _train_one(
         LossKind.LINEAR, w0, ds,
         TrainSettings(alpha=0.0, learning_rate=0.5, local_iterations=3),
         RngStream(0, "d"),
@@ -167,7 +171,7 @@ def test_train_local_never_mutates_w_init():
 def test_train_local_hand_iteration():
     # One step, lr 1, gradient (w.x - y) x = -2 at w = 0, so w becomes 2.
     ds = Dataset(np.array([[1.0]]), np.array([2.0]))
-    out = train_local(
+    out = _train_one(
         LossKind.LINEAR, np.zeros(1), ds,
         TrainSettings(alpha=0.0, learning_rate=1.0, local_iterations=1),
         RngStream(0, "d"),
@@ -182,7 +186,7 @@ def test_train_local_monotone_loss_on_convex_task():
     w = np.zeros(3)
     losses = [local_loss(LossKind.LOGISTIC, w, ds, 0.0)]
     for _ in range(200):
-        w = train_local(LossKind.LOGISTIC, w, ds, settings, RngStream(10, "d"))
+        w = _train_one(LossKind.LOGISTIC, w, ds, settings, RngStream(10, "d"))
         losses.append(local_loss(LossKind.LOGISTIC, w, ds, 0.0))
     assert all(a >= b - 1e-12 for a, b in zip(losses, losses[1:]))
 
@@ -190,8 +194,8 @@ def test_train_local_monotone_loss_on_convex_task():
 def test_train_local_minibatch_deterministic():
     ds = synth_logistic(100, 4, np.ones(4), RngStream(11, "synth"))
     settings = TrainSettings(alpha=0.0, learning_rate=0.1, local_iterations=5, batch_size=16)
-    a = train_local(LossKind.LOGISTIC, np.zeros(4), ds, settings, RngStream(12, "dev"))
-    b = train_local(LossKind.LOGISTIC, np.zeros(4), ds, settings, RngStream(12, "dev"))
+    a = _train_one(LossKind.LOGISTIC, np.zeros(4), ds, settings, RngStream(12, "dev"))
+    b = _train_one(LossKind.LOGISTIC, np.zeros(4), ds, settings, RngStream(12, "dev"))
     np.testing.assert_array_equal(a, b)
 
 
@@ -199,7 +203,7 @@ def test_train_local_divergence_names_iteration():
     ds = Dataset(np.array([[10.0]]), np.array([0.0]))
     settings = TrainSettings(alpha=0.0, learning_rate=1e200, local_iterations=3)
     with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match="iteration"):
-        train_local(LossKind.LINEAR, np.ones(1), ds, settings, RngStream(0, "d"))
+        _train_one(LossKind.LINEAR, np.ones(1), ds, settings, RngStream(0, "d"))
 
 
 def _unequal_stack(kind, sizes=(50, 200, 137), d=6):
@@ -211,6 +215,11 @@ def _unequal_stack(kind, sizes=(50, 200, 137), d=6):
     else:
         y = rng.integers(0, 2, size=sum(sizes)).astype(float)
     return partition_iid(Dataset(x, y), len(sizes), sizes, RngStream(72, "part"))
+
+
+def _shards(stack):
+    """Each device's rows of the stack, without the padding."""
+    return [Dataset(stack.x[k, :m], stack.y[k, :m]) for k, m in enumerate(stack.counts)]
 
 
 def _reference_descent(kind, w0, data, settings, rng):
@@ -238,15 +247,15 @@ def test_train_stack_matches_per_device_loop_bit_for_bit(kind, batch_size, worke
     streams = [RngStream(73, f"device-{i}") for i in stack.device_ids]
     got = train_stack(kind, w0, stack, settings, streams, workers=workers)
     expected = [
-        _reference_descent(kind, w0, shard.data, settings, RngStream(73, f"device-{i}"))
-        for i, shard in zip(stack.device_ids, stack)
+        _reference_descent(kind, w0, shard, settings, RngStream(73, f"device-{i}"))
+        for i, shard in zip(stack.device_ids, _shards(stack))
     ]
     np.testing.assert_array_equal(got, np.stack(expected))
 
     losses = stack_loss(kind, got, stack, settings.alpha)
-    for k, shard in enumerate(stack):
-        z = shard.data.x @ got[k]
-        y = shard.data.y
+    for k, shard in enumerate(_shards(stack)):
+        z = shard.x @ got[k]
+        y = shard.y
         per_sample = 0.5 * (z - y) ** 2 if kind == LossKind.LINEAR else \
             y * np.logaddexp(0.0, -z) + (1.0 - y) * np.logaddexp(0.0, z)
         reg = settings.alpha * 0.5 * float(got[k] @ got[k])
