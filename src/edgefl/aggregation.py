@@ -45,15 +45,17 @@ def aggregate(updates: Sequence[ReportedUpdate]) -> np.ndarray:
     if not updates:
         raise ValueError("aggregate called with no updates")
     ordered = sorted(updates, key=lambda u: u.device_id)
-    dim = as_params(ordered[0].params).shape[0]
+    params = []
     for u in ordered:
-        if as_params(u.params).shape[0] != dim:
+        p = as_params(u.params)
+        if params and p.shape[0] != params[0].shape[0]:
             raise ValueError(
-                f"dimension mismatch: device {ordered[0].device_id} has {dim}, "
-                f"device {u.device_id} has {u.params.shape[0]}"
+                f"dimension mismatch: device {ordered[0].device_id} has "
+                f"{params[0].shape[0]}, device {u.device_id} has {p.shape[0]}"
             )
+        params.append(p)
     counts = np.array([u.reported_samples for u in ordered], dtype=np.float64)
     weights = counts / counts.sum()
-    stacked = np.stack([as_params(u.params) for u in ordered])
+    stacked = np.stack(params)
     out = (weights[:, None] * stacked).sum(axis=0)
     return ensure_finite("aggregated global model", out)

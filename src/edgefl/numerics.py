@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import time
 from contextlib import contextmanager
+from functools import cached_property
 
 import numpy as np
 
@@ -23,7 +24,9 @@ class RngStream:
     Backed by the counter-based Philox generator with the key derived
     from the pair, so each consumer (device, attacker, partitioner, ...)
     owns an independent stream whose output does not depend on draw
-    interleaving by other consumers or on worker scheduling.
+    interleaving by other consumers or on worker scheduling. The
+    generator is built on first use of :attr:`gen`, so a stream that is
+    never drawn from costs only its seed check.
     """
 
     def __init__(self, seed: int, stream_id: str):
@@ -31,9 +34,12 @@ class RngStream:
             raise ValueError(f"seed must fit in 64 unsigned bits, got {seed}")
         self.seed = int(seed)
         self.stream_id = stream_id
-        digest = hashlib.blake2b(stream_id.encode("utf-8"), digest_size=8).digest()
+
+    @cached_property
+    def gen(self) -> np.random.Generator:
+        digest = hashlib.blake2b(self.stream_id.encode("utf-8"), digest_size=8).digest()
         key = int.from_bytes(digest, "big")
-        self.gen = np.random.Generator(np.random.Philox(key=[self.seed, key]))
+        return np.random.Generator(np.random.Philox(key=[self.seed, key]))
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id!r})"
@@ -66,11 +72,23 @@ def _check_dims(a: np.ndarray, b: np.ndarray) -> None:
         raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
 
 
-def euclidean_distance(a, b) -> float:
-    """Euclidean distance between two parameter vectors."""
-    a, b = as_params(a), as_params(b)
-    _check_dims(a, b)
-    return float(np.linalg.norm(a - b))
+def euclidean_distance(a, b) -> float | np.ndarray:
+    """Euclidean distance between two parameter vectors, as a float; or,
+    when a is a 2-D stack of rows, from each row to b, as an array.
+
+    Each row's squared norm is one stacked per-row dot, the same ddot
+    that np.linalg.norm runs on a single vector, so row k gets the bits
+    of euclidean_distance(a[k], b).
+    """
+    b = as_params(b)
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 2:
+        a = as_params(a)
+        _check_dims(a, b)
+        return float(np.linalg.norm(a - b))
+    _check_dims(a.T, b)
+    d = a - b
+    return np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0])
 
 
 def cosine_similarity(a, b) -> float:

@@ -21,7 +21,7 @@ from .data import Dataset, ShardStack, binarize, load_idx, partition_iid, synth_
 from .graph_attack import AttackDiagnostics, AttackResult, run_attack
 from .metrics import DeviceRecord, RoundRecord, test_accuracy, trace_summary
 from .numerics import Projector, RngStream, ensure_finite, euclidean_distance, timed
-from .training import stack_loss, train_stack
+from .training import LossKind, stack_loss, train_stack
 
 ROUNDS_CSV_COLUMNS = [
     "round", "device_id", "is_malicious", "distance_to_global",
@@ -96,6 +96,15 @@ def _draw_positions(cfg: SimConfig) -> tuple[dict[int, DevicePosition], dict[int
 
 def _setup(cfg: SimConfig) -> _Setup:
     train, test = _build_datasets(cfg)
+    if cfg.loss == LossKind.LOGISTIC:
+        # The logistic loss takes one softplus per sample, which holds
+        # for labels 0 and 1 only; checked here, once per run.
+        for split, ds in (("training", train), ("test", test)):
+            if not ((ds.y == 0.0) | (ds.y == 1.0)).all():
+                raise ValueError(
+                    f"{cfg.dataset.kind} {split} set: labels must be 0 or 1 "
+                    f"for the logistic loss"
+                )
     shards = partition_iid(
         train, cfg.devices.n_benign, cfg.devices.samples_per_device,
         RngStream(cfg.seed, "partitioner"),
@@ -238,22 +247,17 @@ def run_simulation(
         with _stage("metrics", stage_seconds, round_index):
             losses = ensure_finite(
                 "local loss", stack_loss(cfg.loss, local_models, shards, cfg.training.alpha)
-            )
+            ).tolist()
+            losses += [float("nan")] * len(attacker_ids)  # attackers hold no data
+            models = np.vstack([local_models, *(attacker_models[i] for i in attacker_ids)])
+            distances = euclidean_distance(models, new_global).tolist()
             per_device = [
                 DeviceRecord(
-                    device_id=i, is_malicious=False, local=local_models[k],
-                    distance_to_global=euclidean_distance(local_models[k], new_global),
-                    local_loss=float(losses[k]),
+                    device_id=i, is_malicious=k >= len(benign_ids), local=models[k],
+                    distance_to_global=distances[k], local_loss=losses[k],
                 )
-                for k, i in enumerate(benign_ids)
+                for k, i in enumerate([*benign_ids, *attacker_ids])
             ]
-            for attacker_id in attacker_ids:
-                params = attacker_models[attacker_id]
-                per_device.append(DeviceRecord(
-                    device_id=attacker_id, is_malicious=True, local=params,
-                    distance_to_global=euclidean_distance(params, new_global),
-                    local_loss=float("nan"),  # the attacker holds no data
-                ))
             accuracy = test_accuracy(cfg.loss, new_global, setup.test_set)
 
         records.append(RoundRecord(
@@ -307,19 +311,16 @@ def emit_outputs(
     written: dict[str, Path] = {}
     with timed("emit", stage_seconds):
         rounds_path = out / "rounds.csv"
+        # The rows csv.writer would write: no field here ever needs quoting.
         with _writing(rounds_path, newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(ROUNDS_CSV_COLUMNS)
+            fh.write(",".join(ROUNDS_CSV_COLUMNS) + "\r\n")
             for record in records:
-                for device in record.per_device:
-                    writer.writerow([
-                        record.round_index,
-                        device.device_id,
-                        int(device.is_malicious),
-                        repr(float(device.distance_to_global)),
-                        repr(float(device.local_loss)),
-                        repr(float(record.test_accuracy)),
-                    ])
+                accuracy = repr(float(record.test_accuracy))
+                fh.writelines(
+                    f"{record.round_index},{d.device_id},{int(d.is_malicious)},"
+                    f"{float(d.distance_to_global)!r},{float(d.local_loss)!r},{accuracy}\r\n"
+                    for d in record.per_device
+                )
         written["rounds"] = rounds_path
 
         summary = {

@@ -50,8 +50,13 @@ def _margin_losses(kind: LossKind, z: np.ndarray, y: np.ndarray) -> np.ndarray:
         return 0.5 * (z - y) ** 2
     # Stable rearrangement of the logistic loss
     #   y*log(1 + exp(-z)) - (1-y)*log(1 - 1/(1 + exp(-z)))
-    # via softplus: y*softplus(-z) + (1-y)*softplus(z).
-    return y * np.logaddexp(0.0, -z) + (1.0 - y) * np.logaddexp(0.0, z)
+    # via softplus: y*softplus(-z) + (1-y)*softplus(z). Labels are 0 or 1
+    # (synth_logistic and binarize make them so, and the run checks them
+    # once at setup), so one term is exactly 0*finite and one softplus
+    # pass of the signed margin gives the same bits. 0.0*z is +-0 for a
+    # finite margin and leaves those bits alone; for an infinite one it
+    # keeps the loss NaN, as the 0*inf of the two-term form did.
+    return np.logaddexp(0.0, np.where(y == 1.0, -z, z)) + 0.0 * z
 
 
 # The stacked forms below take one model per device, W of shape (n, d).

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -36,6 +37,27 @@ def test_distance_symmetric_and_dim_mismatch():
     assert euclidean_distance(a, b) == euclidean_distance(b, a)
     with pytest.raises(ValueError, match="4 vs 3"):
         euclidean_distance(a, b[:3])
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3, 1e50, 1e150])
+def test_stacked_distance_matches_per_row_norm_bit_for_bit(scale):
+    rng = np.random.default_rng(13)
+    for n, d in ((1, 1), (3, 2), (210, 10), (7, 784)):
+        a = rng.normal(size=(n, d)) * scale
+        b = rng.normal(size=d) * scale
+        got = euclidean_distance(a, b)
+        expected = np.array([np.linalg.norm(row - b) for row in a])
+        assert got.shape == (n,)
+        assert got.tobytes() == expected.tobytes()
+        assert euclidean_distance(a[0], b) == expected[0]
+        assert type(euclidean_distance(a[0], b)) is float
+
+
+def test_stacked_distance_dim_mismatch():
+    with pytest.raises(ValueError, match="3 vs 4"):
+        euclidean_distance(np.ones((2, 3)), np.ones(4))
+    with pytest.raises(ValueError, match="1-D"):
+        euclidean_distance(np.ones((2, 3, 4)), np.ones(4))
 
 
 def test_distance_triangle_inequality():
@@ -124,3 +146,26 @@ def test_rng_seed_validation():
         RngStream(-1, "x")
     with pytest.raises(ValueError):
         RngStream(2**64, "x")
+
+
+def test_rng_generator_is_built_on_first_use_with_unchanged_draws():
+    stream = RngStream(99, "device-3")
+    assert "gen" not in vars(stream)
+    first = stream.gen.random(4)
+    assert stream.gen is stream.gen  # later draws continue the same stream
+    # The key: the seed and the first 8 bytes of blake2b(stream_id), big-endian.
+    digest = hashlib.blake2b(b"device-3", digest_size=8).digest()
+    reference = np.random.Generator(np.random.Philox(key=[99, int.from_bytes(digest, "big")]))
+    np.testing.assert_array_equal(
+        np.concatenate([first, stream.gen.random(4)]), reference.random(8)
+    )
+    # Draws recorded before the generator was built lazily.
+    assert RngStream(0, "device-1").gen.integers(0, 2**63, size=3).tolist() == [
+        8243521300798561247, 7329512482365936832, 4560856829998014074,
+    ]
+
+
+def test_rng_bad_seed_fails_at_construction():
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="64 unsigned bits"):
+            RngStream(seed, "never-drawn")

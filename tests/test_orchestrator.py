@@ -1,4 +1,6 @@
+import csv
 import importlib.util
+import io
 import json
 import math
 import os
@@ -12,13 +14,14 @@ import pytest
 import yaml
 
 import edgefl
-from edgefl import graph_attack, simulation
+from edgefl import graph_attack, numerics, simulation, training
 from edgefl.channel import eavesdrop_set
 from edgefl.cli import main as cli_main
 from edgefl.config import ConfigError, config_echo, validate_config
-from edgefl.data import partition_iid, synth_logistic
+from edgefl.data import Dataset, partition_iid, synth_logistic
 from edgefl.graph_attack import run_attack
 from edgefl.numerics import RngStream
+from edgefl.metrics import DeviceRecord, RoundRecord
 from edgefl.simulation import ROUNDS_CSV_COLUMNS, emit_outputs, run_simulation
 from edgefl.training import LossKind, train_stack
 
@@ -400,6 +403,20 @@ attack:
         assert np.isfinite(attacker.distance_to_global)
 
 
+def test_logistic_run_rejects_labels_other_than_0_and_1(monkeypatch):
+    def three_labels(n, d, w_true, rng):
+        ds = synth_logistic(n, d, w_true, rng)
+        return Dataset(ds.x, np.where(np.arange(n) == 7, 2.0, ds.y))
+
+    monkeypatch.setattr(simulation, "synth_logistic", three_labels)
+    with pytest.raises(RuntimeError, match=(
+        "stage setup: synthetic training set: labels must be 0 or 1 for the logistic loss"
+    )):
+        run_simulation(validate_config(MINIMAL))
+    # The linear loss takes any real target.
+    run_simulation(validate_config(MINIMAL, overrides=["loss=linear"]))
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_overflowing_local_loss_names_round_and_stage():
     # Three steps at this rate leave finite models and margins near 1e180,
@@ -441,6 +458,39 @@ def test_summary_is_strict_json_when_no_attack_ran(tmp_path):
 
     summary = json.loads(written["summary"].read_text(), parse_constant=reject)
     assert summary["stealth_rates"] == {"5": None}
+
+
+def _csv_writer_rounds(records):
+    """rounds.csv as csv.writer writes it, with repr floats."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(ROUNDS_CSV_COLUMNS)
+    for record in records:
+        for device in record.per_device:
+            writer.writerow([
+                record.round_index, device.device_id, int(device.is_malicious),
+                repr(float(device.distance_to_global)), repr(float(device.local_loss)),
+                repr(float(record.test_accuracy)),
+            ])
+    return buf.getvalue().encode()
+
+
+def test_rounds_csv_equals_csv_writer_output(tmp_path):
+    cfg = validate_config(MINIMAL, overrides=[
+        "devices.n_malicious=2", "attack.kind=gaussian", "rounds=3",
+    ])
+    records = run_simulation(cfg)
+    assert sum(math.isnan(d.local_loss) for r in records for d in r.per_device) == 6
+    # Values a run does not produce, as numpy scalars: the file must still
+    # hold their plain repr.
+    odd = [
+        DeviceRecord(device_id=np.int64(i), is_malicious=np.bool_(i > 1), local=np.zeros(4),
+                     distance_to_global=np.float64(value), local_loss=np.float64(loss))
+        for i, value, loss in ((1, -0.0, 1 / 3), (2, 5e-324, float("nan")), (3, 1e300, float("nan")))
+    ]
+    records.append(RoundRecord(4, np.zeros(4), odd, np.float64(0.1)))
+    written = emit_outputs(records, cfg, out_dir=tmp_path)
+    assert written["rounds"].read_bytes() == _csv_writer_rounds(records)
 
 
 def test_emit_outputs_no_attack_diag_for_benign_runs(tmp_path):
@@ -631,6 +681,27 @@ def test_round_loop_calls_every_traced_graph_attack_stage(monkeypatch):
     records = run_simulation(cfg)
     assert not any(d.skipped for r in records for d in r.attack_diagnostics)
     assert calls == dict.fromkeys(names, 2)
+
+
+def test_round_bookkeeping_runs_once_per_round(monkeypatch):
+    # Every device's distance and every benign loss come from one call
+    # each per round, whatever the device count.
+    calls = {"euclidean_distance": 0, "stack_loss": 0}
+    for module, name in ((numerics, "euclidean_distance"), (training, "stack_loss")):
+        original = getattr(module, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for target in (module, simulation):
+            monkeypatch.setattr(target, name, counting)
+    cfg = validate_config(MINIMAL, overrides=[
+        "rounds=3", "devices.n_benign=5", "devices.n_malicious=2", "attack.kind=gaussian",
+    ])
+    records = run_simulation(cfg)
+    assert [len(r.per_device) for r in records] == [7, 7, 7]
+    assert calls == {"euclidean_distance": 3, "stack_loss": 3}
 
 
 def test_eavesdrop_sets_are_computed_once_per_run(monkeypatch):

@@ -68,6 +68,38 @@ def test_sample_loss_nonnegative_and_finite_up_to_1e4():
             assert np.isfinite(v) and v >= 0.0
 
 
+def _two_term_logistic(z, y):
+    return y * np.logaddexp(0.0, -z) + (1.0 - y) * np.logaddexp(0.0, z)
+
+
+def test_logistic_loss_of_finite_margins_matches_the_two_term_form_bit_for_bit():
+    edges = np.array([0.0, 5e-324, 1e-300, 1e-3, 1.0, 36.7, 37.0, 700.0, 709.8,
+                      710.0, 745.2, 1e4, 1e300])
+    rng = np.random.default_rng(75)
+    margins = np.concatenate([
+        edges, -edges,
+        *(rng.normal(size=200) * scale for scale in (1e-3, 1.0, 30.0, 1e3)),
+    ])
+    for label in (0.0, 1.0):
+        # One single-row device per margin: w = 1 makes z = x exactly, and
+        # alpha = 0 leaves each device's loss that sample's loss.
+        n = margins.size
+        stack = ShardStack(margins.reshape(n, 1, 1), np.full((n, 1), label),
+                           np.ones(n, dtype=int), tuple(range(n)))
+        got = stack_loss(LossKind.LOGISTIC, np.ones((n, 1)), stack, alpha=0.0)
+        assert got.tobytes() == _two_term_logistic(margins, label).tobytes()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("x, y", [(1e200, 1.0), (-1e200, 0.0), (1e200, 0.0), (-1e200, 1.0)])
+def test_logistic_loss_of_an_overflowed_margin_is_not_finite(x, y):
+    # w.x = +-1e350 overflows to +-inf. On the matching label one softplus
+    # pass alone would give a finite 0, hiding the overflow from the
+    # round's finiteness check; the two-term form gave NaN there.
+    loss = _one_row_loss(LossKind.LOGISTIC, [1e150], [x], y)
+    assert not np.isfinite(loss)
+
+
 def test_sample_loss_dim_mismatch():
     with pytest.raises(ValueError):
         _one_row_loss(LossKind.LINEAR, [1.0, 1.0], [1.0, 1.0, 1.0], 0.0)
