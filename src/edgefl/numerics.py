@@ -78,17 +78,15 @@ def euclidean_distance(a, b) -> float | np.ndarray:
 
     Each row's squared norm is one stacked per-row dot, the same ddot
     that np.linalg.norm runs on a single vector, so row k gets the bits
-    of euclidean_distance(a[k], b).
+    of np.linalg.norm(a[k] - b).
     """
     b = as_params(b)
     a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2:
-        a = as_params(a)
-        _check_dims(a, b)
-        return float(np.linalg.norm(a - b))
-    _check_dims(a.T, b)
-    d = a - b
-    return np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0])
+    rows = a if a.ndim == 2 else as_params(a)[None]
+    _check_dims(rows.T, b)
+    d = rows - b
+    out = np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0])
+    return out if a.ndim == 2 else float(out[0])
 
 
 def cosine_similarity(a, b) -> float:

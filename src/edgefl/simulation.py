@@ -21,7 +21,7 @@ from .data import Dataset, ShardStack, binarize, load_idx, partition_iid, synth_
 from .graph_attack import AttackDiagnostics, AttackResult, run_attack
 from .metrics import DeviceRecord, RoundRecord, test_accuracy, trace_summary
 from .numerics import Projector, RngStream, ensure_finite, euclidean_distance, timed
-from .training import LossKind, stack_loss, train_stack
+from .training import LossKind, require_binary_labels, stack_loss, train_stack
 
 ROUNDS_CSV_COLUMNS = [
     "round", "device_id", "is_malicious", "distance_to_global",
@@ -97,14 +97,9 @@ def _draw_positions(cfg: SimConfig) -> tuple[dict[int, DevicePosition], dict[int
 def _setup(cfg: SimConfig) -> _Setup:
     train, test = _build_datasets(cfg)
     if cfg.loss == LossKind.LOGISTIC:
-        # The logistic loss takes one softplus per sample, which holds
-        # for labels 0 and 1 only; checked here, once per run.
+        # Checked once per run; the per-round stack_loss does not.
         for split, ds in (("training", train), ("test", test)):
-            if not ((ds.y == 0.0) | (ds.y == 1.0)).all():
-                raise ValueError(
-                    f"{cfg.dataset.kind} {split} set: labels must be 0 or 1 "
-                    f"for the logistic loss"
-                )
+            require_binary_labels(ds.y, f"{cfg.dataset.kind} {split} set")
     shards = partition_iid(
         train, cfg.devices.n_benign, cfg.devices.samples_per_device,
         RngStream(cfg.seed, "partitioner"),

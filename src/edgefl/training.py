@@ -45,15 +45,23 @@ class TrainSettings:
             )
 
 
+def require_binary_labels(y: np.ndarray, what: str) -> None:
+    """Raise ValueError unless every label is 0 or 1, the only labels
+    the logistic loss below is defined for."""
+    if not ((y == 0.0) | (y == 1.0)).all():
+        raise ValueError(f"{what}: labels must be 0 or 1 for the logistic loss")
+
+
 def _margin_losses(kind: LossKind, z: np.ndarray, y: np.ndarray) -> np.ndarray:
     if kind == LossKind.LINEAR:
         return 0.5 * (z - y) ** 2
     # Stable rearrangement of the logistic loss
     #   y*log(1 + exp(-z)) - (1-y)*log(1 - 1/(1 + exp(-z)))
     # via softplus: y*softplus(-z) + (1-y)*softplus(z). Labels are 0 or 1
-    # (synth_logistic and binarize make them so, and the run checks them
-    # once at setup), so one term is exactly 0*finite and one softplus
-    # pass of the signed margin gives the same bits. 0.0*z is +-0 for a
+    # (synth_logistic and binarize make them so; a run checks them once
+    # at setup and local_loss on every call), so one term is exactly
+    # 0*finite and one softplus pass of the signed margin gives the same
+    # bits. Any other label silently gets softplus(z). 0.0*z is +-0 for a
     # finite margin and leaves those bits alone; for an infinite one it
     # keeps the loss NaN, as the 0*inf of the two-term form did.
     return np.logaddexp(0.0, np.where(y == 1.0, -z, z)) + 0.0 * z
@@ -84,7 +92,9 @@ def _gradients(kind, x, y, W, z, alpha: float) -> np.ndarray:
 
 def stack_loss(kind: LossKind, W, stack: ShardStack, alpha: float) -> np.ndarray:
     """:func:`local_loss` of every device at once: row k of W on device
-    k's shard."""
+    k's shard. For the logistic loss the labels must be 0 or 1, and are
+    not checked here: this runs every round, on labels the run checked
+    at setup."""
     mean = np.empty(len(stack))
     for rows, c in _by_count(stack.counts):
         z = _margins(stack.x[rows, :c], W[rows])
@@ -100,8 +110,13 @@ def _single(w, ds, what: str) -> tuple[np.ndarray, ShardStack]:
 
 
 def local_loss(kind: LossKind, w, ds, alpha: float) -> float:
-    """Mean sample loss plus the L2 regularizer alpha/2 * ||w||^2."""
+    """Mean sample loss plus the L2 regularizer alpha/2 * ||w||^2.
+
+    The logistic loss takes labels 0 and 1 only; others raise ValueError.
+    """
     W, stack = _single(w, ds, "local loss")
+    if kind == LossKind.LOGISTIC:
+        require_binary_labels(stack.y, "local loss")
     return float(stack_loss(kind, W, stack, alpha)[0])
 
 

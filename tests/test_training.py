@@ -100,6 +100,15 @@ def test_logistic_loss_of_an_overflowed_margin_is_not_finite(x, y):
     assert not np.isfinite(loss)
 
 
+def test_local_loss_rejects_logistic_labels_other_than_0_and_1():
+    # One softplus pass would give softplus(z) for y = 0.5, not
+    # 0.5*softplus(-z) + 0.5*softplus(z), so the one-device seam refuses it.
+    ds = Dataset(np.array([[1.0, 2.0]]), np.array([0.5]))
+    with pytest.raises(ValueError, match="labels must be 0 or 1"):
+        local_loss(LossKind.LOGISTIC, np.ones(2), ds, alpha=0.0)
+    assert local_loss(LossKind.LINEAR, np.ones(2), ds, alpha=0.0) == 0.5 * 2.5**2
+
+
 def test_sample_loss_dim_mismatch():
     with pytest.raises(ValueError):
         _one_row_loss(LossKind.LINEAR, [1.0, 1.0], [1.0, 1.0, 1.0], 0.0)
