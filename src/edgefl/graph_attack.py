@@ -26,7 +26,6 @@ from .numerics import (
 
 PROB_CLAMP_LO = 1e-12
 DIVERGENCE_LIMIT = 1e6
-BISECT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -220,9 +219,10 @@ def build_graph(
         )
     raw = np.stack([as_params(m) for m in list(overheard) + [attacker_prev]])
     features = np.stack([projector.project(row) for row in raw])
-    # numerics.cosine_similarity of every pair at once: the same dot per
-    # pair, norms from the diagonal, 0 when either norm is below the floor,
-    # otherwise the clipped ratio; then max(0, .), which maps -0.0 to 0.0.
+    # Every pairwise cosine at once: one stacked dot per pair (a gemm would
+    # give other bits), norms from the diagonal, 0 when either norm is
+    # below NORM_FLOOR, otherwise the ratio clipped to [-1, 1]; then
+    # max(0, .), which maps -0.0 to 0.0.
     dots = np.matmul(features[:, None, None, :], features[None, :, :, None])[..., 0, 0]
     norms = np.sqrt(dots.diagonal())
     small = norms < NORM_FLOOR
@@ -722,24 +722,58 @@ def resolve_threshold(settings: AttackSettings, overheard) -> float:
         return float(settings.d_thresh_value)
     models = np.stack([as_params(m) for m in overheard])
     pairwise = np.linalg.norm(models[:, None, :] - models[None, :, :], axis=-1)
-    upper = pairwise[np.triu_indices(len(models), k=1)]
-    return float(np.percentile(upper, settings.d_thresh_percentile))
+    upper = np.sort(pairwise[np.triu_indices(len(models), k=1)])
+    return _linear_percentile(upper, settings.d_thresh_percentile)
 
 
-def _bisect(ok: Callable[[float], bool], good: float, bad: float) -> float:
-    """The point where ok still holds nearest bad, bisecting from good
-    (ok holds) and bad (it does not) until they are BISECT_TOL apart."""
-    while abs(bad - good) > BISECT_TOL:
-        mid = 0.5 * (good + bad)
-        if ok(mid):
-            good = mid
-        else:
-            bad = mid
-    return good
+def _linear_percentile(ordered: np.ndarray, q: float) -> float:
+    """np.percentile(ordered, q) of an ascending array, with its bits for
+    finite values: the operations of its "linear" method without its
+    set-up, whose first call imports numpy.ma. A NaN sorts last."""
+    last = len(ordered) - 1
+    index = last * (q / 100)
+    if index >= last or math.isnan(ordered[-1]):
+        return float(ordered[-1])
+    below = math.floor(index)
+    gamma = index - below
+    a, b = float(ordered[below]), float(ordered[below + 1])
+    if gamma >= 0.5:
+        return b - (b - a) * (1 - gamma)
+    return a + (b - a) * gamma
+
+
+def _offsets(v: np.ndarray, models: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """v minus each model, and the length of each difference."""
+    offsets = v - models
+    return offsets, np.sqrt((offsets * offsets).sum(axis=1))
 
 
 def _max_distance(v: np.ndarray, models: np.ndarray) -> float:
-    return float(np.sqrt(((models - v) ** 2).sum(axis=1)).max())
+    return float(_offsets(v, models)[1].max())
+
+
+# A step that a root bounds is shortened by this fraction of itself, so
+# that the root's rounding error points into the ball.
+STEP_BACK = 1e-12
+
+
+def _max_step(
+    offsets: np.ndarray, dist: np.ndarray, direction: np.ndarray, thresh: float, limit: float
+) -> float:
+    """The largest s in [0, limit] keeping v + s * direction within
+    thresh of every model, for a v inside (offsets, dist from
+    :func:`_offsets`); 0 for a zero direction. Per model this is
+    A s^2 + 2 b_i s + c_i <= 0 with c_i <= 0, so s is the smallest upper
+    root, taken in the form that does not cancel."""
+    aa = float(direction @ direction)
+    if not aa > 0:
+        return 0.0
+    b = offsets @ direction
+    c = (dist - thresh) * (dist + thresh)
+    sqrt_disc = np.sqrt(b * b - aa * c)
+    roots = np.divide(-c, b + sqrt_disc, out=(sqrt_disc - b) / aa, where=b > 0)
+    step = float(roots.min())
+    return limit if step >= limit else step * (1.0 - STEP_BACK)
 
 
 def generate_malicious(
@@ -753,10 +787,11 @@ def generate_malicious(
     along the ascent direction as far as the stealth radius thresh (see
     :func:`resolve_threshold`) allows.
 
-    The push coefficient is the largest gamma in [0, d_thresh] keeping
-    the result within d_thresh of every overheard model (bisection to
-    1e-9). If the unpushed mixture already violates the constraint it is
-    pulled toward the benign centroid until it holds.
+    The push coefficient gamma is the largest value in [0, thresh] that
+    keeps the result within thresh of every overheard model, in closed
+    form (:func:`_max_step`). A mixture that is already outside is
+    pulled to the feasible point of its segment to the benign centroid
+    nearest to it, or to the centroid when that is outside too.
     """
     a_adv = np.asarray(a_adv, dtype=np.float64)
     models = np.stack([as_params(m) for m in overheard])
@@ -778,24 +813,17 @@ def generate_malicious(
         weights = a_adv / weight_sum
     omega_raw = weights @ models
 
-    def feasible(v: np.ndarray) -> bool:
-        return _max_distance(v, models) <= thresh
-
-    gamma = 0.0
-    pull_t = 0.0
-    if feasible(omega_raw):
-        if float(np.linalg.norm(ascent)) > 0:
-            if feasible(omega_raw + thresh * ascent):
-                gamma = thresh
-            else:
-                gamma = _bisect(lambda g: feasible(omega_raw + g * ascent), 0.0, thresh)
+    gamma = pull_t = 0.0
+    offsets, dist = _offsets(omega_raw, models)
+    if dist.max() <= thresh:
+        gamma = _max_step(offsets, dist, ascent, thresh, thresh)
         omega = omega_raw + gamma * ascent
     else:
         centroid = models.mean(axis=0)
-        if feasible(centroid):
-            pull_t = _bisect(lambda t: feasible((1.0 - t) * omega_raw + t * centroid), 1.0, 0.0)
-        else:
-            pull_t = 1.0  # best effort; flagged through constraint_ok
+        offsets, dist = _offsets(centroid, models)
+        pull_t = 1.0  # best effort; flagged through constraint_ok
+        if dist.max() <= thresh:
+            pull_t = 1.0 - _max_step(offsets, dist, omega_raw - centroid, thresh, 1.0)
         omega = (1.0 - pull_t) * omega_raw + pull_t * centroid
 
     if diag is not None:

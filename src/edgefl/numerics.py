@@ -1,5 +1,5 @@
-"""Vector primitives, similarity functions, seeded random streams, and
-the stage timer.
+"""Vector primitives, distances, seeded random streams, the shared
+projector, and the stage timer.
 
 Model parameters ("params") are flat 1-D float64 arrays. All functions
 here except :func:`timed` are pure; the only stateful object is
@@ -67,11 +67,6 @@ def sigmoid(x) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def _check_dims(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape[0] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-
-
 def euclidean_distance(a, b) -> float | np.ndarray:
     """Euclidean distance between two parameter vectors, as a float; or,
     when a is a 2-D stack of rows, from each row to b, as an array.
@@ -83,25 +78,11 @@ def euclidean_distance(a, b) -> float | np.ndarray:
     b = as_params(b)
     a = np.asarray(a, dtype=np.float64)
     rows = a if a.ndim == 2 else as_params(a)[None]
-    _check_dims(rows.T, b)
+    if rows.shape[1] != b.shape[0]:
+        raise ValueError(f"dimension mismatch: {rows.shape[1]} vs {b.shape[0]}")
     d = rows - b
     out = np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0])
     return out if a.ndim == 2 else float(out[0])
-
-
-def cosine_similarity(a, b) -> float:
-    """Cosine of the angle between two vectors, in [-1, 1].
-
-    Vectors with norm below 1e-12 are treated as uncorrelated (returns
-    0.0) so all-zero early-round models do not blow up.
-    """
-    a, b = as_params(a), as_params(b)
-    _check_dims(a, b)
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na < NORM_FLOOR or nb < NORM_FLOOR:
-        return 0.0
-    return float(np.clip(float(a @ b) / (na * nb), -1.0, 1.0))
 
 
 class Projector:

@@ -29,7 +29,8 @@ ROUNDS_CSV_COLUMNS = [
 ]
 ATTACK_DIAG_COLUMNS = [
     "round", "attacker_id", "delta_g_initial", "delta_g_final",
-    "gamma_model", "skipped",
+    "gamma_model", "skipped", "d_thresh", "centroid_pull", "uniform_fallback",
+    "constraint_ok", "skip_reason",
 ]
 
 
@@ -343,6 +344,11 @@ def emit_outputs(
                             repr(float(diag.delta_g_final)),
                             repr(float(diag.gamma_model)),
                             int(diag.skipped),
+                            repr(float(diag.d_thresh)),
+                            repr(float(diag.centroid_pull)),
+                            int(diag.uniform_fallback),
+                            int(diag.constraint_ok),
+                            diag.skip_reason,
                         ])
             written["attack_diag"] = diag_path
 

@@ -28,7 +28,7 @@ from edgefl.graph_attack import (
     surrogate_objective,
     train_gae,
 )
-from edgefl.numerics import Projector, RngStream, cosine_similarity
+from edgefl.numerics import Projector, RngStream
 
 SMALL = AttackSettings(
     d_feat=4, d_z=3, hidden_dims=(5, 3), gae_epochs=10, psi_hidden=4,
@@ -102,7 +102,11 @@ def test_build_graph_equals_the_per_pair_cosine_loop_byte_for_byte():
         expected = np.eye(n)
         for i in range(n):
             for j in range(i + 1, n):
-                value = max(0.0, cosine_similarity(graph.features[i], graph.features[j]))
+                a, b = graph.features[i], graph.features[j]
+                na, nb = float(np.linalg.norm(a)), float(np.linalg.norm(b))
+                value = 0.0 if min(na, nb) < 1e-12 else max(
+                    0.0, float(np.clip(float(a @ b) / (na * nb), -1.0, 1.0))
+                )
                 expected[i, j] = expected[j, i] = value
         assert graph.adjacency.tobytes() == expected.tobytes()
 
@@ -827,6 +831,132 @@ def test_resolve_threshold_modes():
     assert resolve_threshold(absolute, models) == 2.5
     percentile = AttackSettings(d_thresh_percentile=100.0)
     assert resolve_threshold(percentile, models) == pytest.approx(5.0)
+
+
+def _percentile_cases(rng):
+    """Model sets: random ones of 2-11 models at scales 1e-3 to 1e3, two
+    models (one distance), sets whose distances tie (repeated models,
+    unit-square corners), and one with a NaN model."""
+    for trial in range(150):
+        n, scale = int(rng.integers(2, 12)), 10.0 ** rng.uniform(-3, 3)
+        yield list(rng.normal(size=(n, int(rng.integers(1, 8)))) * scale)
+        yield list(rng.normal(size=(2, 3)) * scale)
+        base = rng.normal(size=(int(rng.integers(1, 4)), 3)) * scale
+        yield list(base[rng.integers(len(base), size=int(rng.integers(2, 9)))])
+    yield [np.array(c, dtype=float) for c in ((0, 0), (0, 1), (1, 0), (1, 1))]
+    # NaN distances sort last and make every percentile NaN.
+    yield [np.array([0.0, 0.0]), np.array([1.0, 0.0]), np.array([0.0, 2.0]), np.full(2, np.nan)]
+
+
+def test_resolve_threshold_is_np_percentile_bit_for_bit():
+    rng = np.random.default_rng(71)
+    for models in _percentile_cases(rng):
+        stacked = np.stack(models)
+        pairwise = np.linalg.norm(stacked[:, None, :] - stacked[None, :, :], axis=-1)
+        upper = pairwise[np.triu_indices(len(models), k=1)]
+        for q in (1e-3, 50.0, 90.0, 100.0, float(rng.uniform(0.0, 100.0))):
+            got = resolve_threshold(AttackSettings(d_thresh_percentile=q), models)
+            assert got.hex() == float(np.percentile(upper, q)).hex(), (len(models), q)
+
+
+def _bisect(ok, good, bad, tol=1e-10):
+    while abs(bad - good) > tol:
+        mid = 0.5 * (good + bad)
+        good, bad = (mid, bad) if ok(mid) else (good, mid)
+    return good
+
+
+def _farthest(v, models):
+    return float(np.sqrt(((models - v) ** 2).sum(axis=1)).max())
+
+
+def _mixture(row, models):
+    if row.sum() > 0:
+        return row / row.sum() @ models
+    return models.mean(axis=0)
+
+
+def _bisected_projection(row, models, ascent, thresh):
+    """Reference (gamma, pull_t, constraint_ok) of generate_malicious by
+    bisection to 1e-10 along the push and along the pull."""
+    raw = _mixture(row, models)
+
+    def ok(v):
+        return _farthest(v, models) <= thresh
+
+    gamma = pull = 0.0
+    if ok(raw):
+        if np.linalg.norm(ascent) > 0:
+            if ok(raw + thresh * ascent):
+                gamma = thresh
+            else:
+                gamma = _bisect(lambda g: ok(raw + g * ascent), 0.0, thresh)
+        omega = raw + gamma * ascent
+    else:
+        centroid = models.mean(axis=0)
+        pull = 1.0
+        if ok(centroid):
+            pull = _bisect(lambda t: ok((1.0 - t) * raw + t * centroid), 1.0, 0.0)
+        omega = (1.0 - pull) * raw + pull * centroid
+    return gamma, pull, _farthest(omega, models) <= thresh + 1e-9
+
+
+def _projection_trials(rng, count):
+    """Rows, models, ascents and radii that reach every branch: pushes
+    that stop at a root, zero ascents, models on a line with the ascent
+    along it, zero rows, and mixtures outside the ball whose centroid is
+    inside or outside."""
+    for trial in range(count):
+        n, dim = int(rng.integers(2, 9)), int(rng.integers(1, 7))
+        scale = [0.1, 1.0, 10.0][trial % 3]
+        models = rng.normal(size=(n, dim)) * scale
+        ascent = rng.normal(size=dim)
+        kind = trial % 6
+        if kind == 1:
+            ascent = np.zeros(dim)
+        elif kind == 2:
+            models = rng.normal(size=n)[:, None] * ascent * scale
+            ascent = ascent * rng.choice([-1.0, 1.0])
+        ascent = ascent / (np.linalg.norm(ascent) or 1.0)
+        row = rng.dirichlet(np.full(n, [0.1, 1.0][trial % 2]))
+        if kind == 3:
+            row = np.zeros(n)
+        q = float(rng.choice([1e-3, 10.0, 50.0, 90.0, 100.0]))
+        thresh = resolve_threshold(AttackSettings(d_thresh_percentile=q), list(models))
+        if kind == 4:
+            thresh *= float(rng.uniform(0.2, 0.6))
+        yield row, models, ascent, thresh
+
+
+def test_closed_form_projection_matches_bisection_and_is_maximal():
+    rng = np.random.default_rng(72)
+    pushes = pulls = 0
+    for row, models, ascent, thresh in _projection_trials(rng, 1200):
+        diag = AttackDiagnostics()
+        generate_malicious(row, list(models), ascent, thresh, diag=diag)
+        gamma, pull, constraint_ok = _bisected_projection(row, models, ascent, thresh)
+        assert abs(diag.gamma_model - gamma) <= 2e-9
+        assert abs(diag.centroid_pull - pull) <= 2e-9
+        assert diag.constraint_ok == constraint_ok
+        raw = _mixture(row, models)
+        if 0 < diag.gamma_model < thresh:
+            pushes += 1
+            assert _farthest(raw + (diag.gamma_model + 1e-8 * thresh) * ascent, models) > thresh
+        if 0 < diag.centroid_pull < 1:
+            pulls += 1
+            t = diag.centroid_pull - 1e-8
+            assert _farthest((1.0 - t) * raw + t * models.mean(axis=0), models) > thresh
+    assert pushes > 300 and pulls > 60
+
+
+def test_push_that_fits_whole_is_exactly_the_radius():
+    # From (0, 0) a push of 3 along y lands 3 from one model and 1 from
+    # the other, exactly on the ball's edge: gamma is the radius itself.
+    models = [np.array([0.0, 0.0]), np.array([0.0, 2.0])]
+    diag = AttackDiagnostics()
+    omega = generate_malicious(np.array([1.0, 0.0]), models, np.array([0.0, 1.0]), 3.0, diag=diag)
+    assert diag.gamma_model == 3.0 and diag.constraint_ok
+    np.testing.assert_array_equal(omega, [0.0, 3.0])
 
 
 # ------------------------------------------------------------------ run_attack

@@ -7,7 +7,6 @@ import pytest
 from edgefl.numerics import (
     Projector,
     RngStream,
-    cosine_similarity,
     euclidean_distance,
 )
 
@@ -67,21 +66,6 @@ def test_distance_triangle_inequality():
         assert euclidean_distance(a, c) <= (
             euclidean_distance(a, b) + euclidean_distance(b, c) + 1e-9
         )
-
-
-def test_cosine_self_orthogonal_zero_norm():
-    assert cosine_similarity(np.array([1.0, 1.0]), np.array([1.0, 1.0])) == pytest.approx(1.0)
-    assert cosine_similarity(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
-    assert cosine_similarity(np.array([1.0, 0.0]), np.array([0.0, 0.0])) == 0.0
-
-
-def test_cosine_range_and_mismatch():
-    rng = np.random.default_rng(5)
-    for _ in range(100):
-        a, b = rng.normal(size=(2, 5))
-        assert -1.0 <= cosine_similarity(a, b) <= 1.0
-    with pytest.raises(ValueError):
-        cosine_similarity(np.ones(2), np.ones(3))
 
 
 def test_projection_identity_mode():

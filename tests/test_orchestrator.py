@@ -439,8 +439,17 @@ def test_emit_outputs_files_and_row_counts(tmp_path):
     assert rounds_lines[0] == ",".join(ROUNDS_CSV_COLUMNS)
     assert len(rounds_lines) == 1 + 4 * (4 + 1)
     diag_lines = written["attack_diag"].read_text().strip().splitlines()
-    assert diag_lines[0] == "round,attacker_id,delta_g_initial,delta_g_final,gamma_model,skipped"
+    assert diag_lines[0] == (
+        "round,attacker_id,delta_g_initial,delta_g_final,gamma_model,skipped,"
+        "d_thresh,centroid_pull,uniform_fallback,constraint_ok,skip_reason"
+    )
     assert len(diag_lines) == 1 + 4
+    diags = [d for r in records for d in r.attack_diagnostics]
+    assert [line.split(",")[6:] for line in diag_lines[1:]] == [
+        [repr(d.d_thresh), repr(d.centroid_pull), str(int(d.uniform_fallback)),
+         str(int(d.constraint_ok)), d.skip_reason]
+        for d in diags
+    ]
     summary = json.loads(written["summary"].read_text())
     assert summary["rounds_completed"] == 4
     assert summary["config"]["devices"]["n_malicious"] == 1
@@ -635,7 +644,7 @@ def test_grouped_attackers_match_a_per_attacker_loop(tmp_path, monkeypatch):
         grouped = (tmp_path / "grouped" / name).read_bytes()
         assert grouped == (tmp_path / "alone" / name).read_bytes()
     diag = (tmp_path / "grouped" / "attack_diag.csv").read_text().splitlines()
-    assert [row.split(",")[-1] for row in diag if row.split(",")[1] == "10"] == ["1"] * 4
+    assert [row.split(",")[5] for row in diag if row.split(",")[1] == "10"] == ["1"] * 4
 
 
 def test_grouped_divergence_names_the_attacker_and_epoch_of_the_sequential_loop(monkeypatch):
@@ -717,20 +726,40 @@ def test_eavesdrop_sets_are_computed_once_per_run(monkeypatch):
     assert len(calls) == cfg.devices.n_malicious == 1
 
 
-def test_cli_import_loads_no_scipy():
-    # The runtime needs only numpy and PyYAML; scipy is a test dependency.
+def _fresh_python(probe: str) -> str:
+    """Stdout of probe run by a fresh interpreter that imports this edgefl."""
     src = str(Path(edgefl.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p
     )}
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    return result.stdout.strip()
+
+
+def test_cli_import_loads_no_scipy():
+    # The runtime needs only numpy and PyYAML; scipy is a test dependency.
     probe = (
         "import sys, edgefl.cli; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
-    result = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    assert _fresh_python(probe) == "[]"
+
+
+def test_an_attacked_run_never_imports_numpy_ma(tmp_path):
+    # The first np.percentile call of a process imports numpy.ma, several
+    # ms of every run; the percentile stealth radius is computed without it.
+    config = tmp_path / "attack.yaml"
+    config.write_text(_tiny_attack_config(rounds=3))
+    argv = ["simulate", "--config", str(config), "--out", str(tmp_path / "out")]
+    probe = (
+        f"import sys; from edgefl.cli import main; code = main({argv!r}); "
+        "print(code, 'numpy.ma' in sys.modules)"
     )
-    assert result.stdout.strip() == "[]"
+    assert _fresh_python(probe).splitlines()[-1] == "0 False"
+    diag = (tmp_path / "out" / "attack_diag.csv").read_text().splitlines()
+    assert len(diag) == 4 and all(row.split(",")[5] == "0" for row in diag[1:])
 
 
 def test_cli_config_errors_exit_1(tmp_path, capsys):
