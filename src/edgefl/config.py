@@ -370,8 +370,11 @@ def _resolve_d_thresh_mode(raw: dict) -> None:
         if avgae.get("d_thresh_value") is None:
             raise ConfigError("attack.avgae.d_thresh_value is required in absolute mode")
         avgae["d_thresh_percentile"] = None
-    else:
-        avgae["d_thresh_value"] = None
+    elif avgae.pop("d_thresh_value", None) is not None:
+        raise ConfigError(
+            "attack.avgae.d_thresh_value is only read in absolute mode; set "
+            "attack.avgae.d_thresh_mode: absolute to use it"
+        )
     raw["attack"] = {**attack, "avgae": avgae}
 
 

@@ -19,7 +19,6 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .aggregation import ReportedUpdate
 from .numerics import (
     NORM_FLOOR, Projector, RngStream, as_params, ensure_finite, sigmoid, timed,
 )
@@ -189,12 +188,6 @@ class AttackDiagnostics:
     uniform_fallback: bool = False
     centroid_pull: float = 0.0
     constraint_ok: bool = True
-
-
-@dataclass(frozen=True)
-class AttackResult:
-    update: ReportedUpdate
-    diagnostics: AttackDiagnostics
 
 
 @dataclass(frozen=True)
@@ -631,7 +624,7 @@ def train_gae(
     return [results[j] for j in range(len(rngs))]
 
 
-def estimate_ascent_direction(global_history, overheard) -> np.ndarray:
+def estimate_ascent_direction(prev_global, overheard) -> np.ndarray:
     """Unit vector opposing the consensus descent direction.
 
     The consensus direction is the mean overheard model minus the
@@ -641,9 +634,7 @@ def estimate_ascent_direction(global_history, overheard) -> np.ndarray:
     """
     if len(overheard) < 1:
         raise ValueError("need at least one overheard model")
-    if len(global_history) < 1:
-        raise ValueError("need at least one previous global model")
-    prev = as_params(global_history[-1])
+    prev = as_params(prev_global)
     consensus = np.mean(np.stack([as_params(m) for m in overheard]), axis=0) - prev
     norm = float(np.linalg.norm(consensus))
     if norm < 1e-12:
@@ -837,57 +828,54 @@ def generate_malicious(
 
 def run_attack(
     overheard: Sequence[np.ndarray],
-    attacker_prev,
-    global_history: Sequence[np.ndarray],
+    prev_global,
     settings: AttackSettings,
     rngs: Sequence[RngStream],
     projector: Projector,
-    reported_samples: int,
     device_ids: Sequence[int],
     stage_seconds: dict[str, float] | None = None,
-) -> list[AttackResult | Exception]:
+) -> list[tuple[np.ndarray, AttackDiagnostics] | Exception]:
     """The per-round pipeline of every attacker that overhears the same
-    models, attacker device_ids[j] drawing from rngs[j]: graph
-    construction, encoder training, adversarial reconstruction and
-    constrained generation.
+    models (one per row of overheard), attacker device_ids[j] drawing
+    from rngs[j]: graph construction, encoder training, adversarial
+    reconstruction and constrained generation. prev_global is the model
+    the server broadcast this round.
 
     The graph, the ascent direction and the stealth radius depend only
     on what the attackers share, so each is computed once; the encoders
     train as one stack (:func:`train_gae`) and the latents ascend as one
-    (:func:`adversarial_reconstruct`). Entry j is attacker j's result,
-    the same as in a group of one, or the first exception its pipeline
-    raises, so that the caller can raise whichever failure the attackers
-    would hit first one at a time. With fewer than two overheard models
-    every attack is skipped and each attacker resubmits its previous
-    model. When stage_seconds is given, wall time is added into it under
-    "graph build", "gae training", "reconstruction" and "generation".
+    (:func:`adversarial_reconstruct`). Entry j is attacker j's malicious
+    model and its diagnostics, the same as in a group of one, or the
+    first exception its pipeline raises, so that the caller can raise
+    whichever failure the attackers would hit first one at a time. With
+    fewer than two overheard models every attack is skipped and each
+    attacker resubmits prev_global. When stage_seconds is given, wall
+    time is added into it under "graph build", "gae training",
+    "reconstruction" and "generation".
     """
-    def result(device_id: int, params: np.ndarray, diag: AttackDiagnostics) -> AttackResult:
-        return AttackResult(ReportedUpdate(device_id, params, reported_samples, True), diag)
-
-    attacker_prev = as_params(attacker_prev)
+    prev_global = as_params(prev_global)
     if len(overheard) < 2:
         reason = f"only {len(overheard)} overheard models"
         return [
-            result(i, attacker_prev.copy(), AttackDiagnostics(i, skipped=True, skip_reason=reason))
+            (prev_global.copy(), AttackDiagnostics(i, skipped=True, skip_reason=reason))
             for i in device_ids
         ]
 
     with timed("graph build", stage_seconds):
         try:
-            graph = build_graph(overheard, attacker_prev, projector)
+            graph = build_graph(overheard, prev_global, projector)
         except Exception as exc:  # noqa: BLE001 - every attacker's first failure
             return [exc] * len(device_ids)
     with timed("gae training", stage_seconds):
         trainings = train_gae(graph, settings, rngs)
 
-    results: list[AttackResult | Exception] = list(trainings)
+    results: list[tuple[np.ndarray, AttackDiagnostics] | Exception] = list(trainings)
     trained = [j for j, t in enumerate(trainings) if not isinstance(t, Exception)]
     rows: list[np.ndarray | Exception] = []
     if trained:
         with timed("reconstruction", stage_seconds):
             try:
-                ascent = estimate_ascent_direction(global_history, overheard)
+                ascent = estimate_ascent_direction(prev_global, overheard)
                 rows = adversarial_reconstruct(
                     graph, [trainings[j].latent for j in trained], ascent, settings
                 )
@@ -905,7 +893,7 @@ def run_attack(
                 if thresh is None:
                     thresh = resolve_threshold(settings, overheard)
                 omega = generate_malicious(a_adv, overheard, ascent, thresh, diag=diag)
-            results[j] = result(device_ids[j], omega, diag)
+            results[j] = (omega, diag)
         except Exception as exc:  # noqa: BLE001 - handed to the caller to raise in order
             results[j] = exc
     return results

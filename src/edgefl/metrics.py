@@ -95,22 +95,17 @@ def trace_summary(records: list[RoundRecord], last_k: int = 20) -> dict:
     attacker_ids = sorted(
         {d.device_id for r in records for d in r.per_device if d.is_malicious}
     )
-    stealth_rates: dict[int, float | None] = {}
-    for attacker in attacker_ids:
-        attacked = 0
-        stealthy = 0
-        for record in records:
-            skipped = any(
-                diag.attacker_id == attacker and diag.skipped
-                for diag in record.attack_diagnostics
-            )
-            if skipped:
-                continue
-            flags = distance_report(record).stealth_flags
-            if attacker in flags:
-                attacked += 1
-                stealthy += int(flags[attacker])
-        stealth_rates[attacker] = stealthy / attacked if attacked else None
+    attacked = dict.fromkeys(attacker_ids, 0)
+    stealthy = dict.fromkeys(attacker_ids, 0)
+    for record in records:
+        skipped = {diag.attacker_id for diag in record.attack_diagnostics if diag.skipped}
+        for attacker, flag in distance_report(record).stealth_flags.items():
+            if attacker not in skipped:
+                attacked[attacker] += 1
+                stealthy[attacker] += int(flag)
+    stealth_rates = {
+        a: stealthy[a] / attacked[a] if attacked[a] else None for a in attacker_ids
+    }
 
     final = records[-1]
     benign_losses = [

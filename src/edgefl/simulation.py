@@ -3,7 +3,6 @@ execution, aggregation, metrics, and result persistence."""
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
@@ -18,7 +17,7 @@ from .baselines import gaussian_noise_attack, sign_flip_attack
 from .channel import DevicePosition, eavesdrop_set
 from .config import SimConfig, config_echo
 from .data import Dataset, ShardStack, binarize, load_idx, partition_iid, synth_logistic
-from .graph_attack import AttackDiagnostics, AttackResult, run_attack
+from .graph_attack import AttackDiagnostics, run_attack
 from .metrics import DeviceRecord, RoundRecord, test_accuracy, trace_summary
 from .numerics import Projector, RngStream, ensure_finite, euclidean_distance, timed
 from .training import LossKind, require_binary_labels, stack_loss, train_stack
@@ -38,7 +37,7 @@ ATTACK_DIAG_COLUMNS = [
 class _Setup:
     shards: ShardStack
     test_set: Dataset
-    overheard_ids: dict[int, list[int]]  # per attacker, ascending
+    overheard_rows: dict[int, np.ndarray]  # per attacker, into the shard order, ascending
     attack_groups: list[list[int]]  # attacker ids by eavesdrop set, ascending
     projector: Projector | None
     device_streams: list[RngStream]  # in shard order
@@ -122,20 +121,23 @@ def _setup(cfg: SimConfig) -> _Setup:
         init = RngStream(cfg.seed, "global-init").gen.standard_normal(dim) * cfg.global_init.std
 
     # Positions are fixed for the whole run, so each attacker's
-    # eavesdrop set is too.
-    overheard_ids = {
-        i: sorted(eavesdrop_set(benign_pos, pos, cfg.channel, cfg.channel.snr_min))
+    # eavesdrop set is too: the same rows of every round's local models.
+    overheard_rows = {
+        i: np.searchsorted(
+            shards.device_ids,
+            sorted(eavesdrop_set(benign_pos, pos, cfg.channel, cfg.channel.snr_min)),
+        )
         for i, pos in attacker_pos.items()
     }
     # Attackers that overhear the same devices build the same graph every
     # round, so the graph attack runs each such group as one.
     groups: dict[tuple[int, ...], list[int]] = {}
-    for i in sorted(overheard_ids):
-        groups.setdefault(tuple(overheard_ids[i]), []).append(i)
+    for i in sorted(overheard_rows):
+        groups.setdefault(tuple(overheard_rows[i].tolist()), []).append(i)
     device_streams = [RngStream(cfg.seed, f"device-{i}") for i in shards.device_ids]
     attacker_streams = {i: RngStream(cfg.seed, f"attacker-{i}") for i in attacker_pos}
     return _Setup(
-        shards=shards, test_set=test, overheard_ids=overheard_ids,
+        shards=shards, test_set=test, overheard_rows=overheard_rows,
         attack_groups=list(groups.values()),
         projector=projector, device_streams=device_streams,
         attacker_streams=attacker_streams, global_init=init,
@@ -174,9 +176,8 @@ def run_simulation(
         setup = _setup(cfg)
     shards = setup.shards
     benign_ids = shards.device_ids
-    attacker_ids = sorted(setup.overheard_ids)
+    attacker_ids = sorted(setup.overheard_rows)
     global_params = setup.global_init.copy()
-    global_history = [setup.global_init.copy()]
     records: list[RoundRecord] = []
 
     for round_index in range(1, cfg.rounds + 1):
@@ -185,7 +186,6 @@ def run_simulation(
                 cfg.loss, global_params, shards, cfg.training,
                 setup.device_streams, cfg.workers,
             )
-        locals_by_id = dict(zip(benign_ids, local_models))
 
         updates = [
             ReportedUpdate(
@@ -198,44 +198,43 @@ def run_simulation(
         diagnostics: list[AttackDiagnostics] = []
         attacker_models: dict[int, np.ndarray] = {}
         attack, b_a = cfg.attack, cfg.devices.attacker_reported_samples
-        # Per graph attacker: its result, or the exception its pipeline raised.
-        graph_results: dict[int, AttackResult | Exception] = {}
+        # Per graph attacker: its model and diagnostics, or the exception
+        # its pipeline raised.
+        graph_results: dict[int, tuple[np.ndarray, AttackDiagnostics] | Exception] = {}
         if attack.kind == "avgae":
             for ids in setup.attack_groups:
                 graph_results.update(zip(ids, run_attack(
-                    [locals_by_id[i] for i in setup.overheard_ids[ids[0]]],
-                    global_params, global_history, attack.avgae,
-                    [setup.attacker_streams[i] for i in ids], setup.projector, b_a, ids,
+                    local_models[setup.overheard_rows[ids[0]]], global_params, attack.avgae,
+                    [setup.attacker_streams[i] for i in ids], setup.projector, ids,
                     stage_seconds,
                 )))
         # The graph attack timed its own stages above.
         attack_seconds = None if attack.kind == "avgae" else stage_seconds
         for attacker_id in attacker_ids:
-          with _stage("attack", attack_seconds, round_index, f" (device {attacker_id})"):
-            overheard = [locals_by_id[i] for i in setup.overheard_ids[attacker_id]]
-            rng = setup.attacker_streams[attacker_id]
-            diag = None
-            if attack.kind == "avgae":
-                result = graph_results[attacker_id]
-                if isinstance(result, Exception):
-                    raise result
-                params, diag = result.update.params, result.diagnostics
-            elif attack.kind == "gaussian":
-                params = gaussian_noise_attack(global_params, attack.gaussian.sigma, rng)
-            else:  # signflip; attackers never run under kind "none"
-                diag = AttackDiagnostics(attacker_id=attacker_id)
-                if overheard:
-                    params = sign_flip_attack(
-                        np.mean(np.stack(overheard), axis=0), attack.signflip.scale
+            with _stage("attack", attack_seconds, round_index, f" (device {attacker_id})"):
+                diag = None
+                if attack.kind == "avgae":
+                    result = graph_results[attacker_id]
+                    if isinstance(result, Exception):
+                        raise result
+                    params, diag = result
+                elif attack.kind == "gaussian":
+                    params = gaussian_noise_attack(
+                        global_params, attack.gaussian.sigma, setup.attacker_streams[attacker_id]
                     )
-                else:
-                    diag.skipped = True
-                    diag.skip_reason = "no overheard models"
-                    params = global_params.copy()
-            updates.append(ReportedUpdate(attacker_id, params, b_a, is_malicious=True))
-            attacker_models[attacker_id] = params
-            if diag is not None:
-                diagnostics.append(diag)
+                else:  # signflip; attackers never run under kind "none"
+                    diag = AttackDiagnostics(attacker_id=attacker_id)
+                    overheard = local_models[setup.overheard_rows[attacker_id]]
+                    if len(overheard):
+                        params = sign_flip_attack(overheard.mean(axis=0), attack.signflip.scale)
+                    else:
+                        diag.skipped = True
+                        diag.skip_reason = "no overheard models"
+                        params = global_params.copy()
+                updates.append(ReportedUpdate(attacker_id, params, b_a, is_malicious=True))
+                attacker_models[attacker_id] = params
+                if diag is not None:
+                    diagnostics.append(diag)
 
         with _stage("aggregation", stage_seconds, round_index):
             new_global = aggregate(updates)
@@ -264,7 +263,6 @@ def run_simulation(
             attack_diagnostics=diagnostics,
         ))
         global_params = new_global
-        global_history.append(new_global.copy())
 
     return records
 
@@ -332,24 +330,19 @@ def emit_outputs(
 
         if cfg.attack.kind == "avgae" and cfg.devices.n_malicious > 0:
             diag_path = out / "attack_diag.csv"
+            # The rows csv.writer would write: floats are written as repr,
+            # flags as 0/1, and no skip reason holds a comma or a quote, so
+            # no field ever needs quoting.
             with _writing(diag_path, newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(ATTACK_DIAG_COLUMNS)
+                fh.write(",".join(ATTACK_DIAG_COLUMNS) + "\r\n")
                 for record in records:
-                    for diag in record.attack_diagnostics:
-                        writer.writerow([
-                            record.round_index,
-                            diag.attacker_id,
-                            repr(float(diag.delta_g_initial)),
-                            repr(float(diag.delta_g_final)),
-                            repr(float(diag.gamma_model)),
-                            int(diag.skipped),
-                            repr(float(diag.d_thresh)),
-                            repr(float(diag.centroid_pull)),
-                            int(diag.uniform_fallback),
-                            int(diag.constraint_ok),
-                            diag.skip_reason,
-                        ])
+                    fh.writelines(
+                        f"{record.round_index},{d.attacker_id},{float(d.delta_g_initial)!r},"
+                        f"{float(d.delta_g_final)!r},{float(d.gamma_model)!r},{int(d.skipped)},"
+                        f"{float(d.d_thresh)!r},{float(d.centroid_pull)!r},"
+                        f"{int(d.uniform_fallback)},{int(d.constraint_ok)},{d.skip_reason}\r\n"
+                        for d in record.attack_diagnostics
+                    )
             written["attack_diag"] = diag_path
 
     meta_path = out / "run_meta.json"

@@ -77,7 +77,11 @@ def _margin_losses(kind: LossKind, z: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _by_count(counts: np.ndarray) -> list[tuple[slice | np.ndarray, int]]:
     if (counts == counts[0]).all():
         return [(slice(None), int(counts[0]))]
-    return [(np.flatnonzero(counts == c), int(c)) for c in np.unique(counts)]
+    # Runs of equal counts in a stable sort, not np.unique, whose first
+    # call imports numpy.ma: each group's rows stay ascending.
+    order = np.argsort(counts, kind="stable")
+    edges = [0, *(np.flatnonzero(np.diff(counts[order])) + 1).tolist(), len(counts)]
+    return [(order[a:b], int(counts[order[a]])) for a, b in zip(edges, edges[1:])]
 
 
 def _margins(x: np.ndarray, W: np.ndarray) -> np.ndarray:

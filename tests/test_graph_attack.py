@@ -574,7 +574,7 @@ def test_train_gae_stack_nonfinite_hidden_names_each_encoders_layer():
 def test_ascent_direction_zero_when_stationary():
     g = np.array([1.0, 2.0])
     np.testing.assert_array_equal(
-        estimate_ascent_direction([g], [g.copy(), g.copy()]), np.zeros(2)
+        estimate_ascent_direction(g, [g.copy(), g.copy()]), np.zeros(2)
     )
 
 
@@ -582,7 +582,7 @@ def test_ascent_direction_unit_opposite_motion():
     prev = np.zeros(2)
     overheard = [np.array([0.0, 2.0])]
     np.testing.assert_allclose(
-        estimate_ascent_direction([prev], overheard), np.array([0.0, -1.0]), atol=1e-15
+        estimate_ascent_direction(prev, overheard), np.array([0.0, -1.0]), atol=1e-15
     )
 
 
@@ -593,12 +593,12 @@ def test_ascent_direction_mean_subtract_oracle():
     moved = sum(overheard) / 5 - prev
     expected = -moved / np.linalg.norm(moved)
     np.testing.assert_allclose(
-        estimate_ascent_direction([prev, prev], overheard), expected, atol=1e-12
+        estimate_ascent_direction(prev, overheard), expected, atol=1e-12
     )
+    with pytest.raises(ValueError, match="1-D"):
+        estimate_ascent_direction(np.stack([prev, prev]), overheard)
     with pytest.raises(ValueError):
-        estimate_ascent_direction([], overheard)
-    with pytest.raises(ValueError):
-        estimate_ascent_direction([prev], [])
+        estimate_ascent_direction(prev, [])
 
 
 def test_adversarial_reconstruct_zero_ascent_is_unperturbed_decode():
@@ -964,56 +964,51 @@ def test_push_that_fits_whole_is_exactly_the_radius():
 def _attack_inputs(rng, n_benign=5, dim=6):
     overheard = [rng.normal(size=dim) for _ in range(n_benign)]
     prev_global = rng.normal(size=dim)
-    attacker_prev = prev_global.copy()
     proj = Projector.random(dim, 4, RngStream(3, "proj"))
-    return overheard, attacker_prev, [prev_global], proj
+    return overheard, prev_global, proj
 
 
 
 def test_run_attack_skips_below_two_overheard():
     rng = np.random.default_rng(71)
-    overheard, prev, history, proj = _attack_inputs(rng, n_benign=1)
-    [result] = run_attack(overheard, prev, history, SMALL, [RngStream(4, "atk")], proj, 200, [9])
-    assert result.diagnostics.skipped
-    assert "1 overheard" in result.diagnostics.skip_reason
-    np.testing.assert_array_equal(result.update.params, prev)
-    assert result.update.device_id == 9
-    assert result.update.reported_samples == 200
-    assert result.update.is_malicious
+    overheard, prev, proj = _attack_inputs(rng, n_benign=1)
+    [(params, diag)] = run_attack(overheard, prev, SMALL, [RngStream(4, "atk")], proj, [9])
+    assert diag.skipped and diag.attacker_id == 9
+    assert "1 overheard" in diag.skip_reason
+    np.testing.assert_array_equal(params, prev)
 
 
 def test_run_attack_deterministic_given_seed():
     rng = np.random.default_rng(72)
-    overheard, prev, history, proj = _attack_inputs(rng)
-    [a] = run_attack(overheard, prev, history, SMALL, [RngStream(5, "atk")], proj, 100, [6])
-    [b] = run_attack(overheard, prev, history, SMALL, [RngStream(5, "atk")], proj, 100, [6])
-    np.testing.assert_array_equal(a.update.params, b.update.params)
-    assert a.diagnostics.delta_g_final == b.diagnostics.delta_g_final
+    overheard, prev, proj = _attack_inputs(rng)
+    [(a, diag_a)] = run_attack(overheard, prev, SMALL, [RngStream(5, "atk")], proj, [6])
+    [(b, diag_b)] = run_attack(overheard, prev, SMALL, [RngStream(5, "atk")], proj, [6])
+    np.testing.assert_array_equal(a, b)
+    assert diag_a.delta_g_final == diag_b.delta_g_final
 
 
 def test_run_attack_beta_zero_fully_deterministic():
     rng = np.random.default_rng(73)
-    overheard, prev, history, proj = _attack_inputs(rng)
+    overheard, prev, proj = _attack_inputs(rng)
     settings = AttackSettings(
         d_feat=4, d_z=3, hidden_dims=(5, 3), psi_hidden=4, gae_epochs=10,
         beta=0.0, d_thresh_percentile=90.0,
     )
-    [a] = run_attack(overheard, prev, history, settings, [RngStream(6, "atk")], proj, 100, [6])
-    [b] = run_attack(overheard, prev, history, settings, [RngStream(6, "atk")], proj, 100, [6])
-    np.testing.assert_array_equal(a.update.params, b.update.params)
+    [(a, _)] = run_attack(overheard, prev, settings, [RngStream(6, "atk")], proj, [6])
+    [(b, _)] = run_attack(overheard, prev, settings, [RngStream(6, "atk")], proj, [6])
+    np.testing.assert_array_equal(a, b)
 
 
 def test_run_attack_end_to_end_constraint_and_nontriviality():
     rng = np.random.default_rng(74)
-    overheard, prev, history, proj = _attack_inputs(rng)
-    [result] = run_attack(overheard, prev, history, SMALL, [RngStream(7, "atk")], proj, 100, [6])
-    omega = result.update.params
+    overheard, prev, proj = _attack_inputs(rng)
+    [(omega, diag)] = run_attack(overheard, prev, SMALL, [RngStream(7, "atk")], proj, [6])
     worst = max(np.linalg.norm(omega - m) for m in overheard)
-    assert worst <= result.diagnostics.d_thresh + 1e-9
-    assert result.diagnostics.constraint_ok
+    assert worst <= diag.d_thresh + 1e-9
+    assert diag.constraint_ok
     benign_mean = np.mean(np.stack(overheard), axis=0)
     assert np.linalg.norm(omega - benign_mean) > 1e-6
-    assert result.diagnostics.delta_g_final <= result.diagnostics.delta_g_initial
+    assert diag.delta_g_final <= diag.delta_g_initial
 
 
 def test_attack_settings_validation():

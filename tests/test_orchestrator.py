@@ -152,6 +152,7 @@ def test_empty_config_echoes_every_default():
     ("attack: {avgae: {hidden_dims: 4}}", "attack.avgae.hidden_dims"),
     ("attack: {avgae: {d_thresh_mode: sideways}}", "attack.avgae.d_thresh_mode"),
     ("attack: {avgae: {d_thresh_mode: absolute}}", "attack.avgae.d_thresh_value"),
+    ("attack: {avgae: {d_thresh_value: 0.5}}", "attack.avgae.d_thresh_value"),
     ("attack: {avgae: {identity_projection: 1}}", "attack.avgae.identity_projection"),
     ("attack: {avgae: {gae_epochs: -1}}", "attack.avgae"),
     ("attack: {avgae: {psi: 3}}", "attack.avgae.psi"),
@@ -616,13 +617,10 @@ def _one_attacker_at_a_time(monkeypatch, failures=None):
     step does; failures, when given, collects each failing attacker's
     message."""
 
-    def per_attacker(overheard, prev, history, settings, rngs, projector, b_a, ids,
-                     stage_seconds=None):
+    def per_attacker(overheard, prev, settings, rngs, projector, ids, stage_seconds=None):
         results = []
         for rng, attacker_id in zip(rngs, ids):
-            [result] = run_attack(
-                overheard, prev, history, settings, [rng], projector, b_a, [attacker_id]
-            )
+            [result] = run_attack(overheard, prev, settings, [rng], projector, [attacker_id])
             results.append(result)
             if isinstance(result, Exception) and failures is not None:
                 failures[attacker_id] = str(result)
@@ -635,7 +633,7 @@ def test_grouped_attackers_match_a_per_attacker_loop(tmp_path, monkeypatch):
     cfg = validate_config(GROUPED_ATTACK)
     setup = simulation._setup(cfg)
     assert setup.attack_groups == [[7, 9], [8], [10]]
-    assert setup.overheard_ids[10] == [5]
+    assert setup.overheard_rows[10].tolist() == [4]  # device 5
     emit_outputs(run_simulation(cfg), cfg, out_dir=str(tmp_path / "grouped"))
     with monkeypatch.context() as patch:
         _one_attacker_at_a_time(patch)
@@ -760,6 +758,26 @@ def test_an_attacked_run_never_imports_numpy_ma(tmp_path):
     assert _fresh_python(probe).splitlines()[-1] == "0 False"
     diag = (tmp_path / "out" / "attack_diag.csv").read_text().splitlines()
     assert len(diag) == 4 and all(row.split(",")[5] == "0" for row in diag[1:])
+
+
+def test_mixed_sample_counts_never_import_numpy_ma():
+    # Devices are grouped by sample count without np.unique, whose first
+    # call imports numpy.ma.
+    probe = (
+        "import sys; from edgefl.config import validate_config; "
+        "from edgefl.simulation import run_simulation; "
+        f"run_simulation(validate_config({MINIMAL!r}, "
+        "['devices.n_benign=3', 'devices.samples_per_device=[30, 40, 50]'])); "
+        "print('numpy.ma' in sys.modules)"
+    )
+    assert _fresh_python(probe) == "False"
+
+
+def test_graph_attack_does_not_import_aggregation():
+    # The graph attack hands back bare models; only the round loop builds
+    # the updates that aggregation weighs.
+    probe = "import sys, edgefl.graph_attack; print('edgefl.aggregation' in sys.modules)"
+    assert _fresh_python(probe) == "False"
 
 
 def test_cli_config_errors_exit_1(tmp_path, capsys):
