@@ -1,61 +1,32 @@
 """Server-side sample-weighted aggregation.
 
-The server is honest but blind: the same weighted mean is applied to
-every reported update, and nothing in the aggregation path reads the
-ground-truth is_malicious flag.
+The server is honest but blind: it sees one round's models as a single
+(n, dim) block, one row per device in ascending device id, and one
+reported sample count per row. The same weighted mean is applied to
+every row; the signature carries no malice flag, so nothing here can
+read one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
-from .numerics import as_params, ensure_finite
+from .numerics import ensure_finite
 
 
-@dataclass(frozen=True)
-class ReportedUpdate:
-    """One device's uploaded model plus its self-reported sample count.
+def aggregate(models, counts) -> np.ndarray:
+    """Weighted mean of the rows of models, weights = counts / total.
 
-    is_malicious is ground-truth bookkeeping for metrics only; the
-    aggregation path never branches on it.
+    Rows are summed in the order given, which the caller keeps at
+    ascending device id so the result is bit-deterministic.
     """
-
-    device_id: int
-    params: np.ndarray
-    reported_samples: int
-    is_malicious: bool = False
-
-    def __post_init__(self):
-        if self.reported_samples < 1:
-            raise ValueError(
-                f"device {self.device_id}: reported_samples must be >= 1, "
-                f"got {self.reported_samples}"
-            )
-
-
-def aggregate(updates: Sequence[ReportedUpdate]) -> np.ndarray:
-    """Weighted mean of all updates, weights = reported samples / total.
-
-    Summation runs in ascending device_id order so the result is
-    bit-deterministic regardless of arrival order.
-    """
-    if not updates:
-        raise ValueError("aggregate called with no updates")
-    ordered = sorted(updates, key=lambda u: u.device_id)
-    params = []
-    for u in ordered:
-        p = as_params(u.params)
-        if params and p.shape[0] != params[0].shape[0]:
-            raise ValueError(
-                f"dimension mismatch: device {ordered[0].device_id} has "
-                f"{params[0].shape[0]}, device {u.device_id} has {p.shape[0]}"
-            )
-        params.append(p)
-    counts = np.array([u.reported_samples for u in ordered], dtype=np.float64)
+    models = np.asarray(models, dtype=np.float64)
+    counts = np.asarray(counts, dtype=np.float64)
+    if models.ndim != 2 or models.shape[0] == 0:
+        raise ValueError(f"need a non-empty 2-D block of models, got shape {models.shape}")
+    if counts.shape != (models.shape[0],):
+        raise ValueError(f"{counts.size} reported counts for {models.shape[0]} models")
+    if (counts < 1).any():
+        raise ValueError(f"reported sample counts must be >= 1, got {counts.min():g}")
     weights = counts / counts.sum()
-    stacked = np.stack(params)
-    out = (weights[:, None] * stacked).sum(axis=0)
-    return ensure_finite("aggregated global model", out)
+    return ensure_finite("aggregated global model", (weights[:, None] * models).sum(axis=0))

@@ -197,10 +197,17 @@ class GaeTrainResult:
     latent: LatentState  # of the trained encoder under its noise
 
 
-def build_graph(
-    overheard: Sequence[np.ndarray], attacker_prev, projector: Projector
-) -> ModelGraph:
-    """Assemble the correlation graph from overheard models.
+def _model_block(models) -> np.ndarray:
+    """Models as one (n, dim) float64 block, one model per row; a
+    sequence of 1-D parameter vectors stacks into one."""
+    block = np.asarray(models, dtype=np.float64)
+    if block.ndim != 2:
+        raise ValueError(f"models must form a 2-D block, got shape {block.shape}")
+    return block
+
+
+def build_graph(overheard, attacker_prev, projector: Projector) -> ModelGraph:
+    """Assemble the correlation graph from the overheard block.
 
     Node features are the projected models (attacker's previous model
     appended last); edge weights are nonnegative pairwise cosines with
@@ -210,8 +217,8 @@ def build_graph(
         raise ValueError(
             f"need at least 2 overheard models to form a graph, got {len(overheard)}"
         )
-    raw = np.stack([as_params(m) for m in list(overheard) + [attacker_prev]])
-    features = np.stack([projector.project(row) for row in raw])
+    raw = np.vstack([_model_block(overheard), as_params(attacker_prev)])
+    features = projector.project(raw)
     # Every pairwise cosine at once: one stacked dot per pair (a gemm would
     # give other bits), norms from the diagonal, 0 when either norm is
     # below NORM_FLOOR, otherwise the ratio clipped to [-1, 1]; then
@@ -627,7 +634,7 @@ def train_gae(
 def estimate_ascent_direction(prev_global, overheard) -> np.ndarray:
     """Unit vector opposing the consensus descent direction.
 
-    The consensus direction is the mean overheard model minus the
+    The consensus direction is the mean overheard row minus the
     previous global model; its negation, normalized, is the data-free
     proxy for increasing the training loss. Returns the zero vector when
     the consensus motion is below 1e-12.
@@ -635,7 +642,7 @@ def estimate_ascent_direction(prev_global, overheard) -> np.ndarray:
     if len(overheard) < 1:
         raise ValueError("need at least one overheard model")
     prev = as_params(prev_global)
-    consensus = np.mean(np.stack([as_params(m) for m in overheard]), axis=0) - prev
+    consensus = np.mean(_model_block(overheard), axis=0) - prev
     norm = float(np.linalg.norm(consensus))
     if norm < 1e-12:
         return np.zeros_like(prev)
@@ -708,10 +715,10 @@ def adversarial_reconstruct(
 
 def resolve_threshold(settings: AttackSettings, overheard) -> float:
     """Stealth radius for this round: absolute, or the configured
-    percentile of pairwise distances between overheard models."""
+    percentile of pairwise distances between overheard rows."""
     if settings.d_thresh_value is not None:
         return float(settings.d_thresh_value)
-    models = np.stack([as_params(m) for m in overheard])
+    models = _model_block(overheard)
     pairwise = np.linalg.norm(models[:, None, :] - models[None, :, :], axis=-1)
     upper = np.sort(pairwise[np.triu_indices(len(models), k=1)])
     return _linear_percentile(upper, settings.d_thresh_percentile)
@@ -774,7 +781,7 @@ def generate_malicious(
     thresh: float,
     diag: AttackDiagnostics | None = None,
 ) -> np.ndarray:
-    """Mix the original overheard models by the adversarial row, push
+    """Mix the rows of the overheard block by the adversarial row, push
     along the ascent direction as far as the stealth radius thresh (see
     :func:`resolve_threshold`) allows.
 
@@ -785,7 +792,7 @@ def generate_malicious(
     nearest to it, or to the centroid when that is outside too.
     """
     a_adv = np.asarray(a_adv, dtype=np.float64)
-    models = np.stack([as_params(m) for m in overheard])
+    models = _model_block(overheard)
     if a_adv.shape[0] != models.shape[0]:
         raise ValueError(
             f"adjacency row length {a_adv.shape[0]} != overheard count {models.shape[0]}"
@@ -822,12 +829,13 @@ def generate_malicious(
         diag.d_thresh = thresh
         diag.uniform_fallback = uniform_fallback
         diag.centroid_pull = pull_t
-        diag.constraint_ok = _max_distance(omega, models) <= thresh + 1e-9
+        # The slack scales with the radius: one ulp at 1e9 is above 1e-9.
+        diag.constraint_ok = _max_distance(omega, models) <= thresh + 1e-9 * max(1.0, thresh)
     return ensure_finite("malicious model", omega)
 
 
 def run_attack(
-    overheard: Sequence[np.ndarray],
+    overheard,
     prev_global,
     settings: AttackSettings,
     rngs: Sequence[RngStream],
@@ -836,8 +844,8 @@ def run_attack(
     stage_seconds: dict[str, float] | None = None,
 ) -> list[tuple[np.ndarray, AttackDiagnostics] | Exception]:
     """The per-round pipeline of every attacker that overhears the same
-    models (one per row of overheard), attacker device_ids[j] drawing
-    from rngs[j]: graph construction, encoder training, adversarial
+    models (the rows of the overheard block), attacker device_ids[j]
+    drawing from rngs[j]: graph construction, encoder training, adversarial
     reconstruction and constrained generation. prev_global is the model
     the server broadcast this round.
 

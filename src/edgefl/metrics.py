@@ -15,24 +15,20 @@ from .training import LossKind
 REGRESSION_HIT_BAND = 0.5
 
 
-@dataclass(frozen=True)
-class DeviceRecord:
-    """One device's contribution to a round."""
-
-    device_id: int
-    is_malicious: bool
-    local: np.ndarray
-    distance_to_global: float
-    local_loss: float
-
-
 @dataclass
 class RoundRecord:
-    """Everything recorded about one communication round."""
+    """Everything recorded about one communication round. Row k of
+    models, distance_to_global and local_loss belongs to device_ids[k];
+    rows run benign devices first, then attackers, each in ascending id.
+    Attackers hold no data, so their local_loss is NaN."""
 
     round_index: int
     global_params: np.ndarray
-    per_device: list[DeviceRecord]
+    device_ids: np.ndarray
+    is_malicious: np.ndarray
+    models: np.ndarray
+    distance_to_global: np.ndarray
+    local_loss: np.ndarray
     test_accuracy: float
     attack_diagnostics: list[AttackDiagnostics] = field(default_factory=list)
 
@@ -63,13 +59,10 @@ def test_accuracy(kind: LossKind, model, test_set: Dataset) -> float:
 def distance_report(record: RoundRecord) -> DistanceReport:
     """Per-round stealth comparison: each attacker's distance to the
     global model against the worst benign distance."""
-    benign = [d.distance_to_global for d in record.per_device if not d.is_malicious]
+    malicious, distances = record.is_malicious, record.distance_to_global
+    benign = distances[~malicious].tolist()
     max_benign = max(benign) if benign else float("nan")
-    per_attacker = {
-        d.device_id: d.distance_to_global
-        for d in record.per_device
-        if d.is_malicious
-    }
+    per_attacker = dict(zip(record.device_ids[malicious].tolist(), distances[malicious].tolist()))
     flags = {dev: dist <= max_benign for dev, dist in per_attacker.items()}
     return DistanceReport(
         max_benign_distance=max_benign,
@@ -93,7 +86,7 @@ def trace_summary(records: list[RoundRecord], last_k: int = 20) -> dict:
     window = accuracy[-last_k:]
 
     attacker_ids = sorted(
-        {d.device_id for r in records for d in r.per_device if d.is_malicious}
+        {dev for r in records for dev in r.device_ids[r.is_malicious].tolist()}
     )
     attacked = dict.fromkeys(attacker_ids, 0)
     stealthy = dict.fromkeys(attacker_ids, 0)
@@ -108,9 +101,7 @@ def trace_summary(records: list[RoundRecord], last_k: int = 20) -> dict:
     }
 
     final = records[-1]
-    benign_losses = [
-        d.local_loss for d in final.per_device if not d.is_malicious
-    ]
+    losses = final.local_loss[~final.is_malicious]
     return {
         "accuracy_series": accuracy,
         "accuracy_last_window": {
@@ -121,5 +112,5 @@ def trace_summary(records: list[RoundRecord], last_k: int = 20) -> dict:
             "std": float(np.std(window)),
         },
         "stealth_rates": {str(k): v for k, v in stealth_rates.items()},
-        "final_mean_benign_loss": float(np.mean(benign_losses)) if benign_losses else float("nan"),
+        "final_mean_benign_loss": float(np.mean(losses)) if losses.size else float("nan"),
     }

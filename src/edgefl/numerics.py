@@ -121,12 +121,12 @@ class Projector:
         return self.matrix.shape[1]
 
     def project(self, w) -> np.ndarray:
-        w = as_params(w)
-        if w.shape[0] != self.input_dim:
-            raise ValueError(
-                f"dimension mismatch: projector expects {self.input_dim}, got {w.shape[0]}"
-            )
-        return self.matrix @ w
+        """Project a parameter vector, or each row of a 2-D block; row k
+        gets the bits of matrix @ w[k], which one gemm would not give."""
+        w = np.asarray(w, dtype=np.float64)
+        if w.ndim not in (1, 2) or w.shape[-1] != self.input_dim:
+            raise ValueError(f"projector expects {self.input_dim}-dim params, got shape {w.shape}")
+        return np.matmul(self.matrix, w[..., None])[..., 0]
 
 
 @contextmanager

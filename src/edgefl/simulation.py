@@ -12,13 +12,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .aggregation import ReportedUpdate, aggregate
+from .aggregation import aggregate
 from .baselines import gaussian_noise_attack, sign_flip_attack
 from .channel import DevicePosition, eavesdrop_set
 from .config import SimConfig, config_echo
 from .data import Dataset, ShardStack, binarize, load_idx, partition_iid, synth_logistic
 from .graph_attack import AttackDiagnostics, run_attack
-from .metrics import DeviceRecord, RoundRecord, test_accuracy, trace_summary
+from .metrics import RoundRecord, test_accuracy, trace_summary
 from .numerics import Projector, RngStream, ensure_finite, euclidean_distance, timed
 from .training import LossKind, require_binary_labels, stack_loss, train_stack
 
@@ -175,8 +175,13 @@ def run_simulation(
     with _stage("setup", stage_seconds):
         setup = _setup(cfg)
     shards = setup.shards
-    benign_ids = shards.device_ids
     attacker_ids = sorted(setup.overheard_rows)
+    # Row k of every round's model block is device device_ids[k]: benign
+    # devices, then attackers, each in ascending id.
+    device_ids = np.array([*shards.device_ids, *attacker_ids])
+    is_malicious = np.arange(len(device_ids)) >= len(shards)
+    b_a = cfg.devices.attacker_reported_samples
+    counts = np.concatenate([shards.counts, np.full(len(attacker_ids), b_a)])
     global_params = setup.global_init.copy()
     records: list[RoundRecord] = []
 
@@ -187,17 +192,9 @@ def run_simulation(
                 setup.device_streams, cfg.workers,
             )
 
-        updates = [
-            ReportedUpdate(
-                device_id=i, params=local_models[k],
-                reported_samples=int(shards.counts[k]), is_malicious=False,
-            )
-            for k, i in enumerate(benign_ids)
-        ]
-
         diagnostics: list[AttackDiagnostics] = []
-        attacker_models: dict[int, np.ndarray] = {}
-        attack, b_a = cfg.attack, cfg.devices.attacker_reported_samples
+        attacker_models: list[np.ndarray] = []  # in attacker_ids order
+        attack = cfg.attack
         # Per graph attacker: its model and diagnostics, or the exception
         # its pipeline raised.
         graph_results: dict[int, tuple[np.ndarray, AttackDiagnostics] | Exception] = {}
@@ -231,34 +228,30 @@ def run_simulation(
                         diag.skipped = True
                         diag.skip_reason = "no overheard models"
                         params = global_params.copy()
-                updates.append(ReportedUpdate(attacker_id, params, b_a, is_malicious=True))
-                attacker_models[attacker_id] = params
+                attacker_models.append(params)
                 if diag is not None:
                     diagnostics.append(diag)
 
         with _stage("aggregation", stage_seconds, round_index):
-            new_global = aggregate(updates)
+            models = np.vstack([local_models, *attacker_models])
+            new_global = aggregate(models, counts)
 
         with _stage("metrics", stage_seconds, round_index):
-            losses = ensure_finite(
+            losses = np.full(len(device_ids), np.nan)  # attackers hold no data
+            losses[: len(shards)] = ensure_finite(
                 "local loss", stack_loss(cfg.loss, local_models, shards, cfg.training.alpha)
-            ).tolist()
-            losses += [float("nan")] * len(attacker_ids)  # attackers hold no data
-            models = np.vstack([local_models, *(attacker_models[i] for i in attacker_ids)])
-            distances = euclidean_distance(models, new_global).tolist()
-            per_device = [
-                DeviceRecord(
-                    device_id=i, is_malicious=k >= len(benign_ids), local=models[k],
-                    distance_to_global=distances[k], local_loss=losses[k],
-                )
-                for k, i in enumerate([*benign_ids, *attacker_ids])
-            ]
+            )
+            distances = euclidean_distance(models, new_global)
             accuracy = test_accuracy(cfg.loss, new_global, setup.test_set)
 
         records.append(RoundRecord(
             round_index=round_index,
             global_params=new_global,
-            per_device=per_device,
+            device_ids=device_ids,
+            is_malicious=is_malicious,
+            models=models,
+            distance_to_global=distances,
+            local_loss=losses,
             test_accuracy=accuracy,
             attack_diagnostics=diagnostics,
         ))
@@ -311,9 +304,11 @@ def emit_outputs(
             for record in records:
                 accuracy = repr(float(record.test_accuracy))
                 fh.writelines(
-                    f"{record.round_index},{d.device_id},{int(d.is_malicious)},"
-                    f"{float(d.distance_to_global)!r},{float(d.local_loss)!r},{accuracy}\r\n"
-                    for d in record.per_device
+                    f"{record.round_index},{device},{int(bad)},{dist!r},{loss!r},{accuracy}\r\n"
+                    for device, bad, dist, loss in zip(
+                        record.device_ids.tolist(), record.is_malicious.tolist(),
+                        record.distance_to_global.tolist(), record.local_loss.tolist(),
+                    )
                 )
         written["rounds"] = rounds_path
 

@@ -17,7 +17,7 @@ import pytest
 from scipy.optimize import minimize
 from scipy.special import expit
 
-from edgefl.aggregation import ReportedUpdate, aggregate
+from edgefl.aggregation import aggregate
 from edgefl.channel import ChannelConfig, DevicePosition, channel_gain, distance, eavesdrop_set, snr
 from edgefl.cli import main as cli_main
 from edgefl.config import validate_config
@@ -214,22 +214,17 @@ def test_criterion_2_aggregation_oracle():
     for _ in range(1000):
         k = int(rng.integers(1, 9))
         d = int(rng.integers(1, 8))
-        updates = [
-            ReportedUpdate(
-                device_id=i + 1,
-                params=rng.normal(size=d),
-                reported_samples=int(rng.integers(1, 5000)),
-                is_malicious=(i == k - 1),  # last update plays the attacker term
-            )
-            for i in range(k)
-        ]
-        counts = np.array([u.reported_samples for u in updates], dtype=float)
-        weights = counts / counts.sum()
+        # Rows in ascending device id; the last row plays the attacker term.
+        params, counts = [], []
+        for _ in range(k):
+            params.append(rng.normal(size=d))
+            counts.append(int(rng.integers(1, 5000)))
+        weights = np.array(counts, dtype=float) / sum(counts)
         assert abs(float(weights.sum()) - 1.0) <= TOL_AGGREGATE
         expected = np.zeros(d)
-        for u, w in zip(updates, weights):
-            expected += w * u.params
-        assert np.abs(aggregate(updates) - expected).max() <= TOL_AGGREGATE
+        for p, w in zip(params, weights):
+            expected += w * p
+        assert np.abs(aggregate(np.stack(params), counts) - expected).max() <= TOL_AGGREGATE
     elapsed = time.perf_counter() - start
     ok = elapsed < 5.0
     _report(
@@ -348,7 +343,7 @@ def test_criterion_4_attack_effectiveness(control_run_50, attacked_run_50):
 
 def test_criterion_5_stealth(attacked_run_50):
     attacker_ids = sorted(
-        {d.device_id for r in attacked_run_50 for d in r.per_device if d.is_malicious}
+        {i for r in attacked_run_50 for i in r.device_ids[r.is_malicious].tolist()}
     )
     rates = {}
     for attacker in attacker_ids:
@@ -367,14 +362,12 @@ def test_criterion_5_stealth(attacked_run_50):
     violations = 0
     checks = 0
     for record in attacked_run_50:
-        benign_locals = [d.local for d in record.per_device if not d.is_malicious]
+        benign_locals = record.models[~record.is_malicious]
         for diag in record.attack_diagnostics:
             if diag.skipped:
                 continue
-            attacker = next(
-                d for d in record.per_device if d.device_id == diag.attacker_id
-            )
-            worst = max(np.linalg.norm(attacker.local - b) for b in benign_locals)
+            attacker = record.models[record.device_ids == diag.attacker_id][0]
+            worst = max(np.linalg.norm(attacker - b) for b in benign_locals)
             checks += 1
             violations += worst > diag.d_thresh + C5_CONSTRAINT_TOL
 

@@ -898,7 +898,7 @@ def _bisected_projection(row, models, ascent, thresh):
         if ok(centroid):
             pull = _bisect(lambda t: ok((1.0 - t) * raw + t * centroid), 1.0, 0.0)
         omega = (1.0 - pull) * raw + pull * centroid
-    return gamma, pull, _farthest(omega, models) <= thresh + 1e-9
+    return gamma, pull, _farthest(omega, models) <= thresh + 1e-9 * max(1.0, thresh)
 
 
 def _projection_trials(rng, count):
@@ -947,6 +947,22 @@ def test_closed_form_projection_matches_bisection_and_is_maximal():
             t = diag.centroid_pull - 1e-8
             assert _farthest((1.0 - t) * raw + t * models.mean(axis=0), models) > thresh
     assert pushes > 300 and pulls > 60
+
+
+def test_constraint_ok_slack_scales_with_the_radius():
+    # At model scale 1e8 the radius is about 1e9, where one ulp of a
+    # distance (1.2e-7) is far above an absolute slack of 1e-9: a push
+    # that stops at its root can sit an ulp outside and still holds.
+    rng = np.random.default_rng(72)
+    beyond_absolute = 0
+    for row, models, ascent, thresh in _projection_trials(rng, 1200):
+        models, thresh = models * 1e8, thresh * 1e8
+        diag = AttackDiagnostics()
+        omega = generate_malicious(row, models, ascent, thresh, diag=diag)
+        if 0 < diag.gamma_model < thresh:
+            assert diag.constraint_ok
+            beyond_absolute += _farthest(omega, models) > thresh + 1e-9
+    assert beyond_absolute >= 1
 
 
 def test_push_that_fits_whole_is_exactly_the_radius():

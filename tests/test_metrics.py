@@ -5,7 +5,6 @@ from scipy.special import expit
 from edgefl.data import Dataset
 from edgefl.graph_attack import AttackDiagnostics
 from edgefl.metrics import (
-    DeviceRecord,
     DistanceReport,
     RoundRecord,
     distance_report,
@@ -16,10 +15,17 @@ from edgefl.training import LossKind
 
 
 def _record(round_index, devices, accuracy, global_params=None, diags=()):
+    """A record whose arrays hold devices, given as (device_id,
+    is_malicious, model, distance_to_global, local_loss) rows."""
+    ids, malicious, models, distances, losses = zip(*devices)
     return RoundRecord(
         round_index=round_index,
         global_params=global_params if global_params is not None else np.zeros(2),
-        per_device=devices,
+        device_ids=np.array(ids),
+        is_malicious=np.array(malicious),
+        models=np.stack(models),
+        distance_to_global=np.array(distances),
+        local_loss=np.array(losses),
         test_accuracy=accuracy,
         attack_diagnostics=list(diags),
     )
@@ -63,9 +69,9 @@ def test_accuracy_empty_set_guard():
 def test_distance_report_attacker_copying_global_is_stealthy():
     g = np.array([1.0, 1.0])
     devices = [
-        DeviceRecord(1, False, np.array([2.0, 1.0]), 1.0, 0.3),
-        DeviceRecord(2, False, np.array([1.0, 0.5]), 0.5, 0.2),
-        DeviceRecord(6, True, g.copy(), 0.0, float("nan")),
+        (1, False, np.array([2.0, 1.0]), 1.0, 0.3),
+        (2, False, np.array([1.0, 0.5]), 0.5, 0.2),
+        (6, True, g.copy(), 0.0, float("nan")),
     ]
     report = distance_report(_record(1, devices, 0.9, g))
     assert report.max_benign_distance == 1.0
@@ -75,8 +81,8 @@ def test_distance_report_attacker_copying_global_is_stealthy():
 
 def test_distance_report_flagrant_attacker_not_stealthy():
     devices = [
-        DeviceRecord(1, False, np.zeros(2), 0.4, 0.1),
-        DeviceRecord(6, True, np.zeros(2), 3.0, float("nan")),
+        (1, False, np.zeros(2), 0.4, 0.1),
+        (6, True, np.zeros(2), 3.0, float("nan")),
     ]
     report = distance_report(_record(1, devices, 0.9))
     assert report.stealth_flags == {6: False}
@@ -89,20 +95,20 @@ def test_distances_recomputable_from_stored_vectors():
     for i in range(1, 5):
         local = rng.normal(size=4)
         devices.append(
-            DeviceRecord(i, i == 4, local, float(np.linalg.norm(local - g)), 0.0)
+            (i, i == 4, local, float(np.linalg.norm(local - g)), 0.0)
         )
     record = _record(1, devices, 0.5, g)
-    for device in devices:
-        recomputed = np.linalg.norm(device.local - record.global_params)
-        assert abs(recomputed - device.distance_to_global) <= 1e-12
+    for local, distance in zip(record.models, record.distance_to_global):
+        recomputed = np.linalg.norm(local - record.global_params)
+        assert abs(recomputed - distance) <= 1e-12
     report = distance_report(record)
     assert report.stealth_flags[4] == (
-        devices[3].distance_to_global <= max(d.distance_to_global for d in devices[:3])
+        record.distance_to_global[3] <= record.distance_to_global[:3].max()
     )
 
 
 def test_trace_summary_constant_series():
-    devices = [DeviceRecord(1, False, np.zeros(2), 0.1, 0.5)]
+    devices = [(1, False, np.zeros(2), 0.1, 0.5)]
     records = [_record(i, devices, 0.75) for i in range(1, 6)]
     summary = trace_summary(records, last_k=3)
     window = summary["accuracy_last_window"]
@@ -113,8 +119,8 @@ def test_trace_summary_constant_series():
 
 def test_trace_summary_single_round_stealth_rate_binary():
     devices = [
-        DeviceRecord(1, False, np.zeros(2), 0.5, 0.2),
-        DeviceRecord(6, True, np.zeros(2), 0.1, float("nan")),
+        (1, False, np.zeros(2), 0.5, 0.2),
+        (6, True, np.zeros(2), 0.1, float("nan")),
     ]
     summary = trace_summary([_record(1, devices, 0.8)])
     assert summary["stealth_rates"]["6"] == 1.0
@@ -130,10 +136,10 @@ def test_trace_summary_matches_spreadsheet_oracle():
         benign_dist = rng.uniform(0.2, 1.0, size=3)
         attacker_dist = float(rng.uniform(0.0, 1.2))
         devices = [
-            DeviceRecord(i + 1, False, np.zeros(2), float(benign_dist[i]), 0.1)
+            (i + 1, False, np.zeros(2), float(benign_dist[i]), 0.1)
             for i in range(3)
         ]
-        devices.append(DeviceRecord(4, True, np.zeros(2), attacker_dist, float("nan")))
+        devices.append((4, True, np.zeros(2), attacker_dist, float("nan")))
         records.append(_record(m, devices, acc))
         accuracy.append(acc)
         stealthy_rounds += attacker_dist <= benign_dist.max()
@@ -147,8 +153,8 @@ def test_trace_summary_matches_spreadsheet_oracle():
 
 def test_trace_summary_excludes_skipped_rounds_from_denominator():
     devices_attacked = [
-        DeviceRecord(1, False, np.zeros(2), 0.5, 0.1),
-        DeviceRecord(6, True, np.zeros(2), 0.2, float("nan")),
+        (1, False, np.zeros(2), 0.5, 0.1),
+        (6, True, np.zeros(2), 0.2, float("nan")),
     ]
     skipped_diag = AttackDiagnostics(attacker_id=6, skipped=True)
     records = [

@@ -102,6 +102,20 @@ def test_projection_entries_and_errors():
         Projector.random(4, 5, RngStream(0, "p"))
 
 
+def test_projection_of_a_block_has_the_bits_of_each_row():
+    rng = np.random.default_rng(9)
+    for dim, d_feat, n in ((10, 10, 7), (10, 3, 2), (784, 16, 5), (5, 1, 1), (33, 17, 12)):
+        proj = Projector.random(dim, d_feat, RngStream(int(rng.integers(1000)), "p"))
+        block = rng.normal(size=(n, dim))
+        rows = np.stack([proj.matrix @ w for w in block])
+        assert proj.project(block).tobytes() == rows.tobytes()
+        assert proj.project(block[0]).tobytes() == rows[0].tobytes()
+    with pytest.raises(ValueError, match="projector expects"):
+        proj.project(np.zeros((2, 3, dim)))
+    with pytest.raises(ValueError, match="projector expects"):
+        proj.project(np.zeros((2, dim + 1)))
+
+
 def test_projection_linearity():
     proj = Projector.random(12, 5, RngStream(42, "p"))
     rng = np.random.default_rng(17)

@@ -21,7 +21,7 @@ from edgefl.config import ConfigError, config_echo, validate_config
 from edgefl.data import Dataset, partition_iid, synth_logistic
 from edgefl.graph_attack import run_attack
 from edgefl.numerics import RngStream
-from edgefl.metrics import DeviceRecord, RoundRecord
+from edgefl.metrics import RoundRecord
 from edgefl.simulation import ROUNDS_CSV_COLUMNS, emit_outputs, run_simulation
 from edgefl.training import LossKind, train_stack
 
@@ -306,24 +306,73 @@ def test_d_feat_resolves_to_model_dim():
     assert cfg2.attack.avgae.d_feat == 6 and cfg2.attack.avgae.identity_projection
 
 
-def test_every_benchmark_workload_config_validates(tmp_path, monkeypatch):
-    # The benchmark builds each run from a shipped config plus override
-    # keys (workers among them); a removed or renamed key fails here first.
-    root = Path(__file__).resolve().parents[1]
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _benchmark_workloads(monkeypatch):
+    """A fresh import of benchmarks/workloads.py."""
     spec = importlib.util.spec_from_file_location(
-        "benchmark_workloads", root / "benchmarks" / "workloads.py"
+        "benchmark_workloads", ROOT / "benchmarks" / "workloads.py"
     )
     workloads = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+def test_every_benchmark_workload_config_validates(tmp_path, monkeypatch):
+    # The benchmark builds each run from a shipped config plus override
+    # keys (workers among them); a removed or renamed key fails here first.
+    workloads = _benchmark_workloads(monkeypatch)
     assert workloads.WORKLOADS
     for name, workload in workloads.WORKLOADS.items():
-        text = (root / workload.config).read_text()
+        text = (ROOT / workload.config).read_text()
         cfg = validate_config(text, workload.overrides_for(0, tmp_path / name))
         assert cfg.rounds == workload.rounds and cfg.workers == 1
 
 
+def test_benchmark_reads_what_the_run_hands_it(monkeypatch):
+    # The benchmark counts attack outcomes off the records and traces
+    # public functions by name; a traced function that is gone reads as
+    # 0 calls instead of failing, so the ones the round hand-off goes
+    # through must still exist.
+    workloads = _benchmark_workloads(monkeypatch)
+    cfg = validate_config((ROOT / "configs" / "synthetic_avgae.yaml").read_text(), ["rounds=2"])
+    counts = workloads.diagnostic_counts(run_simulation(cfg))
+    assert counts == {"attempts": 4, "skipped": 0, "constraint_ok": 4, "uniform_fallback": 0}
+    for qualname in (
+        "aggregation.aggregate", "metrics.trace_summary",
+        "simulation.run_simulation", "simulation.emit_outputs",
+    ):
+        assert qualname in workloads.TRACED
+        module, name = qualname.rsplit(".", 1)
+        assert callable(getattr(importlib.import_module(f"edgefl.{module}"), name, None))
+
+
 # ---------------------------------------------------------------- simulation
+
+def test_global_model_sums_rows_in_ascending_device_id():
+    # aggregate sums the rows in the order it is given; the round must
+    # hand it its models in ascending device id, the order the weighted
+    # sum is defined in.
+    cfg = validate_config(MINIMAL, overrides=[
+        "rounds=4", "devices.n_benign=3", "devices.samples_per_device=[30, 40, 50]",
+        "devices.n_malicious=2", "attack.kind=gaussian",
+        "devices.attacker_reported_samples=7",
+    ])
+    count_of = {1: 30, 2: 40, 3: 50, 4: 7, 5: 7}
+    shuffle = np.random.default_rng(0)
+    for record in run_simulation(cfg):
+        triples = [
+            (int(i), model, count_of[int(i)]) for i, model in zip(record.device_ids, record.models)
+        ]
+        shuffled = [triples[k] for k in shuffle.permutation(len(triples))]
+        triples = sorted(shuffled, key=lambda t: t[0])
+        counts = np.array([count for _, _, count in triples], dtype=np.float64)
+        weights = counts / counts.sum()
+        expected = (weights[:, None] * np.stack([model for _, model, _ in triples])).sum(axis=0)
+        np.testing.assert_array_equal(record.global_params, expected)
+
 
 def test_single_party_round_equals_local_training():
     cfg = validate_config(
@@ -351,13 +400,12 @@ def test_round_trace_shape_and_losses():
     records = run_simulation(cfg)
     assert [r.round_index for r in records] == [1, 2, 3]
     for record in records:
-        assert len(record.per_device) == 5
-        benign = [d for d in record.per_device if not d.is_malicious]
-        attackers = [d for d in record.per_device if d.is_malicious]
-        assert [d.device_id for d in benign] == [1, 2, 3, 4]
-        assert [d.device_id for d in attackers] == [5]
-        assert all(np.isfinite(d.local_loss) for d in benign)
-        assert all(math.isnan(d.local_loss) for d in attackers)
+        assert len(record.device_ids) == len(record.models) == 5
+        benign, attackers = ~record.is_malicious, record.is_malicious
+        assert record.device_ids[benign].tolist() == [1, 2, 3, 4]
+        assert record.device_ids[attackers].tolist() == [5]
+        assert np.isfinite(record.local_loss[benign]).all()
+        assert np.isnan(record.local_loss[attackers]).all()
         assert 0.0 <= record.test_accuracy <= 1.0
         assert len(record.attack_diagnostics) == 1
 
@@ -369,7 +417,7 @@ def test_benign_mean_loss_non_increasing_smoothed():
     )
     records = run_simulation(cfg)
     mean_losses = [
-        np.mean([d.local_loss for d in r.per_device if not d.is_malicious])
+        np.mean(r.local_loss[~r.is_malicious])
         for r in records
     ]
     smoothed = [np.mean(mean_losses[i : i + 3]) for i in range(len(mean_losses) - 2)]
@@ -398,10 +446,10 @@ attack:
     for record in records:
         [diag] = record.attack_diagnostics
         assert diag.skipped and "overheard" in diag.skip_reason
-        attacker = [d for d in record.per_device if d.is_malicious][0]
+        [attacker_distance] = record.distance_to_global[record.is_malicious]
         # The attacker resubmits the model it received, i.e. the previous
         # global, so its update still enters the aggregate.
-        assert np.isfinite(attacker.distance_to_global)
+        assert np.isfinite(attacker_distance)
 
 
 def test_logistic_run_rejects_labels_other_than_0_and_1(monkeypatch):
@@ -476,10 +524,10 @@ def _csv_writer_rounds(records):
     writer = csv.writer(buf)
     writer.writerow(ROUNDS_CSV_COLUMNS)
     for record in records:
-        for device in record.per_device:
+        for k, device_id in enumerate(record.device_ids):
             writer.writerow([
-                record.round_index, device.device_id, int(device.is_malicious),
-                repr(float(device.distance_to_global)), repr(float(device.local_loss)),
+                record.round_index, int(device_id), int(record.is_malicious[k]),
+                repr(float(record.distance_to_global[k])), repr(float(record.local_loss[k])),
                 repr(float(record.test_accuracy)),
             ])
     return buf.getvalue().encode()
@@ -490,15 +538,17 @@ def test_rounds_csv_equals_csv_writer_output(tmp_path):
         "devices.n_malicious=2", "attack.kind=gaussian", "rounds=3",
     ])
     records = run_simulation(cfg)
-    assert sum(math.isnan(d.local_loss) for r in records for d in r.per_device) == 6
-    # Values a run does not produce, as numpy scalars: the file must still
+    assert sum(int(np.isnan(r.local_loss).sum()) for r in records) == 6
+    # Values a run does not produce, in numpy arrays: the file must still
     # hold their plain repr.
-    odd = [
-        DeviceRecord(device_id=np.int64(i), is_malicious=np.bool_(i > 1), local=np.zeros(4),
-                     distance_to_global=np.float64(value), local_loss=np.float64(loss))
-        for i, value, loss in ((1, -0.0, 1 / 3), (2, 5e-324, float("nan")), (3, 1e300, float("nan")))
-    ]
-    records.append(RoundRecord(4, np.zeros(4), odd, np.float64(0.1)))
+    records.append(RoundRecord(
+        round_index=4, global_params=np.zeros(4),
+        device_ids=np.array([1, 2, 3], dtype=np.int64),
+        is_malicious=np.array([False, True, True]), models=np.zeros((3, 4)),
+        distance_to_global=np.array([-0.0, 5e-324, 1e300]),
+        local_loss=np.array([1 / 3, float("nan"), float("nan")]),
+        test_accuracy=np.float64(0.1),
+    ))
     written = emit_outputs(records, cfg, out_dir=tmp_path)
     assert written["rounds"].read_bytes() == _csv_writer_rounds(records)
 
@@ -707,7 +757,7 @@ def test_round_bookkeeping_runs_once_per_round(monkeypatch):
         "rounds=3", "devices.n_benign=5", "devices.n_malicious=2", "attack.kind=gaussian",
     ])
     records = run_simulation(cfg)
-    assert [len(r.per_device) for r in records] == [7, 7, 7]
+    assert [len(r.device_ids) for r in records] == [7, 7, 7]
     assert calls == {"euclidean_distance": 3, "stack_loss": 3}
 
 
