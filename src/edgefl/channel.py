@@ -67,16 +67,16 @@ def eavesdrop_set(
     benign_positions: Mapping[int, DevicePosition],
     attacker_position: DevicePosition,
     cfg: ChannelConfig,
-    snr_min: float,
 ) -> set[int]:
     """Device ids whose uplink the attacker can overhear.
 
     A device is overheard when the SNR of its link to the attacker is at
-    least snr_min (boundary included). snr_min == 0 overhears everyone.
+    least cfg.snr_min (boundary included). snr_min == 0 overhears
+    everyone.
     """
     overheard = set()
     for device_id, pos in benign_positions.items():
         d = distance(pos, attacker_position)
-        if snr(channel_gain(d, cfg), cfg) >= snr_min:
+        if snr(channel_gain(d, cfg), cfg) >= cfg.snr_min:
             overheard.add(device_id)
     return overheard

@@ -190,6 +190,16 @@ class AttackDiagnostics:
     constraint_ok: bool = True
 
 
+class StackFailure(RuntimeError):
+    """A failure of entry index of a stack: of encoders in train_gae, of
+    latents in adversarial_reconstruct, of attackers in run_attack. When
+    several entries fail at the same step, index is the lowest of them."""
+
+    def __init__(self, message: str, index: int):
+        super().__init__(message)
+        self.index = index
+
+
 @dataclass(frozen=True)
 class GaeTrainResult:
     encoder: EncoderState
@@ -269,15 +279,6 @@ def _mT(a: np.ndarray) -> np.ndarray:
     return a.swapaxes(-1, -2)
 
 
-class _HiddenNotFinite(FloatingPointError):
-    """A hidden state went non-finite; bad marks the encoders of a stack
-    that it happened to."""
-
-    def __init__(self, layer: int, bad):
-        super().__init__(f"non-finite hidden state at layer {layer}")
-        self.bad = bad
-
-
 @dataclass
 class _Forward:
     hiddens: list[np.ndarray]  # H[1], ..., H[L]
@@ -295,7 +296,11 @@ def _forward(prep: _Prepared, enc: EncoderState, eps: np.ndarray | None) -> _For
         pre = mids[-1] @ w
         hidden = prep.act(pre)
         if not np.isfinite(hidden).all():
-            raise _HiddenNotFinite(l, ~np.isfinite(hidden).all(axis=(-2, -1)))
+            # argmin of the per-encoder flags is the lowest False.
+            raise StackFailure(
+                f"non-finite hidden state at layer {l}",
+                int(np.argmin(np.isfinite(hidden).all(axis=(-2, -1)))),
+            )
         preacts.append(pre)
         hiddens.append(hidden)
     mu = hiddens[-1] @ enc.mu_head
@@ -528,107 +533,66 @@ def init_encoder(
     )
 
 
-class _Live:
-    """The encoders of a stack still training, with their link targets
-    and noise. Row i of params (and of grads) holds every block of the
-    encoder of stream ids[i], and enc (genc) views them as blocks. An
-    encoder that fails leaves the stack; its exception is kept in failed."""
-
-    def __init__(self, graph: ModelGraph, settings: AttackSettings, rngs: Sequence[RngStream]):
-        encs, links, noise = [], [], []
-        for rng in rngs:
-            encs.append(init_encoder(graph, settings, rng))
-            links.append(sample_links(graph, settings, rng))
-            if settings.beta > 0:
-                noise.append(rng.gen.standard_normal((graph.node_count, settings.d_z)))
-        self.shapes = [b.shape for b in encs[0].blocks()]
-        self.params = np.stack([np.concatenate([b.ravel() for b in e.blocks()]) for e in encs])
-        self.grads = np.empty_like(self.params)
-        self.signed = _signed(LinkSample(
-            np.stack([l.positive for l in links]), np.stack([l.negative for l in links])
-        ))
-        self.eps = np.stack(noise) if noise else None
-        self.ids = np.arange(len(rngs))
-        self.failed: dict[int, Exception] = {}
-        self._view()
-
-    def _view(self) -> None:
-        self.enc = EncoderState.view(self.params, self.shapes)
-        self.genc = EncoderState.view(self.grads, self.shapes)
-
-    def drop(self, bad: np.ndarray, errors: Sequence[Exception]) -> None:
-        for j, error in zip(self.ids[bad], errors):
-            self.failed[int(j)] = error
-        keep = ~bad
-        self.params, self.grads = self.params[keep], self.grads[keep]
-        self.signed = _Signed(*(a[keep] for a in self.signed))
-        self.eps = None if self.eps is None else self.eps[keep]
-        self.ids = self.ids[keep]
-        self._view()
-
-    def forward(self, prep: _Prepared) -> _Forward | None:
-        """The pass of every encoder whose hidden states stay finite, or
-        None once none is left."""
-        while len(self.ids):
-            try:
-                return _forward(prep, self.enc, self.eps)
-            except _HiddenNotFinite as exc:
-                self.drop(exc.bad, [exc] * int(exc.bad.sum()))
-        return None
-
-
 def train_gae(
     graph: ModelGraph, settings: AttackSettings, rngs: Sequence[RngStream]
-) -> list[GaeTrainResult | Exception]:
+) -> list[GaeTrainResult]:
     """Train one encoder per stream on the same graph by full-graph
     gradient descent on the loss, all as one stack.
 
     Each stream draws its encoder's initialization, link targets and
-    variational noise, in that order, once, so each objective is fixed;
-    each epoch is then one forward and one backward pass over the whole
-    stack, and one gradient step on one parameter buffer. Entry j holds
-    the loss before every step plus the loss at the trained weights,
-    whose latent state comes with them; it is bit for bit what stream j
-    gets in a stack of one. An encoder whose hidden state goes non-finite
-    or whose loss diverges leaves the stack at that epoch, its entry is
-    that exception, and the others train on.
+    variational noise, in that order, once, so each objective is fixed.
+    Row j of one parameter buffer holds every block of encoder j, and
+    each epoch is one forward and one backward pass over the whole stack
+    and one gradient step on that buffer. Entry j holds the loss before
+    every step plus the loss at the trained weights, whose latent state
+    comes with them; it is bit for bit what stream j gets in a stack of
+    one. The stack stops at the first epoch where a hidden state goes
+    non-finite or a loss diverges, with a StackFailure naming the lowest
+    encoder that it happened to.
     """
+    encs, links, noise = [], [], []
+    for rng in rngs:
+        encs.append(init_encoder(graph, settings, rng))
+        links.append(sample_links(graph, settings, rng))
+        if settings.beta > 0:
+            noise.append(rng.gen.standard_normal((graph.node_count, settings.d_z)))
+    shapes = [b.shape for b in encs[0].blocks()]
+    params = np.stack([np.concatenate([b.ravel() for b in e.blocks()]) for e in encs])
+    grads = np.empty_like(params)
+    enc, genc = EncoderState.view(params, shapes), EncoderState.view(grads, shapes)
+    signed = _signed(LinkSample(
+        np.stack([l.positive for l in links]), np.stack([l.negative for l in links])
+    ))
+    eps = np.stack(noise) if noise else None
+
     prep = _prepare(graph, settings)
-    live = _Live(graph, settings, rngs)
     trace = np.empty((settings.gae_epochs + 1, len(rngs)))
     lr, beta = settings.gae_learning_rate, settings.beta
     for epoch in range(settings.gae_epochs):
-        fw = live.forward(prep)
-        if fw is None:
-            break
-        sc = _scores(fw.hiddens[-1], fw.latent, live.enc, live.signed, beta)
-        _gradients(prep, fw, sc, live.enc, live.signed.signed, live.eps, beta, live.genc)
-        loss = sc.loss
-        ok = [math.isfinite(v) and v <= DIVERGENCE_LIMIT for v in loss.tolist()]
-        if not all(ok):
-            bad = ~np.array(ok)
-            live.drop(bad, [
-                RuntimeError(
+        fw = _forward(prep, enc, eps)
+        sc = _scores(fw.hiddens[-1], fw.latent, enc, signed, beta)
+        for j, value in enumerate(sc.loss.tolist()):
+            if not (math.isfinite(value) and value <= DIVERGENCE_LIMIT):
+                raise StackFailure(
                     f"graph training diverged (loss {value:.4g} at epoch {epoch}); "
-                    "reduce gae_learning_rate"
+                    "reduce gae_learning_rate",
+                    j,
                 )
-                for value in loss[bad].tolist()
-            ])
-            loss = loss[~bad]
-        trace[epoch, live.ids] = loss
-        live.params -= lr * live.grads
+        _gradients(prep, fw, sc, enc, signed.signed, eps, beta, genc)
+        trace[epoch] = sc.loss
+        params -= lr * grads
 
-    fw = live.forward(prep)
-    results: dict[int, GaeTrainResult | Exception] = dict(live.failed)
-    if fw is not None:
-        trace[-1, live.ids] = _scores(fw.hiddens[-1], fw.latent, live.enc, live.signed, beta).loss
-        for i, j in enumerate(live.ids.tolist()):
-            results[j] = GaeTrainResult(
-                encoder=EncoderState.view(live.params[i], live.shapes),
-                loss_trace=trace[:, j].tolist(),
-                latent=LatentState(fw.latent.mu[i], fw.latent.logvar[i], fw.latent.z[i]),
-            )
-    return [results[j] for j in range(len(rngs))]
+    fw = _forward(prep, enc, eps)
+    trace[-1] = _scores(fw.hiddens[-1], fw.latent, enc, signed, beta).loss
+    mu, logvar, z = fw.latent.mu, fw.latent.logvar, fw.latent.z
+    return [
+        GaeTrainResult(
+            encoder=EncoderState.view(params[j], shapes),
+            loss_trace=trace[:, j].tolist(),
+            latent=LatentState(mu[j], logvar[j], z[j]),
+        )
+        for j in range(len(rngs))
+    ]
 
 
 def estimate_ascent_direction(prev_global, overheard) -> np.ndarray:
@@ -683,7 +647,7 @@ def surrogate_gradient(z_a: np.ndarray, benign_z: np.ndarray, c: np.ndarray) -> 
 
 def adversarial_reconstruct(
     graph: ModelGraph, latents: Sequence[LatentState], ascent: np.ndarray, settings: AttackSettings
-) -> list[np.ndarray | Exception]:
+) -> list[np.ndarray]:
     """Gradient-ascend the attacker node's latent of every state, as one
     stack, then decode its row.
 
@@ -692,25 +656,22 @@ def adversarial_reconstruct(
     noisy sample, not mu); whether it should start from mu is open.
     Entry j is the decoded adjacency row of latents[j] over the benign
     nodes, entries in (0, 1); with a zero ascent vector it is the
-    unperturbed decode. A latent whose ascent state goes non-finite
-    leaves the stack at that step, its entry is a FloatingPointError
-    naming the step, and the others ascend on.
+    unperturbed decode. The stack stops at the first step where an
+    ascent state goes non-finite, with a StackFailure naming the step
+    and the lowest latent that it happened to.
     """
     z = np.stack([latent.z for latent in latents])
-    benign_z, z_a, ids = z[:, :-1], z[:, -1], np.arange(len(latents))
+    benign_z, z_a = z[:, :-1], z[:, -1]
     c = graph.raw_models[:-1] @ ascent
-    results: dict[int, np.ndarray | Exception] = {}
     with np.errstate(all="ignore"):
         for step in range(settings.ascent_steps):
             z_a = z_a + settings.ascent_step_size * surrogate_gradient(z_a, benign_z, c)
             finite = np.isfinite(z_a).all(axis=-1)
             if not finite.all():
-                for j in ids[~finite].tolist():
-                    results[j] = FloatingPointError(f"non-finite ascent state at step {step}")
-                z_a, benign_z, ids = z_a[finite], benign_z[finite], ids[finite]
-        rows = _sigmoid(np.matmul(benign_z, z_a[..., None])[..., 0])
-    results.update(zip(ids.tolist(), rows))
-    return [results[j] for j in range(len(latents))]
+                raise StackFailure(
+                    f"non-finite ascent state at step {step}", int(np.argmin(finite))
+                )
+        return list(_sigmoid(np.matmul(benign_z, z_a[..., None])[..., 0]))
 
 
 def resolve_threshold(settings: AttackSettings, overheard) -> float:
@@ -842,7 +803,7 @@ def run_attack(
     projector: Projector,
     device_ids: Sequence[int],
     stage_seconds: dict[str, float] | None = None,
-) -> list[tuple[np.ndarray, AttackDiagnostics] | Exception]:
+) -> list[tuple[np.ndarray, AttackDiagnostics]]:
     """The per-round pipeline of every attacker that overhears the same
     models (the rows of the overheard block), attacker device_ids[j]
     drawing from rngs[j]: graph construction, encoder training, adversarial
@@ -853,13 +814,15 @@ def run_attack(
     on what the attackers share, so each is computed once; the encoders
     train as one stack (:func:`train_gae`) and the latents ascend as one
     (:func:`adversarial_reconstruct`). Entry j is attacker j's malicious
-    model and its diagnostics, the same as in a group of one, or the
-    first exception its pipeline raises, so that the caller can raise
-    whichever failure the attackers would hit first one at a time. With
-    fewer than two overheard models every attack is skipped and each
-    attacker resubmits prev_global. When stage_seconds is given, wall
-    time is added into it under "graph build", "gae training",
-    "reconstruction" and "generation".
+    model and its diagnostics, the same as in a group of one. The first
+    failure stops the group with a StackFailure whose index is into
+    device_ids: the failing entry of a stack, the attacker whose
+    generation failed, or 0 (the group's lowest id, ids being ascending)
+    for a failure of what the group shares. With fewer than two
+    overheard models every attack is skipped and each attacker resubmits
+    prev_global. When stage_seconds is given, wall time is added into it
+    under "graph build", "gae training", "reconstruction" and
+    "generation".
     """
     prev_global = as_params(prev_global)
     if len(overheard) < 2:
@@ -869,39 +832,28 @@ def run_attack(
             for i in device_ids
         ]
 
-    with timed("graph build", stage_seconds):
-        try:
+    failing = 0  # what the group shares fails as its lowest id
+    try:
+        with timed("graph build", stage_seconds):
             graph = build_graph(overheard, prev_global, projector)
-        except Exception as exc:  # noqa: BLE001 - every attacker's first failure
-            return [exc] * len(device_ids)
-    with timed("gae training", stage_seconds):
-        trainings = train_gae(graph, settings, rngs)
-
-    results: list[tuple[np.ndarray, AttackDiagnostics] | Exception] = list(trainings)
-    trained = [j for j, t in enumerate(trainings) if not isinstance(t, Exception)]
-    rows: list[np.ndarray | Exception] = []
-    if trained:
+        with timed("gae training", stage_seconds):
+            trainings = train_gae(graph, settings, rngs)
         with timed("reconstruction", stage_seconds):
-            try:
-                ascent = estimate_ascent_direction(prev_global, overheard)
-                rows = adversarial_reconstruct(
-                    graph, [trainings[j].latent for j in trained], ascent, settings
+            ascent = estimate_ascent_direction(prev_global, overheard)
+            rows = adversarial_reconstruct(graph, [t.latent for t in trainings], ascent, settings)
+        with timed("generation", stage_seconds):
+            thresh = resolve_threshold(settings, overheard)
+            results = []
+            for failing, (training, a_adv) in enumerate(zip(trainings, rows)):
+                trace = training.loss_trace
+                diag = AttackDiagnostics(
+                    device_ids[failing], delta_g_initial=trace[0], delta_g_final=trace[-1]
                 )
-            except Exception as exc:  # noqa: BLE001 - every trained attacker's failure
-                rows = [exc] * len(trained)
-    thresh = None
-    for j, a_adv in zip(trained, rows):
-        if isinstance(a_adv, Exception):
-            results[j] = a_adv
-            continue
-        trace = trainings[j].loss_trace
-        diag = AttackDiagnostics(device_ids[j], delta_g_initial=trace[0], delta_g_final=trace[-1])
-        try:
-            with timed("generation", stage_seconds):
-                if thresh is None:
-                    thresh = resolve_threshold(settings, overheard)
-                omega = generate_malicious(a_adv, overheard, ascent, thresh, diag=diag)
-            results[j] = (omega, diag)
-        except Exception as exc:  # noqa: BLE001 - handed to the caller to raise in order
-            results[j] = exc
+                results.append(
+                    (generate_malicious(a_adv, overheard, ascent, thresh, diag=diag), diag)
+                )
+    except StackFailure:
+        raise
+    except Exception as exc:
+        raise StackFailure(str(exc), failing) from exc
     return results

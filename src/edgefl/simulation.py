@@ -17,7 +17,7 @@ from .baselines import gaussian_noise_attack, sign_flip_attack
 from .channel import DevicePosition, eavesdrop_set
 from .config import SimConfig, config_echo
 from .data import Dataset, ShardStack, binarize, load_idx, partition_iid, synth_logistic
-from .graph_attack import AttackDiagnostics, run_attack
+from .graph_attack import AttackDiagnostics, StackFailure, run_attack
 from .metrics import RoundRecord, test_accuracy, trace_summary
 from .numerics import Projector, RngStream, ensure_finite, euclidean_distance, timed
 from .training import LossKind, require_binary_labels, stack_loss, train_stack
@@ -125,7 +125,7 @@ def _setup(cfg: SimConfig) -> _Setup:
     overheard_rows = {
         i: np.searchsorted(
             shards.device_ids,
-            sorted(eavesdrop_set(benign_pos, pos, cfg.channel, cfg.channel.snr_min)),
+            sorted(eavesdrop_set(benign_pos, pos, cfg.channel)),
         )
         for i, pos in attacker_pos.items()
     }
@@ -165,12 +165,13 @@ def run_simulation(
     Every benign device trains in one batched step per iteration, split
     into cfg.workers contiguous chunks on threads; all reductions use
     ascending device id so the trace is identical at any worker count.
-    Graph-autoencoder attackers run one group per eavesdrop set, their
-    encoders trained as one stack. A failure in any stage aborts with
-    the round index and stage name; among attackers, the lowest id that
-    fails is named. When stage_seconds is given, each stage's wall time
-    is added into it under the stage name, with the graph attack split
-    into its own stages.
+    Graph-autoencoder attackers run one group per eavesdrop set, in
+    order of the group's lowest id, their encoders trained as one stack.
+    A failure in any stage aborts with the round index and stage name; a
+    graph attack failure names the attacker that run_attack reports, and
+    the later groups of that round do not run. When stage_seconds is
+    given, each stage's wall time is added into it under the stage name,
+    with the graph attack split into its own stages.
     """
     with _stage("setup", stage_seconds):
         setup = _setup(cfg)
@@ -195,26 +196,26 @@ def run_simulation(
         diagnostics: list[AttackDiagnostics] = []
         attacker_models: list[np.ndarray] = []  # in attacker_ids order
         attack = cfg.attack
-        # Per graph attacker: its model and diagnostics, or the exception
-        # its pipeline raised.
-        graph_results: dict[int, tuple[np.ndarray, AttackDiagnostics] | Exception] = {}
+        graph_results: dict[int, tuple[np.ndarray, AttackDiagnostics]] = {}
         if attack.kind == "avgae":
             for ids in setup.attack_groups:
-                graph_results.update(zip(ids, run_attack(
-                    local_models[setup.overheard_rows[ids[0]]], global_params, attack.avgae,
-                    [setup.attacker_streams[i] for i in ids], setup.projector, ids,
-                    stage_seconds,
-                )))
+                try:
+                    graph_results.update(zip(ids, run_attack(
+                        local_models[setup.overheard_rows[ids[0]]], global_params, attack.avgae,
+                        [setup.attacker_streams[i] for i in ids], setup.projector, ids,
+                        stage_seconds,
+                    )))
+                except StackFailure as exc:
+                    # Raised again in the attack stage of the attacker it names.
+                    with _stage("attack", None, round_index, f" (device {ids[exc.index]})"):
+                        raise
         # The graph attack timed its own stages above.
         attack_seconds = None if attack.kind == "avgae" else stage_seconds
         for attacker_id in attacker_ids:
             with _stage("attack", attack_seconds, round_index, f" (device {attacker_id})"):
                 diag = None
                 if attack.kind == "avgae":
-                    result = graph_results[attacker_id]
-                    if isinstance(result, Exception):
-                        raise result
-                    params, diag = result
+                    params, diag = graph_results[attacker_id]
                 elif attack.kind == "gaussian":
                     params = gaussian_noise_attack(
                         global_params, attack.gaussian.sigma, setup.attacker_streams[attacker_id]

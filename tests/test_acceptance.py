@@ -10,6 +10,7 @@ without them it reports SKIP with instructions instead of PASS/FAIL.
 
 import os
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -545,8 +546,8 @@ def test_criterion_9_channel_units():
         }
         attacker = DevicePosition(*rng.uniform(100.5, 200, size=2), rng.uniform(0, 10))
         lo, hi = sorted(rng.uniform(0, 5, size=2))
-        big = eavesdrop_set(positions, attacker, cfg, lo)
-        small = eavesdrop_set(positions, attacker, cfg, hi)
+        big = eavesdrop_set(positions, attacker, replace(cfg, snr_min=lo))
+        small = eavesdrop_set(positions, attacker, replace(cfg, snr_min=hi))
         monotone &= small <= big
 
     ok = exact and monotone

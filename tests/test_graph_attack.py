@@ -1,5 +1,6 @@
 import math
-from dataclasses import fields
+import re
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from edgefl.graph_attack import (
     GaeTrainResult,
     LatentState,
     ModelGraph,
+    StackFailure,
     adversarial_reconstruct,
     build_graph,
     encode,
@@ -182,8 +184,9 @@ def test_encode_nonfinite_names_layer():
     )
     enc = init_encoder(graph, settings, RngStream(1, "a"))
     enc.layer_weights[1][0, 0] = np.inf
-    with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError, match="layer 2"):
+    with np.errstate(invalid="ignore"), pytest.raises(StackFailure, match="layer 2") as err:
         encode(graph, enc, settings, eps=None)
+    assert err.value.index == 0
 
 
 # ----------------------------------------------------------------- graph_loss
@@ -406,9 +409,10 @@ def test_train_gae_divergence_suggests_smaller_lr():
         d_feat=4, d_z=3, hidden_dims=(5, 3), psi_hidden=4, gae_epochs=200,
         gae_learning_rate=1e6, d_thresh_percentile=90.0,
     )
-    with np.errstate(over="ignore", invalid="ignore"):
-        [result] = train_gae(graph, settings, [RngStream(6, "atk")])
-    assert isinstance(result, RuntimeError) and "gae_learning_rate" in str(result)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+        StackFailure, match="reduce gae_learning_rate"
+    ):
+        train_gae(graph, settings, [RngStream(6, "atk")])
 
 
 # ---------------------------------------------------------- train_gae stacked
@@ -517,20 +521,18 @@ def test_train_gae_stack_matches_per_attacker_loop_bit_for_bit(k, activation, be
         np.testing.assert_array_equal(got.latent.z, z)
 
 
-def _assert_same_outcome(got, want):
-    if isinstance(want, Exception):
-        assert type(got) is type(want) or isinstance(got, type(want))
-        assert str(got) == str(want)
-        return
-    assert got.loss_trace == want.loss_trace
-    for a, b in zip(got.encoder.blocks(), want.encoder.blocks()):
-        np.testing.assert_array_equal(a, b)
-    np.testing.assert_array_equal(got.latent.z, want.latent.z)
+def _outcome_of(fn):
+    """fn's result, or the failure it raised."""
+    try:
+        return fn()
+    except (FloatingPointError, StackFailure) as exc:
+        return exc
 
 
-def test_train_gae_stack_divergence_leaves_the_others_training():
-    # At this learning rate the four encoders diverge at epochs 3, 11 and
-    # 3, and one trains through; each entry is what a stack of one gives.
+def test_train_gae_stack_stops_at_the_first_divergence():
+    # At this learning rate two of the four encoders, each trained alone,
+    # diverge, at epochs 12 and 2, and two train through; the stack stops
+    # at the earliest epoch and names the lowest encoder that diverges there.
     rng = np.random.default_rng(5)
     settings = AttackSettings(
         d_feat=4, d_z=3, hidden_dims=(5, 3), psi_hidden=4, gae_epochs=30,
@@ -539,17 +541,24 @@ def test_train_gae_stack_divergence_leaves_the_others_training():
     graph, _, _ = _random_graph(6, rng, settings=settings)
     streams = lambda: [RngStream(5, f"a{j}") for j in range(4)]
     with np.errstate(over="ignore", invalid="ignore"):
-        stacked = train_gae(graph, settings, streams())
-        alone = [train_gae(graph, settings, [r])[0] for r in streams()]
-    epochs = [str(o).split(" at epoch ")[1] for o in alone if isinstance(o, Exception)]
-    assert len(set(epochs)) >= 2 and not all(isinstance(o, Exception) for o in alone)
-    for got, want in zip(stacked, alone):
-        _assert_same_outcome(got, want)
+        alone = [_outcome_of(lambda r=r: train_gae(graph, settings, [r])[0]) for r in streams()]
+        with pytest.raises(StackFailure) as stacked:
+            train_gae(graph, settings, streams())
+    epochs = {
+        j: int(re.search(r" at epoch (\d+)\)", str(o)).group(1))
+        for j, o in enumerate(alone) if isinstance(o, Exception)
+    }
+    assert len(set(epochs.values())) >= 2 and len(epochs) < len(alone)
+    first = min(epochs, key=lambda j: (epochs[j], j))
+    assert stacked.value.index == first
+    assert str(stacked.value) == str(alone[first])
 
 
-def test_train_gae_stack_nonfinite_hidden_names_each_encoders_layer():
+def test_train_gae_stack_nonfinite_hidden_names_the_first_layer_and_encoder():
     # Features near the float64 limit overflow the relu layers of some
-    # encoders only, at layer 1 or 2 depending on their weights.
+    # encoders only, at layer 1 or 2 depending on their weights, in the
+    # first forward pass; the stack names the lowest layer, then the
+    # lowest encoder.
     features = np.abs(np.random.default_rng(5).normal(size=(4, 4))) * 5e307
     graph = ModelGraph(adjacency=np.eye(4), features=features, raw_models=np.zeros((4, 6)))
     settings = AttackSettings(
@@ -557,16 +566,24 @@ def test_train_gae_stack_nonfinite_hidden_names_each_encoders_layer():
         activation="relu", beta=0.0, d_thresh_percentile=90.0,
     )
     streams = lambda: [RngStream(5, f"a{j}") for j in range(4)]
+
+    def alone(settings):
+        return [_outcome_of(lambda r=r: train_gae(graph, settings, [r])[0]) for r in streams()]
+
     with np.errstate(over="ignore", invalid="ignore"):
-        stacked = train_gae(graph, settings, streams())
-        alone = [train_gae(graph, settings, [r])[0] for r in streams()]
-    messages = {str(o) for o in alone if isinstance(o, Exception)}
-    assert messages == {
+        trained, untrained = alone(settings), alone(replace(settings, gae_epochs=0))
+        with pytest.raises(StackFailure) as stacked:
+            train_gae(graph, settings, streams())
+    failures = {j: str(o) for j, o in enumerate(trained) if isinstance(o, Exception)}
+    assert set(failures.values()) == {
         "non-finite hidden state at layer 1", "non-finite hidden state at layer 2"
     }
-    assert not all(isinstance(o, Exception) for o in alone)
-    for got, want in zip(stacked, alone):
-        _assert_same_outcome(got, want)
+    assert len(failures) < len(trained)
+    # Every failure is at epoch 0: with gae_epochs=0 the same encoders fail the same way.
+    assert failures == {j: str(o) for j, o in enumerate(untrained) if isinstance(o, Exception)}
+    first = min(failures, key=lambda j: (int(failures[j].split()[-1]), j))
+    assert stacked.value.index == first
+    assert str(stacked.value) == failures[first]
 
 
 # ------------------------------------------------- ascent direction & readout
@@ -679,8 +696,9 @@ def test_adversarial_reconstruct_stack_failure_stays_with_its_attacker(
     seed, scale, step_size, message
 ):
     # Huge benign models make one of three ascents overflow, or underflow
-    # every decoded weight of one to zero, a 0 / 0 at that step; the other
-    # two ascend on.
+    # every decoded weight of one to zero, a 0 / 0 at that step; the stack
+    # stops there and names that latent, and the other two, run alone,
+    # ascend through.
     rng = np.random.default_rng(seed)
     raw = rng.normal(size=(6, 5)) * scale
     graph = ModelGraph(adjacency=np.eye(6), features=np.zeros((6, 2)), raw_models=raw)
@@ -691,27 +709,24 @@ def test_adversarial_reconstruct_stack_failure_stays_with_its_attacker(
         ascent_steps=30, ascent_step_size=step_size, d_thresh_percentile=90.0
     )
     with np.errstate(all="ignore"):
-        stacked = adversarial_reconstruct(graph, latents, ascent, settings)
-        alone = [adversarial_reconstruct(graph, [l], ascent, settings)[0] for l in latents]
         reference = [
             _outcome_of(lambda l=l: _reference_ascent(graph, l.z, ascent, settings))
             for l in latents
         ]
-    assert [str(o) for o in reference if isinstance(o, Exception)] == [message]
-    for got, one, want in zip(stacked, alone, reference):
-        if isinstance(want, Exception):
-            assert type(got) is type(one) is type(want)
-            assert str(got) == str(one) == message
+        alone = [
+            _outcome_of(lambda l=l: adversarial_reconstruct(graph, [l], ascent, settings)[0])
+            for l in latents
+        ]
+        with pytest.raises(StackFailure) as stacked:
+            adversarial_reconstruct(graph, latents, ascent, settings)
+    [failing] = [j for j, o in enumerate(reference) if isinstance(o, Exception)]
+    assert str(reference[failing]) == message
+    assert stacked.value.index == failing and str(stacked.value) == message
+    for j, (one, want) in enumerate(zip(alone, reference)):
+        if j == failing:
+            assert isinstance(one, StackFailure) and str(one) == message
         else:
-            np.testing.assert_array_equal(got, want)
             np.testing.assert_array_equal(one, want)
-
-
-def _outcome_of(fn):
-    try:
-        return fn()
-    except FloatingPointError as exc:
-        return exc
 
 
 def test_ascent_steps_monotone_objective():

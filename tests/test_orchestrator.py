@@ -661,20 +661,15 @@ attack:
 """
 
 
-def _one_attacker_at_a_time(monkeypatch, failures=None):
+def _one_attacker_at_a_time(monkeypatch):
     """Run every graph attacker through run_attack in a group of its own,
-    in place of the grouped step, handing a failure back as the grouped
-    step does; failures, when given, collects each failing attacker's
-    message."""
+    in place of the grouped step."""
 
     def per_attacker(overheard, prev, settings, rngs, projector, ids, stage_seconds=None):
-        results = []
-        for rng, attacker_id in zip(rngs, ids):
-            [result] = run_attack(overheard, prev, settings, [rng], projector, [attacker_id])
-            results.append(result)
-            if isinstance(result, Exception) and failures is not None:
-                failures[attacker_id] = str(result)
-        return results
+        return [
+            run_attack(overheard, prev, settings, [rng], projector, [attacker_id])[0]
+            for rng, attacker_id in zip(rngs, ids)
+        ]
 
     monkeypatch.setattr(simulation, "run_attack", per_attacker)
 
@@ -695,25 +690,46 @@ def test_grouped_attackers_match_a_per_attacker_loop(tmp_path, monkeypatch):
     assert [row.split(",")[5] for row in diag if row.split(",")[1] == "10"] == ["1"] * 4
 
 
-def test_grouped_divergence_names_the_attacker_and_epoch_of_the_sequential_loop(monkeypatch):
-    # At this learning rate attacker 9 diverges at epoch 2 of round 1
-    # and attacker 7, in the same group, only at epoch 12. One at a
-    # time, 7 runs first, so its failure is the one reported.
-    cfg = validate_config(GROUPED_ATTACK, ["seed=14", "attack.avgae.gae_learning_rate=8.0"])
-    failures: dict[int, str] = {}
-    with np.errstate(over="ignore", invalid="ignore"):
-        with monkeypatch.context() as patch:
-            _one_attacker_at_a_time(patch, failures)
-            with pytest.raises(RuntimeError) as sequential:
-                run_simulation(cfg)
-        with pytest.raises(RuntimeError) as grouped:
-            run_simulation(cfg)
-    assert "at epoch 2)" in failures[9] and "at epoch 12)" in failures[7]
-    assert str(grouped.value) == str(sequential.value)
+# At this learning rate attacker 9 diverges at epoch 2 of round 1 and
+# attacker 7, in the same group, only at epoch 12.
+GROUPED_DIVERGENCE = ["seed=14", "attack.avgae.gae_learning_rate=8.0"]
+
+
+def test_grouped_divergence_names_the_first_failing_attacker():
+    cfg = validate_config(GROUPED_ATTACK, GROUPED_DIVERGENCE)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(RuntimeError) as grouped:
+        run_simulation(cfg)
     assert str(grouped.value).startswith(
-        "round 1, stage attack (device 7): graph training diverged"
+        "round 1, stage attack (device 9): graph training diverged"
     )
-    assert "at epoch 12)" in str(grouped.value)
+    assert str(grouped.value).endswith(" at epoch 2); reduce gae_learning_rate")
+
+
+def test_a_failing_attack_group_stops_the_round(monkeypatch):
+    # Group [7, 9] fails in round 1, so groups [8] and [10], which come
+    # after it, never run.
+    groups = []
+
+    def recording(overheard, prev, settings, rngs, projector, ids, stage_seconds=None):
+        groups.append(list(ids))
+        return run_attack(overheard, prev, settings, rngs, projector, ids, stage_seconds)
+
+    monkeypatch.setattr(simulation, "run_attack", recording)
+    cfg = validate_config(GROUPED_ATTACK, GROUPED_DIVERGENCE)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(RuntimeError):
+        run_simulation(cfg)
+    assert groups == [[7, 9]]
+
+
+def test_attack_failure_text_is_the_same_at_any_worker_count():
+    messages = []
+    for workers in (1, 2):
+        cfg = validate_config(GROUPED_ATTACK, [*GROUPED_DIVERGENCE, f"workers={workers}"])
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(RuntimeError) as err:
+            run_simulation(cfg)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith("round 1, stage attack (device 9): ")
 
 
 def test_round_loop_calls_every_traced_graph_attack_stage(monkeypatch):
