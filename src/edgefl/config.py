@@ -3,7 +3,9 @@ fully-resolved echo written into every run summary.
 
 Each YAML section is one frozen dataclass: its fields are the section's
 keys, its annotations the accepted types and its field defaults the only
-defaults. One generic reader walks :class:`SimConfig`.
+defaults, and its ``__post_init__`` holds every rule over its keys, each
+error naming its key path. One generic reader walks :class:`SimConfig`
+and reads every key; no pass rewrites keys before it.
 """
 
 from __future__ import annotations
@@ -211,7 +213,7 @@ class SimConfig:
                 raise ValueError(
                     f"positions.benign must list {n_benign} [x, y, z] triples in explicit mode"
                 )
-            if n_malicious > 0 and (pos.attackers is None or len(pos.attackers) != n_malicious):
+            if len(pos.attackers or ()) != n_malicious:
                 raise ValueError(
                     f"positions.attackers must list {n_malicious} [x, y, z] triples "
                     "in explicit mode"
@@ -269,8 +271,7 @@ def _read(cls, raw, path: str):
     try:
         return cls(**values)
     except ValueError as exc:
-        message = str(exc)
-        raise ConfigError(message if message.startswith(path) else f"{path}: {message}") from None
+        raise ConfigError(str(exc)) from None
 
 
 def _name(hint) -> str:
@@ -354,30 +355,6 @@ def apply_overrides(raw: Mapping, overrides: Sequence[str]) -> dict:
     return raw
 
 
-def _resolve_d_thresh_mode(raw: dict) -> None:
-    """Replace attack.avgae.d_thresh_mode, which is not a field of
-    AttackSettings, by nulling the stealth radius it does not select."""
-    attack = raw.get("attack")
-    avgae = attack.get("avgae") if isinstance(attack, Mapping) else None
-    if not isinstance(avgae, Mapping):
-        return
-    avgae = dict(avgae)
-    mode = _convert(
-        avgae.pop("d_thresh_mode", "percentile"), Literal["percentile", "absolute"],
-        "attack.avgae.d_thresh_mode",
-    )
-    if mode == "absolute":
-        if avgae.get("d_thresh_value") is None:
-            raise ConfigError("attack.avgae.d_thresh_value is required in absolute mode")
-        avgae["d_thresh_percentile"] = None
-    elif avgae.pop("d_thresh_value", None) is not None:
-        raise ConfigError(
-            "attack.avgae.d_thresh_value is only read in absolute mode; set "
-            "attack.avgae.d_thresh_mode: absolute to use it"
-        )
-    raw["attack"] = {**attack, "avgae": avgae}
-
-
 def validate_config(source: str | Mapping, overrides: Sequence[str] = ()) -> SimConfig:
     """Parse, default, and validate a run configuration.
 
@@ -397,17 +374,14 @@ def validate_config(source: str | Mapping, overrides: Sequence[str] = ()) -> Sim
     if not isinstance(raw, Mapping):
         raise ConfigError(f"config root must be a mapping, got {type(raw).__name__}")
     raw = apply_overrides(raw, overrides)
-    _resolve_d_thresh_mode(raw)
     return _read(SimConfig, raw, "")
 
 
 def config_echo(cfg: SimConfig) -> dict:
     """Fully-resolved configuration as plain JSON-ready data."""
-    echo = json.loads(json.dumps(asdict(cfg)))
+    echo = asdict(cfg)
     # workers and output_dir are execution plumbing, deliberately left out:
     # summary.json must be byte-identical for identical simulations at any
     # worker count or output location (both live in run_meta.json).
     del echo["workers"], echo["output_dir"]
-    avgae = echo["attack"]["avgae"]
-    avgae["d_thresh_mode"] = "percentile" if avgae["d_thresh_value"] is None else "absolute"
-    return echo
+    return json.loads(json.dumps(echo))

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Literal, NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,12 +29,14 @@ DIVERGENCE_LIMIT = 1e6
 
 @dataclass(frozen=True)
 class AttackSettings:
-    """Hyperparameters of the attack pipeline.
+    """Hyperparameters of the attack pipeline; each field is a key of the
+    attack.avgae config section, and every check here names its key.
 
-    The stealth radius is given either as an absolute value
-    (d_thresh_value) or as a percentile of the current round's pairwise
-    benign model distances (d_thresh_percentile); exactly one must be
-    set.
+    d_thresh_mode selects the stealth radius: "absolute" uses
+    d_thresh_value, which it requires, and stores d_thresh_percentile as
+    None whatever was given; "percentile" takes that percentile of the
+    current round's pairwise benign model distances and rejects a
+    d_thresh_value.
     """
 
     d_feat: int = 16
@@ -46,6 +48,7 @@ class AttackSettings:
     beta: float = 0.001
     ascent_steps: int = 30
     ascent_step_size: float = 0.1
+    d_thresh_mode: Literal["percentile", "absolute"] = "percentile"
     d_thresh_value: float | None = None
     d_thresh_percentile: float | None = 90.0
     negative_sample_ratio: float = 1.0
@@ -54,33 +57,40 @@ class AttackSettings:
 
     def __post_init__(self):
         object.__setattr__(self, "hidden_dims", tuple(self.hidden_dims))
-        if self.d_feat < 1 or self.d_z < 1 or self.psi_hidden < 1:
-            raise ValueError("d_feat, d_z, and psi_hidden must all be >= 1")
-        if not self.hidden_dims or any(h < 1 for h in self.hidden_dims):
-            raise ValueError(f"hidden_dims must be nonempty positive, got {self.hidden_dims}")
-        if self.activation not in ("tanh", "relu"):
-            raise ValueError(f"activation must be 'tanh' or 'relu', got {self.activation!r}")
-        if self.gae_epochs < 0:
-            raise ValueError(f"gae_epochs must be >= 0, got {self.gae_epochs}")
-        if not self.gae_learning_rate > 0:
-            raise ValueError(f"gae_learning_rate must be positive, got {self.gae_learning_rate}")
-        if self.beta < 0:
-            raise ValueError(f"beta must be >= 0, got {self.beta}")
-        if self.ascent_steps < 1:
-            raise ValueError(f"ascent_steps must be >= 1, got {self.ascent_steps}")
-        if self.ascent_step_size < 0:
-            raise ValueError(f"ascent_step_size must be >= 0, got {self.ascent_step_size}")
-        if self.negative_sample_ratio < 0:
+        for key, ok, rule in (
+            ("d_feat", self.d_feat >= 1, ">= 1"),
+            ("d_z", self.d_z >= 1, ">= 1"),
+            ("psi_hidden", self.psi_hidden >= 1, ">= 1"),
+            ("hidden_dims", self.hidden_dims and min(self.hidden_dims) >= 1, "nonempty positive"),
+            ("activation", self.activation in ("tanh", "relu"), "'tanh' or 'relu'"),
+            ("gae_epochs", self.gae_epochs >= 0, ">= 0"),
+            ("gae_learning_rate", self.gae_learning_rate > 0, "positive"),
+            ("beta", self.beta >= 0, ">= 0"),
+            ("ascent_steps", self.ascent_steps >= 1, ">= 1"),
+            ("ascent_step_size", self.ascent_step_size >= 0, ">= 0"),
+            ("negative_sample_ratio", self.negative_sample_ratio >= 0, ">= 0"),
+            ("d_thresh_mode", self.d_thresh_mode in ("percentile", "absolute"),
+             "'percentile' or 'absolute'"),
+        ):
+            if not ok:
+                raise ValueError(f"attack.avgae.{key} must be {rule}, got {getattr(self, key)!r}")
+        if self.d_thresh_mode == "absolute":
+            if self.d_thresh_value is None:
+                raise ValueError("attack.avgae.d_thresh_value is required in absolute mode")
+            if not self.d_thresh_value > 0:
+                raise ValueError(
+                    f"attack.avgae.d_thresh_value must be positive, got {self.d_thresh_value!r}"
+                )
+            object.__setattr__(self, "d_thresh_percentile", None)
+        elif self.d_thresh_value is not None:
             raise ValueError(
-                f"negative_sample_ratio must be >= 0, got {self.negative_sample_ratio}"
+                "attack.avgae.d_thresh_value is only read in absolute mode; set "
+                "attack.avgae.d_thresh_mode: absolute to use it"
             )
-        if (self.d_thresh_value is None) == (self.d_thresh_percentile is None):
-            raise ValueError("set exactly one of d_thresh_value and d_thresh_percentile")
-        if self.d_thresh_value is not None and not self.d_thresh_value > 0:
-            raise ValueError(f"d_thresh_value must be positive, got {self.d_thresh_value}")
-        if self.d_thresh_percentile is not None and not 0 < self.d_thresh_percentile <= 100:
+        elif self.d_thresh_percentile is None or not 0 < self.d_thresh_percentile <= 100:
             raise ValueError(
-                f"d_thresh_percentile must be in (0, 100], got {self.d_thresh_percentile}"
+                "attack.avgae.d_thresh_percentile must be in (0, 100], got "
+                f"{self.d_thresh_percentile!r}"
             )
 
 
@@ -677,7 +687,7 @@ def adversarial_reconstruct(
 def resolve_threshold(settings: AttackSettings, overheard) -> float:
     """Stealth radius for this round: absolute, or the configured
     percentile of pairwise distances between overheard rows."""
-    if settings.d_thresh_value is not None:
+    if settings.d_thresh_mode == "absolute":
         return float(settings.d_thresh_value)
     models = _model_block(overheard)
     pairwise = np.linalg.norm(models[:, None, :] - models[None, :, :], axis=-1)

@@ -113,10 +113,6 @@ class Projector:
         return cls(np.eye(dim))
 
     @property
-    def d_feat(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
     def input_dim(self) -> int:
         return self.matrix.shape[1]
 

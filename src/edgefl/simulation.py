@@ -278,13 +278,12 @@ def _writing(path: Path, newline: str | None = None):
 def emit_outputs(
     records: list[RoundRecord],
     cfg: SimConfig,
-    out_dir: str | None = None,
     elapsed_seconds: float | None = None,
     stage_seconds: dict[str, float] | None = None,
 ) -> dict[str, Path]:
     """Write rounds.csv, summary.json, attack_diag.csv (when the graph
-    attack ran), and run_meta.json, each through a temporary file that
-    replaces it whole.
+    attack ran), and run_meta.json into cfg.output_dir, each through a
+    temporary file that replaces it whole.
 
     Everything except run_meta.json is a deterministic function of
     (config, seed); timing lives only in run_meta.json so the other
@@ -294,7 +293,7 @@ def emit_outputs(
     """
     if not records:
         raise ValueError("emit_outputs needs at least one round")
-    out = Path(out_dir if out_dir is not None else cfg.output_dir)
+    out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: dict[str, Path] = {}
     with timed("emit", stage_seconds):

@@ -775,7 +775,7 @@ def test_generate_malicious_uniform_row_zero_ascent_is_centroid():
 
 def test_generate_malicious_single_model_mixture_degenerates():
     model = np.array([1.0, -2.0, 3.0])
-    settings = AttackSettings(d_thresh_value=0.5, d_thresh_percentile=None)
+    settings = AttackSettings(d_thresh_mode="absolute", d_thresh_value=0.5)
     omega = generate_malicious(
         np.array([0.42]), [model], np.zeros(3), resolve_threshold(settings, [model])
     )
@@ -828,7 +828,7 @@ def test_generate_malicious_centroid_pull_when_mixture_violates():
     # the raw mixture sits at 1.0 with worst-case distance 2 > 1.2; pulling
     # toward the centroid stops as soon as the constraint holds (at 0.2).
     models = [np.array([-1.0]), np.array([0.0]), np.array([1.0])]
-    settings = AttackSettings(d_thresh_value=1.2, d_thresh_percentile=None)
+    settings = AttackSettings(d_thresh_mode="absolute", d_thresh_value=1.2)
     diag = AttackDiagnostics()
     omega = generate_malicious(
         np.array([0.0, 0.0, 1.0]), models, np.zeros(1), resolve_threshold(settings, models),
@@ -842,7 +842,7 @@ def test_generate_malicious_centroid_pull_when_mixture_violates():
 
 def test_resolve_threshold_modes():
     models = [np.array([0.0, 0.0]), np.array([3.0, 4.0]), np.array([0.0, 1.0])]
-    absolute = AttackSettings(d_thresh_value=2.5, d_thresh_percentile=None)
+    absolute = AttackSettings(d_thresh_mode="absolute", d_thresh_value=2.5)
     assert resolve_threshold(absolute, models) == 2.5
     percentile = AttackSettings(d_thresh_percentile=100.0)
     assert resolve_threshold(percentile, models) == pytest.approx(5.0)
@@ -1043,18 +1043,25 @@ def test_run_attack_end_to_end_constraint_and_nontriviality():
 
 
 def test_attack_settings_validation():
-    with pytest.raises(ValueError, match="exactly one"):
+    with pytest.raises(ValueError, match="only read in absolute mode"):
         AttackSettings(d_thresh_value=1.0, d_thresh_percentile=90.0)
-    with pytest.raises(ValueError, match="exactly one"):
+    with pytest.raises(ValueError, match="d_thresh_percentile must be in"):
         AttackSettings(d_thresh_value=None, d_thresh_percentile=None)
+    with pytest.raises(ValueError, match="d_thresh_value is required in absolute mode"):
+        AttackSettings(d_thresh_mode="absolute")
+    with pytest.raises(ValueError, match="d_thresh_mode"):
+        AttackSettings(d_thresh_mode="sideways")
     with pytest.raises(ValueError, match="ascent_steps"):
         AttackSettings(ascent_steps=0)
     with pytest.raises(ValueError, match="activation"):
         AttackSettings(activation="gelu")
     with pytest.raises(ValueError, match="hidden_dims"):
         AttackSettings(hidden_dims=())
-    with pytest.raises(ValueError, match="d_thresh_value"):
-        AttackSettings(d_thresh_value=-1.0, d_thresh_percentile=None)
+    with pytest.raises(ValueError, match="d_thresh_value must be positive"):
+        AttackSettings(d_thresh_mode="absolute", d_thresh_value=-1.0)
+    assert AttackSettings(
+        d_thresh_mode="absolute", d_thresh_value=0.5, d_thresh_percentile=500.0
+    ).d_thresh_percentile is None
 
 
 def test_model_graph_invariants_enforced():

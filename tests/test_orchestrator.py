@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ from edgefl.channel import eavesdrop_set
 from edgefl.cli import main as cli_main
 from edgefl.config import ConfigError, config_echo, validate_config
 from edgefl.data import Dataset, partition_iid, synth_logistic
-from edgefl.graph_attack import run_attack
+from edgefl.graph_attack import AttackSettings, run_attack
 from edgefl.numerics import RngStream
 from edgefl.metrics import RoundRecord
 from edgefl.simulation import ROUNDS_CSV_COLUMNS, emit_outputs, run_simulation
@@ -144,6 +145,8 @@ def test_empty_config_echoes_every_default():
     ("positions: {z_range: [-1, 2]}", "positions.z_range"),
     ("positions: {mode: explicit, benign: [[0, 0]]}", "positions.benign[0]"),
     ("positions: {benign: [[0, 0, -1]]}", "positions.benign[0]"),
+    ("devices: {n_benign: 1}\npositions: {mode: explicit, benign: [[0, 0, 0]], "
+     "attackers: [[5, 5, 1], [6, 6, 1]]}", "positions.attackers"),
     ("global_init: {kind: uniform}", "global_init.kind"),
     ("global_init: {kind: normal, std: 0}", "global_init.std"),
     ("attack: 3", "attack"),
@@ -155,6 +158,8 @@ def test_empty_config_echoes_every_default():
     ("attack: {avgae: {d_thresh_value: 0.5}}", "attack.avgae.d_thresh_value"),
     ("attack: {avgae: {identity_projection: 1}}", "attack.avgae.identity_projection"),
     ("attack: {avgae: {gae_epochs: -1}}", "attack.avgae"),
+    ("attack: {avgae: {d_z: 0}}", "attack.avgae.d_z"),
+    ("attack: {avgae: {psi_hidden: 0}}", "attack.avgae.psi_hidden"),
     ("attack: {avgae: {psi: 3}}", "attack.avgae.psi"),
     ("attack: {gaussian: {sigma: 0}}", "attack.gaussian.sigma"),
     ("attack: {gaussian: {mu: 1}}", "attack.gaussian.mu"),
@@ -164,6 +169,21 @@ def test_empty_config_echoes_every_default():
 def test_every_section_rejection_names_the_key_path(text, path):
     with pytest.raises(ConfigError, match=re.escape(path)):
         validate_config(text)
+
+
+@pytest.mark.parametrize("overrides", [
+    [],
+    ["attack.avgae.d_thresh_mode=absolute", "attack.avgae.d_thresh_value=0.05"],
+    ["attack.avgae.d_thresh_mode=absolute", "attack.avgae.d_thresh_value=0.05",
+     "attack.avgae.d_thresh_percentile=500"],
+])
+def test_echoed_attack_section_builds_its_own_settings(overrides):
+    cfg = validate_config(_tiny_attack_config(), overrides)
+    echoed = config_echo(cfg)["attack"]["avgae"]
+    assert AttackSettings(**echoed) == cfg.attack.avgae
+    absolute = bool(overrides)
+    assert echoed["d_thresh_mode"] == ("absolute" if absolute else "percentile")
+    assert echoed["d_thresh_percentile"] == (None if absolute else 90.0)
 
 
 NON_FINITE_OR_NEGATIVE_SEED = [
@@ -483,7 +503,8 @@ def test_overflowing_local_loss_names_round_and_stage():
 def test_emit_outputs_files_and_row_counts(tmp_path):
     cfg = validate_config(_tiny_attack_config(rounds=4))
     records = run_simulation(cfg)
-    written = emit_outputs(records, cfg, out_dir=tmp_path / "run", elapsed_seconds=1.5)
+    # A Path output_dir is written to, and left out of the echo, like a str.
+    written = emit_outputs(records, replace(cfg, output_dir=tmp_path / "run"), elapsed_seconds=1.5)
     rounds_lines = written["rounds"].read_text().strip().splitlines()
     assert rounds_lines[0] == ",".join(ROUNDS_CSV_COLUMNS)
     assert len(rounds_lines) == 1 + 4 * (4 + 1)
@@ -509,7 +530,7 @@ def test_summary_is_strict_json_when_no_attack_ran(tmp_path):
     cfg = validate_config(_tiny_attack_config(), overrides=["channel.snr_min=1000000000.0"])
     records = run_simulation(cfg)
     assert all(diag.skipped for r in records for diag in r.attack_diagnostics)
-    written = emit_outputs(records, cfg, out_dir=tmp_path / "run")
+    written = emit_outputs(records, replace(cfg, output_dir=str(tmp_path / "run")))
 
     def reject(constant):
         raise ValueError(f"non-standard JSON constant {constant}")
@@ -549,14 +570,14 @@ def test_rounds_csv_equals_csv_writer_output(tmp_path):
         local_loss=np.array([1 / 3, float("nan"), float("nan")]),
         test_accuracy=np.float64(0.1),
     ))
-    written = emit_outputs(records, cfg, out_dir=tmp_path)
+    written = emit_outputs(records, replace(cfg, output_dir=str(tmp_path)))
     assert written["rounds"].read_bytes() == _csv_writer_rounds(records)
 
 
 def test_emit_outputs_no_attack_diag_for_benign_runs(tmp_path):
     cfg = validate_config(MINIMAL)
     records = run_simulation(cfg)
-    written = emit_outputs(records, cfg, out_dir=tmp_path / "run")
+    written = emit_outputs(records, replace(cfg, output_dir=str(tmp_path / "run")))
     assert "attack_diag" not in written
     assert not (tmp_path / "run" / "attack_diag.csv").exists()
 
@@ -565,7 +586,7 @@ def test_failed_summary_write_leaves_no_partial_or_temporary_file(tmp_path, monk
     cfg = validate_config(MINIMAL)
     records = run_simulation(cfg)
     fresh, rerun = tmp_path / "fresh", tmp_path / "rerun"
-    emit_outputs(records, cfg, out_dir=rerun)
+    emit_outputs(records, replace(cfg, output_dir=str(rerun)))
     complete = (rerun / "summary.json").read_bytes()
 
     def half_written(obj, fh, **kwargs):
@@ -575,7 +596,7 @@ def test_failed_summary_write_leaves_no_partial_or_temporary_file(tmp_path, monk
     monkeypatch.setattr(simulation.json, "dump", half_written)
     for out in (fresh, rerun):
         with pytest.raises(OSError, match="disk full"):
-            emit_outputs(records, cfg, out_dir=out)
+            emit_outputs(records, replace(cfg, output_dir=str(out)))
     # rounds.csv was written whole before the summary failed.
     assert sorted(p.name for p in fresh.iterdir()) == ["rounds.csv"]
     assert sorted(p.name for p in rerun.iterdir()) == ["rounds.csv", "run_meta.json", "summary.json"]
@@ -585,7 +606,7 @@ def test_failed_summary_write_leaves_no_partial_or_temporary_file(tmp_path, monk
 def test_identical_seed_produces_identical_bytes(tmp_path):
     cfg = validate_config(_tiny_attack_config())
     for name in ("a", "b"):
-        emit_outputs(run_simulation(cfg), cfg, out_dir=tmp_path / name)
+        emit_outputs(run_simulation(cfg), replace(cfg, output_dir=str(tmp_path / name)))
     for fname in ("rounds.csv", "summary.json", "attack_diag.csv"):
         assert (tmp_path / "a" / fname).read_bytes() == (tmp_path / "b" / fname).read_bytes()
 
@@ -594,8 +615,8 @@ def test_worker_count_does_not_change_bytes(tmp_path):
     base = _tiny_attack_config()
     cfg1 = validate_config(base, overrides=["workers=1"])
     cfg4 = validate_config(base, overrides=["workers=4"])
-    emit_outputs(run_simulation(cfg1), cfg1, out_dir=tmp_path / "w1")
-    emit_outputs(run_simulation(cfg4), cfg4, out_dir=tmp_path / "w4")
+    emit_outputs(run_simulation(cfg1), replace(cfg1, output_dir=str(tmp_path / "w1")))
+    emit_outputs(run_simulation(cfg4), replace(cfg4, output_dir=str(tmp_path / "w4")))
     assert (tmp_path / "w1" / "rounds.csv").read_bytes() == (
         tmp_path / "w4" / "rounds.csv"
     ).read_bytes()
@@ -604,8 +625,8 @@ def test_worker_count_does_not_change_bytes(tmp_path):
 def test_different_seeds_differ(tmp_path):
     cfg_a = validate_config(MINIMAL, overrides=["seed=1"])
     cfg_b = validate_config(MINIMAL, overrides=["seed=2"])
-    emit_outputs(run_simulation(cfg_a), cfg_a, out_dir=tmp_path / "a")
-    emit_outputs(run_simulation(cfg_b), cfg_b, out_dir=tmp_path / "b")
+    emit_outputs(run_simulation(cfg_a), replace(cfg_a, output_dir=str(tmp_path / "a")))
+    emit_outputs(run_simulation(cfg_b), replace(cfg_b, output_dir=str(tmp_path / "b")))
     assert (tmp_path / "a" / "rounds.csv").read_bytes() != (
         tmp_path / "b" / "rounds.csv"
     ).read_bytes()
@@ -679,10 +700,10 @@ def test_grouped_attackers_match_a_per_attacker_loop(tmp_path, monkeypatch):
     setup = simulation._setup(cfg)
     assert setup.attack_groups == [[7, 9], [8], [10]]
     assert setup.overheard_rows[10].tolist() == [4]  # device 5
-    emit_outputs(run_simulation(cfg), cfg, out_dir=str(tmp_path / "grouped"))
+    emit_outputs(run_simulation(cfg), replace(cfg, output_dir=str(tmp_path / "grouped")))
     with monkeypatch.context() as patch:
         _one_attacker_at_a_time(patch)
-        emit_outputs(run_simulation(cfg), cfg, out_dir=str(tmp_path / "alone"))
+        emit_outputs(run_simulation(cfg), replace(cfg, output_dir=str(tmp_path / "alone")))
     for name in ("rounds.csv", "summary.json", "attack_diag.csv"):
         grouped = (tmp_path / "grouped" / name).read_bytes()
         assert grouped == (tmp_path / "alone" / name).read_bytes()
