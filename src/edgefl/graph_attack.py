@@ -43,7 +43,7 @@ class AttackSettings:
     d_z: int = 8
     hidden_dims: tuple[int, ...] = (32, 16)
     activation: str = "tanh"
-    gae_epochs: int = 80
+    gae_epochs: int = 10
     gae_learning_rate: float = 0.05
     beta: float = 0.001
     ascent_steps: int = 30
@@ -558,7 +558,9 @@ def train_gae(
     comes with them; it is bit for bit what stream j gets in a stack of
     one. The stack stops at the first epoch where a hidden state goes
     non-finite or a loss diverges, with a StackFailure naming the lowest
-    encoder that it happened to.
+    encoder that it happened to. The trained weights are checked the same
+    way, as epoch gae_epochs, so a diverged loss never reaches the
+    returned trace or latent.
     """
     encs, links, noise = [], [], []
     for rng in rngs:
@@ -578,7 +580,8 @@ def train_gae(
     prep = _prepare(graph, settings)
     trace = np.empty((settings.gae_epochs + 1, len(rngs)))
     lr, beta = settings.gae_learning_rate, settings.beta
-    for epoch in range(settings.gae_epochs):
+    # Epoch gae_epochs evaluates the trained weights and takes no step.
+    for epoch in range(settings.gae_epochs + 1):
         fw = _forward(prep, enc, eps)
         sc = _scores(fw.hiddens[-1], fw.latent, enc, signed, beta)
         for j, value in enumerate(sc.loss.tolist()):
@@ -588,12 +591,11 @@ def train_gae(
                     "reduce gae_learning_rate",
                     j,
                 )
-        _gradients(prep, fw, sc, enc, signed.signed, eps, beta, genc)
         trace[epoch] = sc.loss
-        params -= lr * grads
+        if epoch < settings.gae_epochs:
+            _gradients(prep, fw, sc, enc, signed.signed, eps, beta, genc)
+            params -= lr * grads
 
-    fw = _forward(prep, enc, eps)
-    trace[-1] = _scores(fw.hiddens[-1], fw.latent, enc, signed, beta).loss
     mu, logvar, z = fw.latent.mu, fw.latent.logvar, fw.latent.z
     return [
         GaeTrainResult(

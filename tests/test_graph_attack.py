@@ -7,6 +7,7 @@ import pytest
 from scipy.special import expit
 
 from edgefl.graph_attack import (
+    DIVERGENCE_LIMIT,
     LOGIT_CLAMP,
     AttackDiagnostics,
     AttackSettings,
@@ -413,6 +414,23 @@ def test_train_gae_divergence_suggests_smaller_lr():
         StackFailure, match="reduce gae_learning_rate"
     ):
         train_gae(graph, settings, [RngStream(6, "atk")])
+
+
+def test_train_gae_checks_the_loss_at_the_trained_weights():
+    # This training first diverges at the loss after its 11th step: with
+    # 11 epochs that is the loss at the trained weights, which no step
+    # follows, and it must fail the same way as it does inside a longer run.
+    rng = np.random.default_rng(17)
+    models = [rng.normal(size=6) for _ in range(4)]
+    graph = build_graph(models, rng.normal(size=6), Projector.random(6, 4, RngStream(1, "proj")))
+    settings = AttackSettings(
+        d_feat=4, d_z=3, hidden_dims=(5, 3), psi_hidden=4, gae_learning_rate=8.0,
+    )
+    for epochs in (200, 11):
+        with pytest.raises(StackFailure, match=r"loss 6\.836e\+67 at epoch 11\)"):
+            train_gae(graph, replace(settings, gae_epochs=epochs), [RngStream(2, "attacker")])
+    [result] = train_gae(graph, replace(settings, gae_epochs=10), [RngStream(2, "attacker")])
+    assert max(result.loss_trace) <= DIVERGENCE_LIMIT
 
 
 # ---------------------------------------------------------- train_gae stacked
