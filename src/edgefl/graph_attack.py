@@ -25,6 +25,11 @@ from .numerics import (
 
 PROB_CLAMP_LO = 1e-12
 DIVERGENCE_LIMIT = 1e6
+# Upper bound on the variational log-variance (PyG VGAE's MAX_LOGSTD idea):
+# the logvar gradient carries gz * eps * 0.5 * std, a positive feedback
+# that runs the head away on wide graphs. One-sided, so small variances
+# keep their bits.
+LOGVAR_MAX = 10.0
 
 
 @dataclass(frozen=True)
@@ -296,6 +301,7 @@ class _Forward:
     preacts: list[np.ndarray]  # S[l] = M[l] @ W[l]
     latent: LatentState
     std: np.ndarray | None
+    logvar_free: np.ndarray  # logvar_raw < LOGVAR_MAX: where the bound does not bind
 
 
 def _forward(prep: _Prepared, enc: EncoderState, eps: np.ndarray | None) -> _Forward:
@@ -314,14 +320,18 @@ def _forward(prep: _Prepared, enc: EncoderState, eps: np.ndarray | None) -> _For
         preacts.append(pre)
         hiddens.append(hidden)
     mu = hiddens[-1] @ enc.mu_head
-    logvar = hiddens[-1] @ enc.logvar_head
+    logvar_raw = hiddens[-1] @ enc.logvar_head
+    logvar = np.minimum(logvar_raw, LOGVAR_MAX)
     if eps is None:
         std = None
         z = mu
     else:
         std = np.exp(0.5 * logvar)
         z = mu + std * eps
-    return _Forward(hiddens, mids, preacts, LatentState(mu=mu, logvar=logvar, z=z), std)
+    return _Forward(
+        hiddens, mids, preacts, LatentState(mu=mu, logvar=logvar, z=z), std,
+        logvar_raw < LOGVAR_MAX,
+    )
 
 
 def encode(
@@ -349,18 +359,18 @@ def sample_links(
     non-neighbors, drawn without replacement from rng. Sampling once per
     run keeps the loss a fixed deterministic objective.
     """
-    n = graph.node_count
-    others = np.arange(n)
-    positive, negative = np.zeros((n, n)), np.zeros((n, n))
-    for v in range(n):
-        row = graph.adjacency[v]
-        pos = others[(row > 0) & (others != v)]
-        non = others[(row == 0) & (others != v)]
-        n_neg = min(int(round(settings.negative_sample_ratio * len(pos))), len(non))
-        if len(pos):
-            positive[v, pos] = 1.0 / len(pos)
-        if n_neg > 0:
-            negative[v, rng.gen.choice(non, size=n_neg, replace=False)] = 1.0 / n_neg
+    off = ~np.eye(graph.node_count, dtype=bool)
+    pos = (graph.adjacency > 0) & off
+    non = (graph.adjacency == 0) & off
+    n_pos = pos.sum(axis=1)
+    positive = pos / np.maximum(n_pos, 1)[:, None]
+    # np.round, like round(), takes halves to even.
+    n_neg = np.minimum(np.round(settings.negative_sample_ratio * n_pos), non.sum(axis=1))
+    negative = np.zeros_like(positive)
+    # One draw per row that samples negatives, in row order.
+    for v in np.flatnonzero(n_neg > 0):
+        drawn = rng.gen.choice(np.flatnonzero(non[v]), size=int(n_neg[v]), replace=False)
+        negative[v, drawn] = 1.0 / n_neg[v]
     return LinkSample(positive=positive, negative=negative)
 
 
@@ -482,13 +492,16 @@ def _gradients(
     g_hidden_psi = gs1 @ _mT(enc.psi_w1)
 
     # Latent heads (z = mu + std * eps, with the KL term when beta > 0); a
-    # scalar 0.0 stands for the zero glogvar that a term is added to.
+    # scalar 0.0 stands for the zero glogvar that a term is added to. No
+    # gradient flows through a log-variance held at LOGVAR_MAX.
     gmu, glogvar = gz, np.zeros_like(latent.logvar) if eps is None and beta == 0 else 0.0
     if eps is not None:
         glogvar = glogvar + gz * eps * 0.5 * fw.std
     if beta > 0:
         gmu = gmu + beta * latent.mu
         glogvar = glogvar + beta * 0.5 * (sc.exp_logvar - 1.0)
+    if eps is not None or beta > 0:
+        glogvar = np.where(fw.logvar_free, glogvar, 0.0)
     np.matmul(hidden_t, gmu, out=out.mu_head)
     np.matmul(hidden_t, glogvar, out=out.logvar_head)
     g = gmu @ _mT(enc.mu_head) + glogvar @ _mT(enc.logvar_head) + g_hidden_psi

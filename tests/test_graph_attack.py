@@ -9,6 +9,7 @@ from scipy.special import expit
 from edgefl.graph_attack import (
     DIVERGENCE_LIMIT,
     LOGIT_CLAMP,
+    LOGVAR_MAX,
     AttackDiagnostics,
     AttackSettings,
     EncoderState,
@@ -211,6 +212,42 @@ def test_sample_links_structure_and_determinism():
         np.testing.assert_array_equal(links_a.negative[v], links_b.negative[v])
 
 
+def _sample_links_loop(graph, settings, rng):
+    """sample_links as one pass per node: the reference its whole-matrix
+    form must match bit for bit, stream state included."""
+    n = graph.node_count
+    others = np.arange(n)
+    positive, negative = np.zeros((n, n)), np.zeros((n, n))
+    for v in range(n):
+        row = graph.adjacency[v]
+        pos = others[(row > 0) & (others != v)]
+        non = others[(row == 0) & (others != v)]
+        n_neg = min(int(round(settings.negative_sample_ratio * len(pos))), len(non))
+        if len(pos):
+            positive[v, pos] = 1.0 / len(pos)
+        if n_neg > 0:
+            negative[v, rng.gen.choice(non, size=n_neg, replace=False)] = 1.0 / n_neg
+    return positive, negative
+
+
+def test_sample_links_equals_the_per_node_loop_bit_for_bit():
+    rng = np.random.default_rng(59)
+    for trial in range(200):
+        n = int(rng.integers(2, 12))
+        weights = rng.uniform(0.05, 1.0, size=(n, n))
+        # Some rows keep every edge, some none, most a random share.
+        weights[rng.uniform(size=(n, n)) < rng.uniform()] = 0.0
+        adjacency = np.triu(weights, 1) + np.triu(weights, 1).T + np.eye(n)
+        graph = ModelGraph(adjacency, np.zeros((n, 2)), np.zeros((n, 2)))
+        settings = replace(SMALL, negative_sample_ratio=float(rng.choice([0.0, 0.5, 1.0, 1.5, 3.0])))
+        got_rng, want_rng = RngStream(trial, "atk"), RngStream(trial, "atk")
+        got = sample_links(graph, settings, got_rng)
+        want_pos, want_neg = _sample_links_loop(graph, settings, want_rng)
+        np.testing.assert_array_equal(got.positive, want_pos)
+        np.testing.assert_array_equal(got.negative, want_neg)
+        assert got_rng.gen.integers(2**63) == want_rng.gen.integers(2**63)
+
+
 def test_graph_loss_two_node_zero_dot_edge_term():
     settings = AttackSettings(
         d_feat=2, d_z=2, hidden_dims=(2,), psi_hidden=2, beta=0.0,
@@ -331,6 +368,38 @@ def test_encoder_gradients_match_finite_differences(activation, beta):
             _assert_close(analytic, _fd_block(value, param), 1e-4)
 
 
+@pytest.mark.parametrize("noisy", [True, False])
+def test_encoder_gradients_hold_no_logvar_term_where_the_bound_binds(noisy):
+    # A logvar head that puts every node of latent column 0 above
+    # LOGVAR_MAX, column 1 above it on some nodes only, and leaves
+    # column 2 below it; every entry is at least 2 from the bound, far
+    # beyond what a finite-difference step moves it.
+    settings = AttackSettings(
+        d_feat=4, d_z=3, hidden_dims=(5, 6), psi_hidden=4, beta=0.05, d_thresh_percentile=90.0,
+    )
+    graph, _, _ = _random_graph(5, np.random.default_rng(60), settings=settings)
+    enc = init_encoder(graph, settings, RngStream(12, "atk"))
+    links = sample_links(graph, settings, RngStream(13, "atk"))
+    eps = np.random.default_rng(14).normal(size=(5, settings.d_z)) * 0.01 if noisy else None
+    hidden, _ = encode(graph, enc, settings)
+    raw = np.column_stack([
+        [14.0, 16.0, 13.0, 15.0, 12.0], [13.0, -1.0, 14.5, 0.5, -2.0], [1.0, -3.0, 0.0, 2.0, -1.0],
+    ])
+    enc.logvar_head[...] = np.linalg.lstsq(hidden, raw, rcond=None)[0]
+    np.testing.assert_allclose(hidden @ enc.logvar_head, raw, atol=1e-9)
+    _, latent = encode(graph, enc, settings, eps)
+    np.testing.assert_array_equal(latent.logvar, np.minimum(hidden @ enc.logvar_head, LOGVAR_MAX))
+
+    _, grads = loss_and_grads(graph, enc, settings, links, eps)
+    value = lambda: _loss_value(graph, enc, settings, links, eps)
+    # Only the bound entries reach column 0, so nothing flows into it.
+    assert not grads.logvar_head[:, 0].any()
+    np.testing.assert_array_equal(_fd_block(value, enc.logvar_head)[:, 0], 0.0)
+    assert grads.logvar_head[:, 1:].all()
+    for analytic, param in zip(grads.blocks(), enc.blocks()):
+        _assert_close(analytic, _fd_block(value, param), 1e-4)
+
+
 def test_surrogate_gradient_matches_finite_differences():
     rng = np.random.default_rng(58)
     for _ in range(100):
@@ -417,19 +486,19 @@ def test_train_gae_divergence_suggests_smaller_lr():
 
 
 def test_train_gae_checks_the_loss_at_the_trained_weights():
-    # This training first diverges at the loss after its 11th step: with
-    # 11 epochs that is the loss at the trained weights, which no step
+    # This training first diverges at the loss after its 22nd step: with
+    # 22 epochs that is the loss at the trained weights, which no step
     # follows, and it must fail the same way as it does inside a longer run.
     rng = np.random.default_rng(17)
     models = [rng.normal(size=6) for _ in range(4)]
     graph = build_graph(models, rng.normal(size=6), Projector.random(6, 4, RngStream(1, "proj")))
     settings = AttackSettings(
-        d_feat=4, d_z=3, hidden_dims=(5, 3), psi_hidden=4, gae_learning_rate=8.0,
+        d_feat=4, d_z=3, hidden_dims=(5, 3), psi_hidden=4, gae_learning_rate=64.0,
     )
-    for epochs in (200, 11):
-        with pytest.raises(StackFailure, match=r"loss 6\.836e\+67 at epoch 11\)"):
-            train_gae(graph, replace(settings, gae_epochs=epochs), [RngStream(2, "attacker")])
-    [result] = train_gae(graph, replace(settings, gae_epochs=10), [RngStream(2, "attacker")])
+    for epochs in (200, 22):
+        with pytest.raises(StackFailure, match=r"loss 7\.446e\+06 at epoch 22\)"):
+            train_gae(graph, replace(settings, gae_epochs=epochs), [RngStream(5, "attacker")])
+    [result] = train_gae(graph, replace(settings, gae_epochs=21), [RngStream(5, "attacker")])
     assert max(result.loss_trace) <= DIVERGENCE_LIMIT
 
 
@@ -460,10 +529,11 @@ def _reference_train(graph, settings, rng):
             mids.append(hiddens[-1] + ahat @ hiddens[-1])
             pres.append(mids[-1] @ w)
             hiddens.append(np.tanh(pres[-1]) if tanh else np.maximum(pres[-1], 0.0))
-        mu, logvar = hiddens[-1] @ enc.mu_head, hiddens[-1] @ enc.logvar_head
+        mu, logvar_raw = hiddens[-1] @ enc.mu_head, hiddens[-1] @ enc.logvar_head
+        logvar = np.minimum(logvar_raw, LOGVAR_MAX)
         std = None if eps is None else np.exp(0.5 * logvar)
         z = mu if eps is None else mu + std * eps
-        return hiddens, mids, pres, mu, logvar, std, z
+        return hiddens, mids, pres, mu, logvar, std, z, logvar_raw < LOGVAR_MAX
 
     def loss(hidden, mu, logvar, z):
         s = z @ z.T
@@ -477,7 +547,7 @@ def _reference_train(graph, settings, rng):
 
     trace = []
     for _ in range(settings.gae_epochs):
-        hiddens, mids, pres, mu, logvar, std, z = forward()
+        hiddens, mids, pres, mu, logvar, std, z, logvar_free = forward()
         hidden = hiddens[-1]
         trace.append(loss(hidden, mu, logvar, z))
         s = z @ z.T
@@ -500,6 +570,7 @@ def _reference_train(graph, settings, rng):
         if settings.beta > 0:
             gmu += settings.beta * mu
             glogvar += settings.beta * 0.5 * (np.exp(logvar) - 1.0)
+        glogvar = np.where(logvar_free, glogvar, 0.0)
         g_heads = [hidden.T @ gmu, hidden.T @ glogvar]
         g = gmu @ enc.mu_head.T + glogvar @ enc.logvar_head.T + g_hidden_psi
         g_layers = [None] * len(enc.layer_weights)
@@ -512,7 +583,7 @@ def _reference_train(graph, settings, rng):
         grads = [*g_layers, *g_heads, g_psi_w1, g_psi_b1, g_psi_w2, g_psi_b2]
         for p, gp in zip(enc.blocks(), grads):
             p -= settings.gae_learning_rate * gp
-    hiddens, _, _, mu, logvar, _, z = forward()
+    hiddens, _, _, mu, logvar, _, z, _ = forward()
     trace.append(loss(hiddens[-1], mu, logvar, z))
     return enc, trace, z
 
@@ -549,12 +620,12 @@ def _outcome_of(fn):
 
 def test_train_gae_stack_stops_at_the_first_divergence():
     # At this learning rate two of the four encoders, each trained alone,
-    # diverge, at epochs 12 and 2, and two train through; the stack stops
+    # diverge, at epochs 4 and 9, and two train through; the stack stops
     # at the earliest epoch and names the lowest encoder that diverges there.
     rng = np.random.default_rng(5)
     settings = AttackSettings(
         d_feat=4, d_z=3, hidden_dims=(5, 3), psi_hidden=4, gae_epochs=30,
-        gae_learning_rate=1.5, d_thresh_percentile=90.0,
+        gae_learning_rate=48.0, d_thresh_percentile=90.0,
     )
     graph, _, _ = _random_graph(6, rng, settings=settings)
     streams = lambda: [RngStream(5, f"a{j}") for j in range(4)]

@@ -139,6 +139,16 @@ def test_rng_streams_differ_by_id_and_seed():
     assert not np.array_equal(base, RngStream(100, "device-3").gen.random(16))
 
 
+@pytest.mark.xfail(
+    raises=AssertionError, strict=True,
+    reason="the Philox key [seed, stream key] is a Python list, which numpy turns "
+           "into float64 when the stream key is 2**63 or more, dropping the seed's low bits",
+)
+def test_rng_seeds_above_2_60_draw_different_numbers():
+    first = RngStream(2**60, "device-1").gen.random()
+    assert first != RngStream(2**60 + 1, "device-1").gen.random()
+
+
 def test_rng_seed_validation():
     with pytest.raises(ValueError):
         RngStream(-1, "x")

@@ -711,9 +711,9 @@ def test_grouped_attackers_match_a_per_attacker_loop(tmp_path, monkeypatch):
     assert [row.split(",")[5] for row in diag if row.split(",")[1] == "10"] == ["1"] * 4
 
 
-# At this learning rate attacker 9 diverges at epoch 2 of round 1 and
-# attacker 7, in the same group, only at epoch 12.
-GROUPED_DIVERGENCE = ["seed=14", "attack.avgae.gae_learning_rate=8.0"]
+# At this learning rate attacker 9 diverges at epoch 14 of round 1 and
+# attacker 7, in the same group, only at epoch 18.
+GROUPED_DIVERGENCE = ["seed=1", "attack.avgae.gae_learning_rate=128.0"]
 
 
 def test_grouped_divergence_names_the_first_failing_attacker():
@@ -723,7 +723,7 @@ def test_grouped_divergence_names_the_first_failing_attacker():
     assert str(grouped.value).startswith(
         "round 1, stage attack (device 9): graph training diverged"
     )
-    assert str(grouped.value).endswith(" at epoch 2); reduce gae_learning_rate")
+    assert str(grouped.value).endswith(" at epoch 14); reduce gae_learning_rate")
 
 
 def test_a_failing_attack_group_stops_the_round(monkeypatch):
@@ -770,23 +770,25 @@ def test_shipped_gae_epochs_move_the_global_model_far_less_than_a_stealth_radius
     assert 0 < gap < 0.1 * radius
 
 
-@pytest.mark.xfail(
-    raises=RuntimeError, strict=True,
-    reason="the variational encoder's logvar runs away on this 6-node 784-dim graph "
-           "and training diverges at epoch 6 of round 2",
-)
 def test_shipped_attack_trains_on_a_six_node_784_dim_graph():
+    # Without LOGVAR_MAX the variational head runs away here and training
+    # diverges at epoch 6 of round 2.
     text = (ROOT / "configs" / "synthetic_avgae.yaml").read_text()
     cfg = validate_config(text, [
         "dataset.dim=784", "devices.samples_per_device=50", "devices.n_malicious=4",
         "seed=2", "rounds=2",
     ])
-    try:
-        run_simulation(cfg)
-    except RuntimeError as exc:
-        # Only the known divergence counts as the expected failure.
-        assert "graph training diverged" in str(exc), exc
-        raise
+    run_simulation(cfg)
+
+
+def test_shipped_attack_trains_with_30_benign_784_dim_devices():
+    # Without LOGVAR_MAX this raises "graph training diverged" in round 1,
+    # after an exp overflow in the variational sample.
+    text = (ROOT / "configs" / "synthetic_avgae.yaml").read_text()
+    records = run_simulation(
+        validate_config(text, ["dataset.dim=784", "devices.n_benign=30", "rounds=2"])
+    )
+    assert any(not d.skipped for r in records for d in r.attack_diagnostics)
 
 
 def test_round_loop_calls_every_traced_graph_attack_stage(monkeypatch):
