@@ -48,7 +48,7 @@ class AttackSettings:
     d_z: int = 8
     hidden_dims: tuple[int, ...] = (32, 16)
     activation: str = "tanh"
-    gae_epochs: int = 10
+    gae_epochs: int = 5
     gae_learning_rate: float = 0.05
     beta: float = 0.001
     ascent_steps: int = 30
@@ -494,14 +494,13 @@ def _gradients(
     # Latent heads (z = mu + std * eps, with the KL term when beta > 0); a
     # scalar 0.0 stands for the zero glogvar that a term is added to. No
     # gradient flows through a log-variance held at LOGVAR_MAX.
-    gmu, glogvar = gz, np.zeros_like(latent.logvar) if eps is None and beta == 0 else 0.0
+    gmu, glogvar = gz, 0.0
     if eps is not None:
         glogvar = glogvar + gz * eps * 0.5 * fw.std
     if beta > 0:
         gmu = gmu + beta * latent.mu
         glogvar = glogvar + beta * 0.5 * (sc.exp_logvar - 1.0)
-    if eps is not None or beta > 0:
-        glogvar = np.where(fw.logvar_free, glogvar, 0.0)
+    glogvar = np.where(fw.logvar_free, glogvar, 0.0)
     np.matmul(hidden_t, gmu, out=out.mu_head)
     np.matmul(hidden_t, glogvar, out=out.logvar_head)
     g = gmu @ _mT(enc.mu_head) + glogvar @ _mT(enc.logvar_head) + g_hidden_psi
