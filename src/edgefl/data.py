@@ -206,8 +206,11 @@ def partition_iid(
     y = np.zeros((n_devices, max(sizes)))
     start = 0
     for k, size in enumerate(sizes):
+        # Gathered straight into the shard's rows. The indices come from a
+        # permutation, so "clip" never clips; it skips the buffered copy
+        # that the default mode makes of out.
         idx = perm[start : start + size]
-        x[k, :size] = ds.x[idx]
-        y[k, :size] = ds.y[idx]
+        np.take(ds.x, idx, axis=0, out=x[k, :size], mode="clip")
+        np.take(ds.y, idx, out=y[k, :size], mode="clip")
         start += size
     return ShardStack(x, y, np.array(sizes), tuple(range(1, n_devices + 1)))

@@ -37,8 +37,11 @@ ATTACK_DIAG_COLUMNS = [
 class _Setup:
     shards: ShardStack
     test_set: Dataset
-    overheard_rows: dict[int, np.ndarray]  # per attacker, into the shard order, ascending
-    attack_groups: list[list[int]]  # attacker ids by eavesdrop set, ascending
+    attacker_ids: list[int]  # ascending
+    # Per attacker, into the shard order, ascending; only for the attacks
+    # that read overheard models (avgae, signflip).
+    overheard_rows: dict[int, np.ndarray]
+    attack_groups: list[list[int]]  # avgae attacker ids by eavesdrop set, ascending
     projector: Projector | None
     device_streams: list[RngStream]  # in shard order
     attacker_streams: dict[int, RngStream]
@@ -54,7 +57,9 @@ def _build_datasets(cfg: SimConfig) -> tuple[Dataset, Dataset]:
         pool = synth_logistic(
             total_train + cfg.dataset.n_test, d, w_true, RngStream(cfg.seed, "data")
         )
-        train = pool.subset(np.arange(total_train))
+        # The training set views the pool (partitioning copies it into
+        # shards); the test set is a copy, so the pool is freed after setup.
+        train = Dataset(pool.x[:total_train], pool.y[:total_train])
         test = pool.subset(np.arange(total_train, len(pool)))
         return train, test
     train = binarize(
@@ -68,10 +73,10 @@ def _build_datasets(cfg: SimConfig) -> tuple[Dataset, Dataset]:
     return train, test
 
 
-def _draw_positions(cfg: SimConfig) -> tuple[dict[int, DevicePosition], dict[int, DevicePosition]]:
-    n_benign, n_malicious = cfg.devices.n_benign, cfg.devices.n_malicious
-    benign_ids = list(range(1, n_benign + 1))
-    attacker_ids = list(range(n_benign + 1, n_benign + n_malicious + 1))
+def _draw_positions(
+    cfg: SimConfig, attacker_ids: list[int]
+) -> tuple[dict[int, DevicePosition], dict[int, DevicePosition]]:
+    benign_ids = list(range(1, cfg.devices.n_benign + 1))
     if cfg.positions.mode == "explicit":
         benign = {
             i: DevicePosition(*cfg.positions.benign[k]) for k, i in enumerate(benign_ids)
@@ -104,7 +109,8 @@ def _setup(cfg: SimConfig) -> _Setup:
         train, cfg.devices.n_benign, cfg.devices.samples_per_device,
         RngStream(cfg.seed, "partitioner"),
     )
-    benign_pos, attacker_pos = _draw_positions(cfg)
+    n_benign = cfg.devices.n_benign
+    attacker_ids = list(range(n_benign + 1, n_benign + cfg.devices.n_malicious + 1))
 
     dim = train.dim
     projector = None
@@ -122,23 +128,29 @@ def _setup(cfg: SimConfig) -> _Setup:
 
     # Positions are fixed for the whole run, so each attacker's
     # eavesdrop set is too: the same rows of every round's local models.
-    overheard_rows = {
-        i: np.searchsorted(
-            shards.device_ids,
-            sorted(eavesdrop_set(benign_pos, pos, cfg.channel)),
-        )
-        for i, pos in attacker_pos.items()
-    }
+    # Only the graph and sign-flip attacks read them; "positions" is its
+    # own stream, so skipping the draw moves no other one.
+    overheard_rows: dict[int, np.ndarray] = {}
+    if cfg.attack.kind in ("avgae", "signflip"):
+        benign_pos, attacker_pos = _draw_positions(cfg, attacker_ids)
+        overheard_rows = {
+            i: np.searchsorted(
+                shards.device_ids,
+                sorted(eavesdrop_set(benign_pos, pos, cfg.channel)),
+            )
+            for i, pos in attacker_pos.items()
+        }
     # Attackers that overhear the same devices build the same graph every
     # round, so the graph attack runs each such group as one.
     groups: dict[tuple[int, ...], list[int]] = {}
-    for i in sorted(overheard_rows):
-        groups.setdefault(tuple(overheard_rows[i].tolist()), []).append(i)
+    if cfg.attack.kind == "avgae":
+        for i in attacker_ids:
+            groups.setdefault(tuple(overheard_rows[i].tolist()), []).append(i)
     device_streams = [RngStream(cfg.seed, f"device-{i}") for i in shards.device_ids]
-    attacker_streams = {i: RngStream(cfg.seed, f"attacker-{i}") for i in attacker_pos}
+    attacker_streams = {i: RngStream(cfg.seed, f"attacker-{i}") for i in attacker_ids}
     return _Setup(
-        shards=shards, test_set=test, overheard_rows=overheard_rows,
-        attack_groups=list(groups.values()),
+        shards=shards, test_set=test, attacker_ids=attacker_ids,
+        overheard_rows=overheard_rows, attack_groups=list(groups.values()),
         projector=projector, device_streams=device_streams,
         attacker_streams=attacker_streams, global_init=init,
     )
@@ -176,7 +188,7 @@ def run_simulation(
     with _stage("setup", stage_seconds):
         setup = _setup(cfg)
     shards = setup.shards
-    attacker_ids = sorted(setup.overheard_rows)
+    attacker_ids = setup.attacker_ids
     # Row k of every round's model block is device device_ids[k]: benign
     # devices, then attackers, each in ascending id.
     device_ids = np.array([*shards.device_ids, *attacker_ids])

@@ -849,6 +849,21 @@ def test_eavesdrop_sets_are_computed_once_per_run(monkeypatch):
     assert len(calls) == cfg.devices.n_malicious == 1
 
 
+@pytest.mark.parametrize("overrides", [
+    ["devices.n_malicious=2", "attack.kind=gaussian"], [],
+], ids=["gaussian", "none"])
+def test_attacks_that_read_no_overheard_model_draw_no_positions(monkeypatch, overrides):
+    # Only the graph and sign-flip attacks read overheard rows.
+    def unexpected(*args):
+        raise AssertionError("positions drawn for an attack that reads none")
+
+    monkeypatch.setattr(simulation, "_draw_positions", unexpected)
+    monkeypatch.setattr(simulation, "eavesdrop_set", unexpected)
+    cfg = validate_config(MINIMAL, overrides)
+    records = run_simulation(cfg)
+    assert records[-1].is_malicious.sum() == cfg.devices.n_malicious
+
+
 def _fresh_python(probe: str) -> str:
     """Stdout of probe run by a fresh interpreter that imports this edgefl."""
     src = str(Path(edgefl.__file__).resolve().parent.parent)
