@@ -108,7 +108,7 @@ def test_empty_config_echoes_every_default():
             "avgae": {
                 "d_feat": 10, "d_z": 8, "hidden_dims": [32, 16], "activation": "tanh",
                 "gae_epochs": 5, "gae_learning_rate": 0.05, "beta": 0.001,
-                "ascent_steps": 30, "ascent_step_size": 0.1,
+                "ascent_steps": 5, "ascent_step_size": 0.1,
                 "d_thresh_mode": "percentile", "d_thresh_value": None,
                 "d_thresh_percentile": 90.0, "negative_sample_ratio": 1.0,
                 "psi_hidden": 8, "identity_projection": False,
@@ -768,6 +768,42 @@ def test_shipped_gae_epochs_move_the_global_model_far_less_than_a_stealth_radius
         d.d_thresh for r in shipped for d in r.attack_diagnostics if not d.skipped
     ])
     assert 0 < gap < 0.1 * radius
+
+
+def test_shipped_ascent_steps_move_the_global_model_far_less_than_a_stealth_radius():
+    # The shipped latent ascent takes few steps, on the evidence that the
+    # decoded logits are saturated, so each step barely moves the latent.
+    # Every round's global model must stay within a tenth of the run's
+    # mean stealth radius of the 30-step run (today 0.0046 radii).
+    text = (ROOT / "configs" / "synthetic_avgae.yaml").read_text()
+    shipped = run_simulation(validate_config(text, ["rounds=10", "seed=0"]))
+    long = run_simulation(
+        validate_config(text, ["rounds=10", "seed=0", "attack.avgae.ascent_steps=30"])
+    )
+    gap = max(np.linalg.norm(a.global_params - b.global_params) for a, b in zip(shipped, long))
+    radius = np.mean([
+        d.d_thresh for r in shipped for d in r.attack_diagnostics if not d.skipped
+    ])
+    assert 0 < gap < 0.1 * radius
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "at 784 dims the summed GAE loss overshoots at the shipped learning rate; the "
+    "node-mean loss with KL/n (ROADMAP item 2, still open) is the fix to try"
+))
+def test_shipped_gae_training_lowers_every_attackers_loss_at_784_dims():
+    # Today attacker 31 ends round 1 at a loss of 703.1 after starting at
+    # 111.7, at 5 ascent steps and at 30 alike.
+    text = (ROOT / "configs" / "synthetic_avgae.yaml").read_text()
+    [record] = run_simulation(
+        validate_config(text, ["dataset.dim=784", "devices.n_benign=30", "rounds=1"])
+    )
+    trained = [d for d in record.attack_diagnostics if not d.skipped]
+    assert trained
+    for d in trained:
+        assert d.delta_g_final <= d.delta_g_initial, (
+            f"attacker {d.attacker_id}: loss {d.delta_g_initial:.1f} -> {d.delta_g_final:.1f}"
+        )
 
 
 def test_shipped_attack_trains_on_a_six_node_784_dim_graph():
