@@ -61,10 +61,10 @@ def _margin_losses(kind: LossKind, z: np.ndarray, y: np.ndarray) -> np.ndarray:
     # (synth_logistic and binarize make them so; a run checks them once
     # at setup and local_loss on every call), so one term is exactly
     # 0*finite and one softplus pass of the signed margin gives the same
-    # bits. Any other label silently gets softplus(z). 0.0*z is +-0 for a
-    # finite margin and leaves those bits alone; for an infinite one it
-    # keeps the loss NaN, as the 0*inf of the two-term form did.
-    return np.logaddexp(0.0, np.where(y == 1.0, -z, z)) + 0.0 * z
+    # bits. Any other label silently gets softplus((1-2y)*z). 0.0*z is
+    # +-0 for a finite margin and leaves those bits alone; for an infinite
+    # one it keeps the loss NaN, as the 0*inf of the two-term form did.
+    return np.logaddexp(0.0, z * (1.0 - 2.0 * y)) + 0.0 * z
 
 
 # The stacked forms below take one model per device, W of shape (n, d).
