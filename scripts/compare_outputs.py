@@ -7,9 +7,10 @@ Runs, in each checkout and with that checkout's own src/ and configs/,
 every configs/synthetic_*.yaml as shipped (plus any --override) and
 every workload config that benchmarks/workloads.py builds, once per
 seed, through ``edgefl simulate``. For rounds.csv, summary.json and
-attack_diag.csv it prints "byte-identical", or the largest absolute
-difference per numeric column (CSV) or key path (JSON) that differs,
-and the number of differing cells of every other column. Exits 0 when
+attack_diag.csv it prints "byte-identical", or, per numeric column
+(CSV) or key path (JSON) that differs, the largest absolute difference
+and how many of its cells differ ("local_loss 2.22e-16 in 162 of 2100
+cells"), and the number of differing cells of every other column. Exits 0 when
 every file of every run is byte-identical, 1 otherwise.
 """
 
@@ -114,8 +115,9 @@ def compare_file(name: str, parent: bytes, change: bytes) -> str:
         diffs = [_difference(x, y) for x, y in zip(a[key], b[key])]
         numeric = [d for d in diffs if d is not None]
         other = sum(d is None and x != y for d, x, y in zip(diffs, a[key], b[key]))
-        if numeric and max(numeric) > 0:
-            notes.append(f"{key} {max(numeric):.3g}")
+        moved = sum(d > 0 for d in numeric)
+        if moved:
+            notes.append(f"{key} {max(numeric):.3g} in {moved} of {len(diffs)} cells")
         if other:
             notes.append(f"{key} {other} cells differ")
     return "differs: " + ", ".join(notes) if notes else "differs in layout only"
