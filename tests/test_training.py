@@ -308,8 +308,7 @@ def test_train_stack_matches_per_device_loop_bit_for_bit(kind, batch_size, worke
         z = shard.x @ got[k]
         y = shard.y
         per_sample = 0.5 * (z - y) ** 2 if kind == LossKind.LINEAR else \
-            np.maximum(z * (1.0 - 2.0 * y), 0.0) \
-            + np.log1p(np.exp(-np.abs(z * (1.0 - 2.0 * y)))) + 0.0 * z
+            _one_pass_logistic(z, y)
         reg = settings.alpha * 0.5 * float(got[k] @ got[k])
         assert losses[k] == float(np.mean(per_sample)) + reg
 
