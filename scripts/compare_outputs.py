@@ -10,8 +10,8 @@ seed, through ``edgefl simulate``. For rounds.csv, summary.json and
 attack_diag.csv it prints "byte-identical", or, per numeric column
 (CSV) or key path (JSON) that differs, the largest absolute difference
 and how many of its cells differ ("local_loss 2.22e-16 in 162 of 2100
-cells"), and the number of differing cells of every other column. Exits 0 when
-every file of every run is byte-identical, 1 otherwise.
+cells"), and the number of differing cells of every other column.
+Exits 0 when every file of every run is byte-identical, 1 otherwise.
 """
 
 from __future__ import annotations
