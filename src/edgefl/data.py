@@ -14,6 +14,9 @@ from .numerics import RngStream, as_params, sigmoid
 
 IMAGES_MAGIC = 0x00000803
 LABELS_MAGIC = 0x00000801
+# Feature bytes generated or copied per chunk; the chunk buffer is all
+# that is held beside the destination.
+CHUNK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -141,7 +144,8 @@ def load_idx(images_path: str, labels_path: str) -> Dataset:
         )
 
     pixels = np.frombuffer(img, dtype=np.uint8, count=count * rows * cols, offset=16)
-    x = pixels.reshape(count, rows * cols).astype(np.float64) / 255.0
+    x = pixels.reshape(count, rows * cols).astype(np.float64)
+    x /= 255.0
     y = np.frombuffer(lab, dtype=np.uint8, count=lcount, offset=8).astype(np.float64)
     return Dataset(x, y)
 
@@ -164,53 +168,132 @@ def binarize(ds: Dataset, class_a: int, class_b: int) -> Dataset:
     return Dataset(x, y)
 
 
-def synth_logistic(n: int, d: int, w_true, rng: RngStream) -> Dataset:
+def _chunk_rows(n: int, d: int) -> int:
+    """Rows per chunk: as many d-wide float64 rows as fit in CHUNK_BYTES,
+    at least one and at most n, so a pool that fits is one chunk."""
+    return max(1, min(n, CHUNK_BYTES // (8 * d)))
+
+
+def synth_logistic(
+    n: int, d: int, w_true, rng: RngStream, out: Dataset | None = None,
+    rows: np.ndarray | None = None,
+) -> Dataset:
     """Generate a logistic task with known ground truth.
 
     Features are i.i.d. standard normal; each label is 1.0 with
-    probability sigmoid(w_true . x).
+    probability sigmoid(w_true . x). Sample i is written to row rows[i]
+    of out (default: row i of a new n-row dataset), and out is returned.
+    The features are drawn a chunk at a time into one reused buffer and
+    scattered to their rows, so no other array holds them whole; the
+    labels then take the stream's next n uniforms. The draws are those
+    of one (n, d) normal block. A chunk's margins can round differently
+    from the whole block's product, which moves a label only if its
+    uniform lies within an ulp of its probability.
     """
     if n < 1:
         raise ValueError(f"sample count must be positive, got {n}")
     w_true = as_params(w_true)
     if w_true.shape[0] != d:
         raise ValueError(f"dimension mismatch: w_true has {w_true.shape[0]}, d is {d}")
-    x = rng.gen.standard_normal((n, d))
-    p = sigmoid(x @ w_true)
-    y = (rng.gen.random(n) < p).astype(np.float64)
-    return Dataset(x, y)
+    if out is None:
+        out = Dataset(np.empty((n, d)), np.empty(n))
+    if rows is None:
+        rows = np.arange(n)
+    step = _chunk_rows(n, d)
+    buf = np.empty((step, d))
+    # Each margin waits in its sample's label slot until the uniforms,
+    # which follow the last normal in the stream, can be drawn.
+    for start in range(0, n, step):
+        at = rows[start : start + step]
+        chunk = buf[: len(at)]
+        rng.gen.standard_normal(out=chunk)
+        out.x[at] = chunk
+        out.y[at] = chunk @ w_true
+    for start in range(0, n, step):
+        at = rows[start : start + step]
+        out.y[at] = rng.gen.random(len(at)) < sigmoid(out.y[at])
+    return out
+
+
+def deal_slots(sizes: Sequence[int], n: int, rng: RngStream) -> np.ndarray:
+    """The IID dealing rule: shuffle n samples once, then deal contiguous
+    runs of the shuffled order, sizes[0] to the first device, and so on.
+
+    Returns, per sample, its row in the flattened zero-padded stack
+    (device k holds rows k*max(sizes) .. k*max(sizes) + sizes[k] - 1),
+    or -1 for a sample no device receives.
+    """
+    sizes = [int(s) for s in sizes]
+    if any(s < 1 for s in sizes):
+        raise ValueError(f"every device needs at least one sample, sizes={sizes}")
+    total = sum(sizes)
+    if total > n:
+        raise ValueError(
+            f"insufficient samples: need {total} for {len(sizes)} devices, have {n}"
+        )
+    perm = rng.gen.permutation(n)
+    first = np.cumsum(sizes) - sizes
+    slots = np.full(n, -1)
+    slots[perm[:total]] = np.arange(total) + np.repeat(
+        np.arange(len(sizes)) * max(sizes) - first, sizes
+    )
+    return slots
+
+
+def _stack_of(block: Dataset, sizes: Sequence[int]) -> ShardStack:
+    """The shard stack viewing the first len(sizes) * max(sizes) rows of
+    block, as deal_slots lays them out."""
+    n, width = len(sizes), max(sizes)
+    return ShardStack(
+        block.x[: n * width].reshape(n, width, block.dim),
+        block.y[: n * width].reshape(n, width),
+        np.array(sizes), tuple(range(1, n + 1)),
+    )
 
 
 def partition_iid(
     ds: Dataset, n_devices: int, sizes: Sequence[int], rng: RngStream
 ) -> ShardStack:
-    """Shuffle once, then deal contiguous shards of the given sizes.
+    """Deal the dataset by deal_slots into one zero-padded stack.
 
     Device n (1-based) receives exactly sizes[n-1] samples; shards are
-    disjoint and dealt straight into one zero-padded stack.
+    disjoint. Samples are copied a chunk at a time, so no second copy of
+    the dealt rows is made.
     """
     if n_devices < 1:
         raise ValueError(f"need at least one device, got {n_devices}")
     sizes = [int(s) for s in sizes]
     if len(sizes) != n_devices:
         raise ValueError(f"got {len(sizes)} sizes for {n_devices} devices")
-    if any(s < 1 for s in sizes):
-        raise ValueError(f"every device needs at least one sample, sizes={sizes}")
-    total = sum(sizes)
-    if total > len(ds):
-        raise ValueError(
-            f"insufficient samples: need {total} for {n_devices} devices, have {len(ds)}"
-        )
-    perm = rng.gen.permutation(len(ds))
-    x = np.zeros((n_devices, max(sizes), ds.dim))
-    y = np.zeros((n_devices, max(sizes)))
-    start = 0
-    for k, size in enumerate(sizes):
-        # Gathered straight into the shard's rows. The indices come from a
-        # permutation, so "clip" never clips; it skips the buffered copy
-        # that the default mode makes of out.
-        idx = perm[start : start + size]
-        np.take(ds.x, idx, axis=0, out=x[k, :size], mode="clip")
-        np.take(ds.y, idx, out=y[k, :size], mode="clip")
-        start += size
-    return ShardStack(x, y, np.array(sizes), tuple(range(1, n_devices + 1)))
+    slots = deal_slots(sizes, len(ds), rng)
+    rows = n_devices * max(sizes)
+    block = Dataset(np.zeros((rows, ds.dim)), np.zeros(rows))
+    dealt = np.flatnonzero(slots >= 0)
+    step = _chunk_rows(len(dealt), ds.dim)
+    for start in range(0, len(dealt), step):
+        src = dealt[start : start + step]
+        block.x[slots[src]] = ds.x[src]
+        block.y[slots[src]] = ds.y[src]
+    return _stack_of(block, sizes)
+
+
+def synth_shards(
+    sizes: Sequence[int], n_test: int, d: int, w_true, rng: RngStream,
+    partitioner: RngStream,
+) -> tuple[ShardStack, Dataset]:
+    """A synthetic task generated straight into place.
+
+    Gives what partition_iid(train, len(sizes), sizes, partitioner) and
+    a test set give when train is the first sum(sizes) samples of
+    synth_logistic(sum(sizes) + n_test, d, w_true, rng) and the test set
+    the remaining n_test, in order. The shard stack and the test set
+    are views of one zero-filled block, and every sample is held once.
+    """
+    sizes = [int(s) for s in sizes]
+    stacked = len(sizes) * max(sizes)
+    rows = np.concatenate([
+        deal_slots(sizes, sum(sizes), partitioner), np.arange(stacked, stacked + n_test)
+    ])
+    block = Dataset(np.zeros((stacked + n_test, d)), np.zeros(stacked + n_test))
+    synth_logistic(len(rows), d, w_true, rng, block, rows)
+    return _stack_of(block, sizes), Dataset(block.x[stacked:], block.y[stacked:])

@@ -16,7 +16,7 @@ from .aggregation import aggregate
 from .baselines import gaussian_noise_attack, sign_flip_attack
 from .channel import DevicePosition, eavesdrop_set
 from .config import SimConfig, config_echo
-from .data import Dataset, ShardStack, binarize, load_idx, partition_iid, synth_logistic
+from .data import Dataset, ShardStack, binarize, load_idx, partition_iid, synth_shards
 from .graph_attack import AttackDiagnostics, StackFailure, run_attack
 from .metrics import RoundRecord, test_accuracy, trace_summary
 from .numerics import Projector, RngStream, ensure_finite, euclidean_distance, timed
@@ -48,20 +48,17 @@ class _Setup:
     global_init: np.ndarray
 
 
-def _build_datasets(cfg: SimConfig) -> tuple[Dataset, Dataset]:
-    total_train = sum(cfg.devices.samples_per_device)
+def _build_shards(cfg: SimConfig) -> tuple[ShardStack, Dataset]:
+    """The benign devices' shards and the test set."""
+    sizes = cfg.devices.samples_per_device
+    partitioner = RngStream(cfg.seed, "partitioner")
     if cfg.dataset.kind == "synthetic":
         d = cfg.dataset.dim
         w_rng = RngStream(cfg.dataset.w_true_seed, "w-true")
         w_true = w_rng.gen.standard_normal(d) * (cfg.dataset.w_scale / math.sqrt(d))
-        pool = synth_logistic(
-            total_train + cfg.dataset.n_test, d, w_true, RngStream(cfg.seed, "data")
+        return synth_shards(
+            sizes, cfg.dataset.n_test, d, w_true, RngStream(cfg.seed, "data"), partitioner
         )
-        # The training set views the pool (partitioning copies it into
-        # shards); the test set is a copy, so the pool is freed after setup.
-        train = Dataset(pool.x[:total_train], pool.y[:total_train])
-        test = pool.subset(np.arange(total_train, len(pool)))
-        return train, test
     train = binarize(
         load_idx(cfg.dataset.train_images, cfg.dataset.train_labels),
         cfg.dataset.class_a, cfg.dataset.class_b,
@@ -70,7 +67,14 @@ def _build_datasets(cfg: SimConfig) -> tuple[Dataset, Dataset]:
         load_idx(cfg.dataset.test_images, cfg.dataset.test_labels),
         cfg.dataset.class_a, cfg.dataset.class_b,
     )
-    return train, test
+    return partition_iid(train, cfg.devices.n_benign, sizes, partitioner), test
+
+
+def _build_datasets(cfg: SimConfig) -> tuple[Dataset, Dataset]:
+    """The pooled training set, device by device, and the test set."""
+    shards, test = _build_shards(cfg)
+    held = np.arange(shards.x.shape[1]) < shards.counts[:, None]
+    return Dataset(shards.x[held], shards.y[held]), test
 
 
 def _draw_positions(
@@ -100,19 +104,16 @@ def _draw_positions(
 
 
 def _setup(cfg: SimConfig) -> _Setup:
-    train, test = _build_datasets(cfg)
+    shards, test = _build_shards(cfg)
     if cfg.loss == LossKind.LOGISTIC:
-        # Checked once per run; the per-round stack_loss does not.
-        for split, ds in (("training", train), ("test", test)):
-            require_binary_labels(ds.y, f"{cfg.dataset.kind} {split} set")
-    shards = partition_iid(
-        train, cfg.devices.n_benign, cfg.devices.samples_per_device,
-        RngStream(cfg.seed, "partitioner"),
-    )
+        # Checked once per run; the per-round stack_loss does not. The
+        # stack's padding is 0, a valid label.
+        for split, y in (("training", shards.y), ("test", test.y)):
+            require_binary_labels(y, f"{cfg.dataset.kind} {split} set")
     n_benign = cfg.devices.n_benign
     attacker_ids = list(range(n_benign + 1, n_benign + cfg.devices.n_malicious + 1))
 
-    dim = train.dim
+    dim = shards.x.shape[2]
     projector = None
     avgae = cfg.attack.avgae
     if cfg.attack.kind == "avgae" and cfg.devices.n_malicious > 0:

@@ -1,8 +1,10 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from edgefl import data
 from edgefl.data import (
     IMAGES_MAGIC,
     LABELS_MAGIC,
@@ -11,8 +13,9 @@ from edgefl.data import (
     load_idx,
     partition_iid,
     synth_logistic,
+    synth_shards,
 )
-from edgefl.numerics import RngStream
+from edgefl.numerics import RngStream, sigmoid
 
 
 def write_idx_images(path, images):
@@ -113,6 +116,19 @@ def test_load_idx_truncated_and_mismatch(tmp_path):
     )
     with pytest.raises(ValueError, match="mismatch.*2.*3"):
         load_idx(ip2, lp2)
+
+
+def test_load_idx_holds_one_float_copy_of_the_pixels(tmp_path):
+    images = np.random.default_rng(4).integers(0, 256, size=(2000, 28, 28), dtype=np.uint8)
+    ip, lp = _fixture_pair(tmp_path, images, np.zeros(2000, np.uint8))
+    tracemalloc.start()
+    try:
+        ds = load_idx(ip, lp)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * ds.x.nbytes
+    np.testing.assert_array_equal(ds.x, images.reshape(2000, 784) / 255.0)
 
 
 def test_binarize_relabel_and_order():
@@ -226,3 +242,63 @@ def test_partition_insufficient_samples():
     ds = Dataset(np.zeros((5, 2)), np.zeros(5))
     with pytest.raises(ValueError, match="need 6.*have 5"):
         partition_iid(ds, 2, [3, 3], RngStream(7, "part"))
+
+
+def _two_step_reference(sizes, n_test, d, w_true, seed):
+    """The synthetic shards and test set built the way synth_shards
+    replaces: the whole pool drawn at once, then each device's shard
+    gathered from one permutation of the training rows."""
+    gen = RngStream(seed, "data").gen
+    n_train = sum(sizes)
+    x = gen.standard_normal((n_train + n_test, d))
+    y = (gen.random(n_train + n_test) < sigmoid(x @ w_true)).astype(np.float64)
+    perm = RngStream(seed, "partitioner").gen.permutation(n_train)
+    stack_x = np.zeros((len(sizes), max(sizes), d))
+    stack_y = np.zeros((len(sizes), max(sizes)))
+    start = 0
+    for k, size in enumerate(sizes):
+        idx = perm[start : start + size]
+        stack_x[k, :size], stack_y[k, :size] = x[idx], y[idx]
+        start += size
+    return stack_x, stack_y, x[n_train:], y[n_train:]
+
+
+@pytest.mark.parametrize("sizes, n_test, d, chunk_rows", [
+    ([50] * 4, 30, 3, 16),             # equal sizes
+    ([13, 40, 7, 22], 25, 5, 9),       # unequal sizes
+    ([6, 9], 4, 3, None),              # a pool smaller than one chunk
+    ([200] * 200, 1000, 10, None),     # the crowd_noise shape, default chunks
+])
+def test_synth_shards_match_the_two_step_construction_bit_for_bit(
+    monkeypatch, sizes, n_test, d, chunk_rows
+):
+    if chunk_rows is not None:
+        monkeypatch.setattr(data, "CHUNK_BYTES", 8 * d * chunk_rows)
+    n_train = sum(sizes)
+    step = data._chunk_rows(n_train + n_test, d)
+    if step < n_train + n_test:
+        # A chunk holds both the last training rows and the first test
+        # rows, and the first chunk edge splits some device's rows.
+        assert n_train % step != 0
+        device = data.deal_slots(sizes, n_train, RngStream(4, "partitioner")) // max(sizes)
+        assert np.isin(device[:step], device[step:]).any()
+    w_true = RngStream(9, "w-true").gen.standard_normal(d) * 2.0
+    shards, test = synth_shards(
+        sizes, n_test, d, w_true, RngStream(4, "data"), RngStream(4, "partitioner")
+    )
+    stack_x, stack_y, test_x, test_y = _two_step_reference(sizes, n_test, d, w_true, 4)
+    assert shards.x.tobytes() == stack_x.tobytes()
+    assert shards.y.tobytes() == stack_y.tobytes()
+    assert test.x.tobytes() == test_x.tobytes() and test.y.tobytes() == test_y.tobytes()
+    assert shards.counts.tolist() == sizes
+    assert shards.device_ids == tuple(range(1, len(sizes) + 1))
+
+
+def test_synth_logistic_in_chunks_matches_one_block(monkeypatch):
+    monkeypatch.setattr(data, "CHUNK_BYTES", 8 * 4 * 5)
+    w_true = np.array([3.0, -1.0, 0.5, 2.0])
+    ds = synth_logistic(23, 4, w_true, RngStream(6, "synth"))
+    gen = RngStream(6, "synth").gen
+    x = gen.standard_normal((23, 4))
+    y = (gen.random(23) < sigmoid(x @ w_true)).astype(np.float64)
+    assert ds.x.tobytes() == x.tobytes() and ds.y.tobytes() == y.tobytes()

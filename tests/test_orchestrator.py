@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -15,11 +16,11 @@ import pytest
 import yaml
 
 import edgefl
-from edgefl import graph_attack, numerics, simulation, training
+from edgefl import data, graph_attack, numerics, simulation, training
 from edgefl.channel import eavesdrop_set
 from edgefl.cli import main as cli_main
 from edgefl.config import ConfigError, config_echo, validate_config
-from edgefl.data import Dataset, partition_iid, synth_logistic
+from edgefl.data import partition_iid, synth_logistic
 from edgefl.graph_attack import AttackSettings, run_attack
 from edgefl.numerics import RngStream
 from edgefl.metrics import RoundRecord
@@ -473,17 +474,32 @@ attack:
 
 
 def test_logistic_run_rejects_labels_other_than_0_and_1(monkeypatch):
-    def three_labels(n, d, w_true, rng):
-        ds = synth_logistic(n, d, w_true, rng)
-        return Dataset(ds.x, np.where(np.arange(n) == 7, 2.0, ds.y))
+    def three_labels(n, d, w_true, rng, out, rows):
+        synth_logistic(n, d, w_true, rng, out, rows)
+        out.y[rows[7]] = 2.0
+        return out
 
-    monkeypatch.setattr(simulation, "synth_logistic", three_labels)
+    monkeypatch.setattr(data, "synth_logistic", three_labels)
     with pytest.raises(RuntimeError, match=(
         "stage setup: synthetic training set: labels must be 0 or 1 for the logistic loss"
     )):
         run_simulation(validate_config(MINIMAL))
     # The linear loss takes any real target.
     run_simulation(validate_config(MINIMAL, overrides=["loss=linear"]))
+
+
+def test_setup_holds_each_synthetic_sample_once():
+    cfg = validate_config(
+        "devices: {n_benign: 200, samples_per_device: 200}\ndataset: {dim: 10}\n"
+    )
+    simulation._setup(cfg)  # imports and first-draw set-up, outside the count
+    tracemalloc.start()
+    try:
+        setup = simulation._setup(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.4 * (setup.shards.x.nbytes + setup.shards.y.nbytes)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
