@@ -15,8 +15,13 @@ from .numerics import RngStream, as_params, sigmoid
 IMAGES_MAGIC = 0x00000803
 LABELS_MAGIC = 0x00000801
 # Feature bytes generated or copied per chunk; the chunk buffer is all
-# that is held beside the destination.
-CHUNK_BYTES = 1 << 18
+# that is held beside the destination, and a pool that fits is one
+# chunk. Not smaller: glibc's malloc keeps freed heap memory only up to
+# twice the largest block freed so far, and after a 256 KiB buffer the
+# round loop's (devices x samples) temporaries went back to the system
+# and were faulted in again every round (crowd_noise: 8 955 page faults
+# a run against 2 308 with the whole pool freed; 2 603 at 512 KiB).
+CHUNK_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -232,10 +237,10 @@ def deal_slots(sizes: Sequence[int], n: int, rng: RngStream) -> np.ndarray:
             f"insufficient samples: need {total} for {len(sizes)} devices, have {n}"
         )
     perm = rng.gen.permutation(n)
-    first = np.cumsum(sizes) - sizes
+    width = max(sizes)
     slots = np.full(n, -1)
-    slots[perm[:total]] = np.arange(total) + np.repeat(
-        np.arange(len(sizes)) * max(sizes) - first, sizes
+    slots[perm[:total]] = np.concatenate(
+        [np.arange(k * width, k * width + size) for k, size in enumerate(sizes)]
     )
     return slots
 
@@ -266,8 +271,8 @@ def partition_iid(
     if len(sizes) != n_devices:
         raise ValueError(f"got {len(sizes)} sizes for {n_devices} devices")
     slots = deal_slots(sizes, len(ds), rng)
-    rows = n_devices * max(sizes)
-    block = Dataset(np.zeros((rows, ds.dim)), np.zeros(rows))
+    stacked = n_devices * max(sizes)
+    block = Dataset(np.zeros((stacked, ds.dim)), np.zeros(stacked))
     dealt = np.flatnonzero(slots >= 0)
     step = _chunk_rows(len(dealt), ds.dim)
     for start in range(0, len(dealt), step):
