@@ -17,11 +17,12 @@ LABELS_MAGIC = 0x00000801
 # Feature bytes generated or copied per chunk; the chunk buffer is all
 # that is held beside the destination, and a pool that fits is one
 # chunk. Not smaller: glibc's malloc keeps freed heap memory only up to
-# twice the largest block freed so far, and after a 256 KiB buffer the
-# round loop's (devices x samples) temporaries went back to the system
-# and were faulted in again every round (crowd_noise: 8 955 page faults
-# a run against 2 308 with the whole pool freed; 2 603 at 512 KiB).
-CHUNK_BYTES = 1 << 19
+# twice the largest block freed so far. After a buffer of 512 KiB or
+# less, crowd_noise's round loop handed its (devices x samples)
+# temporaries back to the system and faulted them in again every round:
+# 5 000 page faults a run, against 1 850 from 576 KiB up and 2 320 when
+# setup freed the whole pool.
+CHUNK_BYTES = 3 << 18
 
 
 @dataclass(frozen=True)
@@ -214,6 +215,7 @@ def synth_logistic(
         rng.gen.standard_normal(out=chunk)
         out.x[at] = chunk
         out.y[at] = chunk @ w_true
+    del buf, chunk  # before the label pass allocates
     for start in range(0, n, step):
         at = rows[start : start + step]
         out.y[at] = rng.gen.random(len(at)) < sigmoid(out.y[at])
