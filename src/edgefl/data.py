@@ -49,9 +49,6 @@ class Dataset:
     def dim(self) -> int:
         return self.x.shape[1]
 
-    def subset(self, indices) -> "Dataset":
-        return Dataset(self.x[indices], self.y[indices])
-
 
 @dataclass(frozen=True, eq=False)
 class ShardStack:

@@ -20,7 +20,7 @@ from edgefl import data, graph_attack, numerics, simulation, training
 from edgefl.channel import eavesdrop_set
 from edgefl.cli import main as cli_main
 from edgefl.config import ConfigError, config_echo, validate_config
-from edgefl.data import partition_iid, synth_logistic
+from edgefl.data import Dataset, partition_iid, synth_logistic
 from edgefl.graph_attack import AttackSettings, run_attack
 from edgefl.numerics import RngStream
 from edgefl.metrics import RoundRecord
@@ -408,7 +408,7 @@ def test_single_party_round_equals_local_training():
     w_rng = RngStream(cfg.dataset.w_true_seed, "w-true")
     w_true = w_rng.gen.standard_normal(d) * (cfg.dataset.w_scale / math.sqrt(d))
     pool = synth_logistic(50 + 60, d, w_true, RngStream(3, "data"))
-    train = pool.subset(np.arange(50))
+    train = Dataset(pool.x[:50], pool.y[:50])
     shards = partition_iid(train, 1, [50], RngStream(3, "partitioner"))
     [expected] = train_stack(
         cfg.loss, np.zeros(d), shards, cfg.training, [RngStream(3, "device-1")]
