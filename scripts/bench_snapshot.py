@@ -12,9 +12,12 @@ and reads the result file that run.py writes to benchmarks/out/. The
 snapshot holds the git SHA, the machine and the BLAS, whether Python
 could cache bytecode, and per workload the median, min and max over the
 seeds of each end-to-end metric (wall_s, setup_s, peak_rss_mb). It adds
-the median seconds per stage of run_simulation(cfg, stage_seconds), run
-in this process on the configs that benchmarks/workloads.py builds,
-because the benchmark's child process passes no stage dict.
+the median and quartiles of the seconds per stage of
+run_simulation(cfg, stage_seconds), run in this process on the configs
+that benchmarks/workloads.py builds, because the benchmark's child
+process passes no stage dict. The stage figures are measured when the
+file is written, and "stage_seconds_measured" says when: with --no-run
+they are not interleaved with another checkout's runs.
 
 --no-run runs no benchmark and reads the result files already in
 benchmarks/out/, refusing any written from other src/edgefl sources. To compare
@@ -64,8 +67,14 @@ def spread(values: list[float]) -> dict:
     return {"median": statistics.median(values), "min": min(values), "max": max(values)}
 
 
-def stage_medians(workloads, name: str, seeds: list[int]) -> dict:
-    """Median seconds per stage over STAGE_REPEATS in-process runs per seed."""
+def quartiles(values: list[float]) -> list[float]:
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return [q1, q3]
+
+
+def stage_seconds(workloads, name: str, seeds: list[int]) -> dict:
+    """Median and quartiles of the seconds per stage over STAGE_REPEATS
+    in-process runs per seed, measured now."""
     from edgefl.config import validate_config
     from edgefl.simulation import run_simulation
 
@@ -79,7 +88,16 @@ def stage_medians(workloads, name: str, seeds: list[int]) -> dict:
             stages: dict[str, float] = {}
             run_simulation(cfg, stages)
             samples.append(stages)
-    return {stage: statistics.median(s[stage] for s in samples) for stage in samples[0]}
+    seconds = {stage: [s[stage] for s in samples] for stage in samples[0]}
+    return {
+        "stage_seconds_median": {k: statistics.median(v) for k, v in seconds.items()},
+        "stage_seconds_quartiles": {k: quartiles(v) for k, v in seconds.items()},
+        "stage_seconds_measured": {
+            "at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+            "runs": len(samples),
+            "interleaved": False,
+        },
+    }
 
 
 def git_clean() -> bool | None:
@@ -138,7 +156,7 @@ def main() -> int:
             "correct": all(not r["failures"] for r in results),
             "repetitions": sum(len(r["untraced_samples"]) for r in results),
             **{m: spread([r["metrics"][m]["value"] for r in results]) for m in END_TO_END},
-            "stage_seconds_median": stage_medians(workloads, name, args.seeds),
+            **stage_seconds(workloads, name, args.seeds),
         }
 
     snapshot = {
