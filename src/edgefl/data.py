@@ -255,22 +255,16 @@ def _stack_of(block: Dataset, sizes: Sequence[int]) -> ShardStack:
     )
 
 
-def partition_iid(
-    ds: Dataset, n_devices: int, sizes: Sequence[int], rng: RngStream
-) -> ShardStack:
+def partition_iid(ds: Dataset, sizes: Sequence[int], rng: RngStream) -> ShardStack:
     """Deal the dataset by deal_slots into one zero-padded stack.
 
     Device n (1-based) receives exactly sizes[n-1] samples; shards are
     disjoint. Samples are copied a chunk at a time, so no second copy of
     the dealt rows is made.
     """
-    if n_devices < 1:
-        raise ValueError(f"need at least one device, got {n_devices}")
     sizes = [int(s) for s in sizes]
-    if len(sizes) != n_devices:
-        raise ValueError(f"got {len(sizes)} sizes for {n_devices} devices")
     slots = deal_slots(sizes, len(ds), rng)
-    stacked = n_devices * max(sizes)
+    stacked = len(sizes) * max(sizes)
     block = Dataset(np.zeros((stacked, ds.dim)), np.zeros(stacked))
     dealt = np.flatnonzero(slots >= 0)
     step = _chunk_rows(len(dealt), ds.dim)
@@ -287,8 +281,8 @@ def synth_shards(
 ) -> tuple[ShardStack, Dataset]:
     """A synthetic task generated straight into place.
 
-    Gives what partition_iid(train, len(sizes), sizes, partitioner) and
-    a test set give when train is the first sum(sizes) samples of
+    Gives what partition_iid(train, sizes, partitioner) and a test set
+    give when train is the first sum(sizes) samples of
     synth_logistic(sum(sizes) + n_test, d, w_true, rng) and the test set
     the remaining n_test, in order. The shard stack and the test set
     are views of one zero-filled block, and every sample is held once.

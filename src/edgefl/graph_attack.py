@@ -260,13 +260,11 @@ def build_graph(overheard, attacker_prev, projector: Projector) -> ModelGraph:
 
 class _Prepared(NamedTuple):
     """What every pass over one graph shares: the row-normalized
-    adjacency, the first layer's propagated features, the transposed
-    views of both, and the activation with its derivative."""
+    adjacency, the first layer's propagated features, and the activation
+    with its derivative."""
 
     ahat: np.ndarray
     mid0: np.ndarray  # features + ahat @ features
-    ahat_t: np.ndarray
-    mid0_t: np.ndarray
     act: Callable
     act_grad: Callable
 
@@ -276,10 +274,9 @@ def _prepare(graph: ModelGraph, settings: AttackSettings) -> _Prepared:
     ahat = graph.adjacency / graph.adjacency.sum(axis=1, keepdims=True)
     mid0 = graph.features + ahat @ graph.features
     if settings.activation == "tanh":
-        return _Prepared(ahat, mid0, ahat.T, mid0.T, np.tanh, lambda s, h: 1.0 - h * h)
+        return _Prepared(ahat, mid0, np.tanh, lambda s, h: 1.0 - h * h)
     return _Prepared(
-        ahat, mid0, ahat.T, mid0.T,
-        lambda s: np.maximum(s, 0.0), lambda s, h: (s > 0).astype(np.float64),
+        ahat, mid0, lambda s: np.maximum(s, 0.0), lambda s, h: (s > 0).astype(np.float64)
     )
 
 
@@ -508,10 +505,10 @@ def _gradients(
     # Graph layers, last to first; nothing flows into the fixed features.
     for l in range(len(enc.layer_weights) - 1, -1, -1):
         gs = g * prep.act_grad(fw.preacts[l], fw.hiddens[l])
-        np.matmul(_mT(fw.mids[l]) if l else prep.mid0_t, gs, out=out.layer_weights[l])
+        np.matmul(_mT(fw.mids[l]), gs, out=out.layer_weights[l])
         if l:
             gmid = gs @ _mT(enc.layer_weights[l])
-            g = gmid + prep.ahat_t @ gmid
+            g = gmid + prep.ahat.T @ gmid
 
 
 def loss_and_grads(
@@ -660,10 +657,13 @@ def surrogate_gradient(z_a: np.ndarray, benign_z: np.ndarray, c: np.ndarray) -> 
     attackers at once: z_a (k, d_z), benign_z (k, m, d_z), c (m,) the
     benign models dotted with the ascent. Each product is the
     one-attacker BLAS call (matrix-vector, dot, vector-matrix) on the
-    same operands, so each row gets its own bits; a decoded row that sums
-    to zero gives a non-finite gradient."""
+    same operands, so each row gets its own bits. A decoded row whose
+    weights all underflow to 0 mixes no model: its gradient is 0."""
     a = _sigmoid(np.matmul(benign_z, z_a[..., None])[..., 0])
     asum = a.sum(axis=-1, keepdims=True)
+    # Such a row's coefficients are 0 because a is; dividing by 1 keeps
+    # the 0 / 0 out.
+    asum = np.where(asum == 0.0, 1.0, asum)
     mix = np.matmul(a[..., None, :], c[:, None])[..., 0] / asum
     coeff = (c - mix) / asum * a * (1.0 - a)
     return np.matmul(coeff[..., None, :], benign_z)[..., 0, :]
@@ -679,10 +679,12 @@ def adversarial_reconstruct(
     GaeTrainResult.latent, whose z is mu + std * eps when beta > 0 (one
     noisy sample, not mu); whether it should start from mu is open.
     Entry j is the decoded adjacency row of latents[j] over the benign
-    nodes, entries in (0, 1); with a zero ascent vector it is the
-    unperturbed decode. The stack stops at the first step where an
-    ascent state goes non-finite, with a StackFailure naming the step
-    and the lowest latent that it happened to. The shipped ascent takes
+    nodes, entries in [0, 1]; with a zero ascent vector it is the
+    unperturbed decode. A latent whose decoded weights all underflow to
+    0 stays where it is, and its row of zeros takes generate_malicious's
+    uniform fallback. The stack stops at the first step where an ascent
+    state goes non-finite, with a StackFailure naming the step and the
+    lowest latent that it happened to. The shipped ascent takes
     few steps: on the dim-10 task the decoded logits saturate, so a step
     moves the latent by a median 3e-11.
     """
@@ -706,7 +708,7 @@ def resolve_threshold(settings: AttackSettings, overheard) -> float:
     if settings.d_thresh_mode == "absolute":
         return float(settings.d_thresh_value)
     models = _model_block(overheard)
-    pairwise = np.linalg.norm(models[:, None, :] - models[None, :, :], axis=-1)
+    pairwise = _offsets(models[:, None, :], models)[1]
     upper = np.sort(pairwise[np.triu_indices(len(models), k=1)])
     return _linear_percentile(upper, settings.d_thresh_percentile)
 
@@ -728,13 +730,10 @@ def _linear_percentile(ordered: np.ndarray, q: float) -> float:
 
 
 def _offsets(v: np.ndarray, models: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """v minus each model, and the length of each difference."""
+    """v minus each model, and the length of each difference along the
+    last axis, with np.linalg.norm's bits."""
     offsets = v - models
-    return offsets, np.sqrt((offsets * offsets).sum(axis=1))
-
-
-def _max_distance(v: np.ndarray, models: np.ndarray) -> float:
-    return float(_offsets(v, models)[1].max())
+    return offsets, np.sqrt((offsets * offsets).sum(axis=-1))
 
 
 # A step that a root bounds is shortened by this fraction of itself, so
@@ -766,11 +765,11 @@ def generate_malicious(
     overheard,
     ascent,
     thresh: float,
-    diag: AttackDiagnostics | None = None,
+    diag: AttackDiagnostics,
 ) -> np.ndarray:
     """Mix the rows of the overheard block by the adversarial row, push
     along the ascent direction as far as the stealth radius thresh (see
-    :func:`resolve_threshold`) allows.
+    :func:`resolve_threshold`) allows, and record the step in diag.
 
     The push coefficient gamma is the largest value in [0, thresh] that
     keeps the result within thresh of every overheard model, in closed
@@ -811,13 +810,13 @@ def generate_malicious(
             pull_t = 1.0 - _max_step(offsets, dist, omega_raw - centroid, thresh, 1.0)
         omega = (1.0 - pull_t) * omega_raw + pull_t * centroid
 
-    if diag is not None:
-        diag.gamma_model = gamma
-        diag.d_thresh = thresh
-        diag.uniform_fallback = uniform_fallback
-        diag.centroid_pull = pull_t
-        # The slack scales with the radius: one ulp at 1e9 is above 1e-9.
-        diag.constraint_ok = _max_distance(omega, models) <= thresh + 1e-9 * max(1.0, thresh)
+    diag.gamma_model = gamma
+    diag.d_thresh = thresh
+    diag.uniform_fallback = uniform_fallback
+    diag.centroid_pull = pull_t
+    reach = float(_offsets(omega, models)[1].max())
+    # The slack scales with the radius: one ulp at 1e9 is above 1e-9.
+    diag.constraint_ok = reach <= thresh + 1e-9 * max(1.0, thresh)
     return ensure_finite("malicious model", omega)
 
 

@@ -67,22 +67,21 @@ def sigmoid(x) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def euclidean_distance(a, b) -> float | np.ndarray:
-    """Euclidean distance between two parameter vectors, as a float; or,
-    when a is a 2-D stack of rows, from each row to b, as an array.
+def euclidean_distance(rows, b) -> np.ndarray:
+    """Euclidean distance from each row of a 2-D stack to the vector b.
 
     Each row's squared norm is one stacked per-row dot, the same ddot
     that np.linalg.norm runs on a single vector, so row k gets the bits
-    of np.linalg.norm(a[k] - b).
+    of np.linalg.norm(rows[k] - b).
     """
     b = as_params(b)
-    a = np.asarray(a, dtype=np.float64)
-    rows = a if a.ndim == 2 else as_params(a)[None]
+    rows = np.asarray(rows, dtype=np.float64)
+    if rows.ndim != 2:
+        raise ValueError(f"rows must form a 2-D stack, got shape {rows.shape}")
     if rows.shape[1] != b.shape[0]:
         raise ValueError(f"dimension mismatch: {rows.shape[1]} vs {b.shape[0]}")
     d = rows - b
-    out = np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0])
-    return out if a.ndim == 2 else float(out[0])
+    return np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0])
 
 
 class Projector:

@@ -37,14 +37,13 @@ ATTACK_DIAG_COLUMNS = [
 class _Setup:
     shards: ShardStack
     test_set: Dataset
-    attacker_ids: list[int]  # ascending
     # Per attacker, into the shard order, ascending; only for the attacks
     # that read overheard models (avgae, signflip).
     overheard_rows: dict[int, np.ndarray]
     attack_groups: list[list[int]]  # avgae attacker ids by eavesdrop set, ascending
     projector: Projector | None
     device_streams: list[RngStream]  # in shard order
-    attacker_streams: dict[int, RngStream]
+    attacker_streams: dict[int, RngStream]  # ascending id
     global_init: np.ndarray
 
 
@@ -67,7 +66,7 @@ def _build_shards(cfg: SimConfig) -> tuple[ShardStack, Dataset]:
         load_idx(cfg.dataset.test_images, cfg.dataset.test_labels),
         cfg.dataset.class_a, cfg.dataset.class_b,
     )
-    return partition_iid(train, cfg.devices.n_benign, sizes, partitioner), test
+    return partition_iid(train, sizes, partitioner), test
 
 
 def _build_datasets(cfg: SimConfig) -> tuple[Dataset, Dataset]:
@@ -150,10 +149,9 @@ def _setup(cfg: SimConfig) -> _Setup:
     device_streams = [RngStream(cfg.seed, f"device-{i}") for i in shards.device_ids]
     attacker_streams = {i: RngStream(cfg.seed, f"attacker-{i}") for i in attacker_ids}
     return _Setup(
-        shards=shards, test_set=test, attacker_ids=attacker_ids,
-        overheard_rows=overheard_rows, attack_groups=list(groups.values()),
-        projector=projector, device_streams=device_streams,
-        attacker_streams=attacker_streams, global_init=init,
+        shards=shards, test_set=test, overheard_rows=overheard_rows,
+        attack_groups=list(groups.values()), projector=projector,
+        device_streams=device_streams, attacker_streams=attacker_streams, global_init=init,
     )
 
 
@@ -189,7 +187,7 @@ def run_simulation(
     with _stage("setup", stage_seconds):
         setup = _setup(cfg)
     shards = setup.shards
-    attacker_ids = setup.attacker_ids
+    attacker_ids = list(setup.attacker_streams)
     # Row k of every round's model block is device device_ids[k]: benign
     # devices, then attackers, each in ascending id.
     device_ids = np.array([*shards.device_ids, *attacker_ids])

@@ -22,7 +22,6 @@ from edgefl.aggregation import aggregate
 from edgefl.channel import ChannelConfig, DevicePosition, channel_gain, distance, eavesdrop_set, snr
 from edgefl.cli import main as cli_main
 from edgefl.config import validate_config
-from edgefl.data import binarize, load_idx, partition_iid
 from edgefl.graph_attack import (
     AttackSettings,
     build_graph,
@@ -461,17 +460,8 @@ def test_criterion_7_fashion_mnist_desk_run():
     records = run_simulation(cfg)
     fed = records[-1].test_accuracy
 
-    train = binarize(load_idx(paths["train_images"], paths["train_labels"]), 0, 9)
-    test = binarize(load_idx(paths["test_images"], paths["test_labels"]), 0, 9)
-    pooled = partition_iid(
-        train, 5, cfg.devices.samples_per_device, RngStream(cfg.seed, "partitioner")
-    )
-    import numpy as _np
-    from edgefl.data import Dataset as _Dataset
-
-    pooled_x = _np.concatenate([s.data.x for s in pooled])
-    pooled_y = _np.concatenate([s.data.y for s in pooled])
-    oracle = _central_oracle_accuracy(_Dataset(pooled_x, pooled_y), test, cfg.training.alpha)
+    pooled, test = _build_datasets(cfg)
+    oracle = _central_oracle_accuracy(pooled, test, cfg.training.alpha)
 
     atk_cfg = validate_config(_fashion_config(50, 2, "avgae", paths))
     attacked = run_simulation(atk_cfg)

@@ -193,21 +193,21 @@ def _shard_rows(stack):
 
 def test_partition_single_device_is_permutation():
     ds = synth_logistic(40, 3, np.ones(3), RngStream(4, "synth"))
-    stack = partition_iid(ds, 1, [40], RngStream(4, "part"))
+    stack = partition_iid(ds, [40], RngStream(4, "part"))
     assert stack.device_ids == (1,) and stack.counts.tolist() == [40]
     assert sorted(map(_key, stack.x[0])) == sorted(map(_key, ds.x))
 
 
 def test_partition_disjoint_singletons():
     ds = Dataset(np.array([[1.0], [2.0]]), np.array([0.0, 1.0]))
-    shards = partition_iid(ds, 2, [1, 1], RngStream(5, "part"))
+    shards = partition_iid(ds, [1, 1], RngStream(5, "part"))
     values = {shards.x[0, 0, 0], shards.x[1, 0, 0]}
     assert values == {1.0, 2.0}
 
 
 def test_partition_multiset_equality_oracle():
     ds = synth_logistic(1000, 4, np.ones(4), RngStream(6, "synth"))
-    shards = partition_iid(ds, 5, [200] * 5, RngStream(6, "part"))
+    shards = partition_iid(ds, [200] * 5, RngStream(6, "part"))
     union = sorted(_key(row) for rows in _shard_rows(shards) for row in rows)
     assert union == sorted(map(_key, ds.x))
 
@@ -219,7 +219,7 @@ def test_partition_random_configurations_disjoint_and_exact():
         sizes = [int(rng.integers(1, 30)) for _ in range(n_dev)]
         total = sum(sizes) + int(rng.integers(0, 20))
         ds = Dataset(np.arange(total, dtype=float)[:, None], np.zeros(total))
-        shards = partition_iid(ds, n_dev, sizes, RngStream(int(rng.integers(1e6)), "part"))
+        shards = partition_iid(ds, sizes, RngStream(int(rng.integers(1e6)), "part"))
         seen: list[float] = []
         assert shards.counts.tolist() == sizes
         for rows in _shard_rows(shards):
@@ -229,7 +229,7 @@ def test_partition_random_configurations_disjoint_and_exact():
 
 def test_partition_deals_into_one_zero_padded_stack():
     ds = synth_logistic(20, 3, np.ones(3), RngStream(8, "synth"))
-    stack = partition_iid(ds, 3, [4, 7, 2], RngStream(8, "part"))
+    stack = partition_iid(ds, [4, 7, 2], RngStream(8, "part"))
     assert stack.x.shape == (3, 7, 3) and stack.y.shape == (3, 7)
     assert stack.counts.tolist() == [4, 7, 2] and stack.device_ids == (1, 2, 3)
     for k, size in enumerate(stack.counts):
@@ -241,7 +241,7 @@ def test_partition_deals_into_one_zero_padded_stack():
 def test_partition_insufficient_samples():
     ds = Dataset(np.zeros((5, 2)), np.zeros(5))
     with pytest.raises(ValueError, match="need 6.*have 5"):
-        partition_iid(ds, 2, [3, 3], RngStream(7, "part"))
+        partition_iid(ds, [3, 3], RngStream(7, "part"))
 
 
 def _two_step_reference(sizes, n_test, d, w_true, seed):

@@ -27,6 +27,8 @@ from edgefl.metrics import RoundRecord
 from edgefl.simulation import ROUNDS_CSV_COLUMNS, emit_outputs, run_simulation
 from edgefl.training import LossKind, train_stack
 
+from test_data import write_idx_images, write_idx_labels
+
 MINIMAL = "rounds: 2\ndevices: {n_benign: 2, samples_per_device: 30}\ndataset: {dim: 4, n_test: 50}\n"
 
 
@@ -409,7 +411,7 @@ def test_single_party_round_equals_local_training():
     w_true = w_rng.gen.standard_normal(d) * (cfg.dataset.w_scale / math.sqrt(d))
     pool = synth_logistic(50 + 60, d, w_true, RngStream(3, "data"))
     train = Dataset(pool.x[:50], pool.y[:50])
-    shards = partition_iid(train, 1, [50], RngStream(3, "partitioner"))
+    shards = partition_iid(train, [50], RngStream(3, "partitioner"))
     [expected] = train_stack(
         cfg.loss, np.zeros(d), shards, cfg.training, [RngStream(3, "device-1")]
     )
@@ -843,6 +845,23 @@ def test_shipped_attack_trains_with_30_benign_784_dim_devices():
     assert any(not d.skipped for r in records for d in r.attack_diagnostics)
 
 
+def test_shipped_attack_completes_when_every_decoded_weight_underflows():
+    # With 8 attackers the GAE latents grow until attacker 6's decoded
+    # logits all sit far below -700 in round 7: every weight underflows to
+    # 0, so its latent takes no ascent step and generation mixes the
+    # overheard models uniformly. Without the zero step this raised
+    # "non-finite ascent state at step 0" there.
+    text = (ROOT / "configs" / "synthetic_avgae.yaml").read_text()
+    records = run_simulation(validate_config(text, [
+        "dataset.dim=784", "devices.n_malicious=8", "devices.samples_per_device=20",
+        "seed=0", "rounds=50", "attack.avgae.d_thresh_percentile=90",
+    ]))
+    diags = [(r.round_index, d) for r in records for d in r.attack_diagnostics]
+    assert len(diags) == 400
+    assert [(i, d.attacker_id) for i, d in diags if d.uniform_fallback] == [(7, 6)]
+    assert all(d.constraint_ok and not d.skipped for _, d in diags)
+
+
 def test_round_loop_calls_every_traced_graph_attack_stage(monkeypatch):
     # The benchmark times the graph attack through these names, so the
     # round loop must reach each of them, once per attacker and round.
@@ -914,6 +933,65 @@ def test_attacks_that_read_no_overheard_model_draw_no_positions(monkeypatch, ove
     cfg = validate_config(MINIMAL, overrides)
     records = run_simulation(cfg)
     assert records[-1].is_malicious.sum() == cfg.devices.n_malicious
+
+
+# ------------------------------------------------------- documented inputs
+
+def test_fashion_mnist_idx_files_run_end_to_end(tmp_path):
+    # The IDX branch of setup, on generated 28x28 files: classes 0 and 9
+    # are kept and relabeled 0 / 1, class 3 is dropped.
+    rng = np.random.default_rng(0)
+    paths = {}
+    for split, n in (("train", 240), ("test", 60)):
+        paths[f"{split}_images"] = str(tmp_path / f"{split}-images-idx3-ubyte")
+        paths[f"{split}_labels"] = str(tmp_path / f"{split}-labels-idx1-ubyte")
+        write_idx_images(paths[f"{split}_images"], rng.integers(0, 256, size=(n, 28, 28)))
+        write_idx_labels(paths[f"{split}_labels"], np.resize([0, 3, 9], n))
+    cfg = validate_config({
+        "rounds": 3, "output_dir": str(tmp_path / "out"),
+        "devices": {"n_benign": 3, "n_malicious": 2, "samples_per_device": 50},
+        "dataset": {"kind": "fashion_mnist", "class_a": 0, "class_b": 9, **paths},
+        "attack": {"kind": "avgae"},
+    })
+    written = emit_outputs(run_simulation(cfg), cfg)
+    assert len(written["rounds"].read_text().splitlines()) == 1 + 3 * (3 + 2)
+    pooled, test = simulation._build_datasets(cfg)
+    assert pooled.x.shape == (150, 784) and set(pooled.y.tolist()) == {0.0, 1.0}
+    assert len(test) == 40
+
+
+def test_identity_projection_echoes_the_model_width_as_d_feat(tmp_path):
+    cfg = validate_config(_tiny_attack_config(rounds=2), [
+        "attack.avgae.identity_projection=true", f"output_dir={tmp_path}",
+    ])
+    records = run_simulation(cfg)
+    assert not any(d.skipped for r in records for d in r.attack_diagnostics)
+    summary = json.loads(emit_outputs(records, cfg)["summary"].read_text())
+    assert summary["config"]["attack"]["avgae"]["d_feat"] == cfg.dataset.dim == 6
+
+
+def test_normal_global_init_starts_from_the_seeded_draw():
+    cfg = validate_config(MINIMAL, ["global_init.kind=normal", "global_init.std=0.5"])
+    expected = RngStream(cfg.seed, "global-init").gen.standard_normal(4) * 0.5
+    np.testing.assert_array_equal(simulation._setup(cfg).global_init, expected)
+    [first, _] = run_simulation(cfg)
+    [zeros_first, _] = run_simulation(validate_config(MINIMAL))
+    assert not np.array_equal(first.global_params, zeros_first.global_params)
+
+
+def test_signflip_attackers_that_overhear_nothing_resubmit_the_global_model():
+    cfg = validate_config(MINIMAL, [
+        "devices.n_malicious=2", "attack.kind=signflip", "channel.snr_min=1e12",
+    ])
+    records = run_simulation(cfg)
+    previous = np.zeros(4)
+    for record in records:
+        assert [(d.skipped, d.skip_reason) for d in record.attack_diagnostics] == [
+            (True, "no overheard models")
+        ] * 2
+        for model in record.models[record.is_malicious]:
+            np.testing.assert_array_equal(model, previous)
+        previous = record.global_params
 
 
 def _fresh_python(probe: str) -> str:

@@ -265,7 +265,7 @@ def _unequal_stack(kind, sizes=(50, 200, 137), d=6):
         assert (y < 0).any()
     else:
         y = rng.integers(0, 2, size=sum(sizes)).astype(float)
-    return partition_iid(Dataset(x, y), len(sizes), sizes, RngStream(72, "part"))
+    return partition_iid(Dataset(x, y), sizes, RngStream(72, "part"))
 
 
 def _shards(stack):
