@@ -1,28 +1,25 @@
 """Device geometry, inverse-square path loss, SNR, and the eavesdropping
 gate that decides which benign uplinks an attacker overhears."""
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
 from typing import Mapping
 
+from .record import Record
 
-@dataclass(frozen=True)
-class DevicePosition:
+
+class DevicePosition(Record):
     """Position in meters; the server sits at altitude z == 0."""
 
     x: float
     y: float
     z: float = 0.0
 
-    def __post_init__(self):
+    def _check(self):
         if self.z < 0:
             raise ValueError(f"device altitude must be nonnegative, got {self.z}")
 
 
-@dataclass(frozen=True)
-class ChannelConfig:
+class ChannelConfig(Record):
     """Propagation constants shared by all links.
 
     gain_basis is the channel gain at 1 m; transmit_power and
@@ -35,7 +32,7 @@ class ChannelConfig:
     noise_power: float = 1e-4
     snr_min: float = 0.0
 
-    def __post_init__(self):
+    def _check(self):
         for name in ("gain_basis", "transmit_power", "noise_power"):
             value = getattr(self, name)
             if not value > 0:

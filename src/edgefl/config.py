@@ -1,29 +1,29 @@
 """Run configuration: YAML parsing, defaulting, validation, and the
 fully-resolved echo written into every run summary.
 
-Each YAML section is one frozen dataclass: its fields are the section's
-keys, its annotations the accepted types and its field defaults the only
-defaults, and its ``__post_init__`` holds every rule over its keys, each
-error naming its key path. One generic reader walks :class:`SimConfig`
-and reads every key; no pass rewrites keys before it.
+Each YAML section is one frozen :class:`~edgefl.record.Record`: its
+fields are the section's keys, in the order the echo lists them, its
+annotations the accepted types and its class-level values the only
+defaults, and its ``_check`` holds every rule over its keys, each error
+naming its key path. The modules that declare sections do not postpone
+annotations, so the reader takes each key's type from the class itself.
+One generic reader walks :class:`SimConfig` and reads every key; no pass
+rewrites keys before it.
 """
-
-from __future__ import annotations
 
 import json
 import math
 import os
 import re
 import types
-from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from enum import Enum
-from functools import cache
-from typing import Any, Literal, Mapping, Sequence, Union, get_args, get_origin, get_type_hints
+from typing import Literal, Mapping, Sequence, Union, get_args, get_origin
 
 import yaml
 
 from .channel import ChannelConfig
 from .graph_attack import AttackSettings
+from .record import Record
 from .training import LossKind, TrainSettings
 
 FASHION_FEATURE_DIM = 784
@@ -36,8 +36,7 @@ class ConfigError(Exception):
     """Invalid or inconsistent run configuration."""
 
 
-@dataclass(frozen=True)
-class DevicesConfig:
+class DevicesConfig(Record, derived=("b_a_policy",)):
     n_benign: int = 5
     n_malicious: int = 0
     # One size for every benign device or one per device; resolved to one
@@ -46,9 +45,9 @@ class DevicesConfig:
     # The sample count attackers claim toward aggregation weights; "mean"
     # resolves to the rounded mean benign shard size.
     attacker_reported_samples: Literal["mean"] | int = "mean"
-    b_a_policy: Literal["mean", "fixed"] = field(init=False)
+    b_a_policy: Literal["mean", "fixed"]
 
-    def __post_init__(self):
+    def _check(self):
         if self.n_benign < 1:
             raise ValueError(f"devices.n_benign must be >= 1, got {self.n_benign}")
         if self.n_malicious < 0:
@@ -77,8 +76,7 @@ class DevicesConfig:
         object.__setattr__(self, "b_a_policy", policy)
 
 
-@dataclass(frozen=True)
-class DatasetConfig:
+class DatasetConfig(Record):
     kind: Literal["synthetic", "fashion_mnist"] = "synthetic"
     dim: int = 10
     n_test: int = 1000
@@ -91,7 +89,7 @@ class DatasetConfig:
     class_a: int = 0
     class_b: int = 9
 
-    def __post_init__(self):
+    def _check(self):
         if self.dim < 1:
             raise ValueError(f"dataset.dim must be >= 1, got {self.dim}")
         if self.n_test < 1:
@@ -119,8 +117,7 @@ class DatasetConfig:
         return self.dim if self.kind == "synthetic" else FASHION_FEATURE_DIM
 
 
-@dataclass(frozen=True)
-class PositionsConfig:
+class PositionsConfig(Record):
     mode: Literal["random_box", "explicit"] = "random_box"
     x_range: Range = (0.0, 100.0)
     y_range: Range = (0.0, 100.0)
@@ -128,7 +125,7 @@ class PositionsConfig:
     benign: Points | None = None
     attackers: Points | None = None
 
-    def __post_init__(self):
+    def _check(self):
         for key in ("x_range", "y_range", "z_range"):
             lo, hi = getattr(self, key)
             if lo > hi:
@@ -146,58 +143,53 @@ class PositionsConfig:
                 )
 
 
-@dataclass(frozen=True)
-class GlobalInitConfig:
+class GlobalInitConfig(Record):
     kind: Literal["zeros", "normal"] = "zeros"
     std: float = 0.01
 
-    def __post_init__(self):
+    def _check(self):
         if self.kind == "normal" and not self.std > 0:
             raise ValueError(f"global_init.std must be positive, got {self.std}")
 
 
-@dataclass(frozen=True)
-class GaussianConfig:
+class GaussianConfig(Record):
     sigma: float = 1.0
 
-    def __post_init__(self):
+    def _check(self):
         if not self.sigma > 0:
             raise ValueError(f"attack.gaussian.sigma must be positive, got {self.sigma}")
 
 
-@dataclass(frozen=True)
-class SignflipConfig:
+class SignflipConfig(Record):
     scale: float = 3.0
 
-    def __post_init__(self):
+    def _check(self):
         if not self.scale > 0:
             raise ValueError(f"attack.signflip.scale must be positive, got {self.scale}")
 
 
-@dataclass(frozen=True)
-class AttackConfig:
+class AttackConfig(Record):
     kind: Literal["none", "avgae", "gaussian", "signflip"] = "none"
-    avgae: AttackSettings = field(default_factory=AttackSettings)
-    gaussian: GaussianConfig = field(default_factory=GaussianConfig)
-    signflip: SignflipConfig = field(default_factory=SignflipConfig)
+    avgae: AttackSettings = AttackSettings()
+    gaussian: GaussianConfig = GaussianConfig()
+    signflip: SignflipConfig = SignflipConfig()
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class SimConfig(Record):
     seed: int = 0
     rounds: int = 30
     output_dir: str = "out"
     workers: int = 1
-    devices: DevicesConfig = field(default_factory=DevicesConfig)
-    dataset: DatasetConfig = field(default_factory=DatasetConfig)
+    devices: DevicesConfig = DevicesConfig()
+    dataset: DatasetConfig = DatasetConfig()
     loss: LossKind = LossKind.LOGISTIC
-    training: TrainSettings = field(default_factory=TrainSettings)
-    channel: ChannelConfig = field(default_factory=ChannelConfig)
-    positions: PositionsConfig = field(default_factory=PositionsConfig)
-    global_init: GlobalInitConfig = field(default_factory=GlobalInitConfig)
-    attack: AttackConfig = field(default_factory=AttackConfig)
+    training: TrainSettings = TrainSettings()
+    channel: ChannelConfig = ChannelConfig()
+    positions: PositionsConfig = PositionsConfig()
+    global_init: GlobalInitConfig = GlobalInitConfig()
+    attack: AttackConfig = AttackConfig()
 
-    def __post_init__(self):
+    def _check(self):
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must fit in 64 unsigned bits, got {self.seed}")
         if self.rounds < 1:
@@ -228,8 +220,8 @@ class SimConfig:
         avgae, width = self.attack.avgae, self.dataset.feature_dim
         d_feat = width if avgae.identity_projection else min(avgae.d_feat, width)
         if d_feat != avgae.d_feat:
-            avgae = replace(avgae, d_feat=d_feat)
-            object.__setattr__(self, "attack", replace(self.attack, avgae=avgae))
+            attack = self.attack.replace(avgae=avgae.replace(d_feat=d_feat))
+            object.__setattr__(self, "attack", attack)
 
 
 class _Loader(yaml.SafeLoader):
@@ -244,30 +236,23 @@ _Loader.add_implicit_resolver(
 )
 
 
-@cache
-def _schema(cls) -> dict[str, Any]:
-    """Key -> resolved type hint for every YAML key of a section class."""
-    hints = get_type_hints(cls)
-    return {f.name: hints[f.name] for f in fields(cls) if f.init}
-
-
 def _key(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
 
 
 def _read(cls, raw, path: str):
     """Build section class cls from a YAML mapping: reject unknown keys,
-    convert each given value to its field's type, leave the rest to the
-    field defaults. Range checks are the class's own."""
+    convert each given value to its field's annotated type, leave the
+    rest to the class defaults. Range checks are the class's own."""
     if raw is None:
         raw = {}
     if not isinstance(raw, Mapping):
         raise ConfigError(f"{path or 'config root'} must be a mapping, got {type(raw).__name__}")
-    schema = _schema(cls)
     for key in raw:
-        if key not in schema:
+        if key not in cls._init:
             raise ConfigError(f"unknown config key: {_key(path, key)}")
-    values = {key: _convert(value, schema[key], _key(path, key)) for key, value in raw.items()}
+    hints = cls.__annotations__
+    values = {key: _convert(value, hints[key], _key(path, key)) for key, value in raw.items()}
     try:
         return cls(**values)
     except ValueError as exc:
@@ -304,7 +289,7 @@ def _convert(value, hint, path: str):
         if len(value) != len(hints):
             raise ConfigError(f"{path} must list {len(hints)} values, got {len(value)}")
         return tuple(_convert(v, h, f"{path}[{i}]") for i, (v, h) in enumerate(zip(value, hints)))
-    if is_dataclass(hint):
+    if isinstance(hint, type) and issubclass(hint, Record):
         return _read(hint, value, path)
     if origin is Literal or isinstance(hint, type) and issubclass(hint, Enum):
         choices = args or tuple(m.value for m in hint)
@@ -377,9 +362,19 @@ def validate_config(source: str | Mapping, overrides: Sequence[str] = ()) -> Sim
     return _read(SimConfig, raw, "")
 
 
+def _plain(record: Record) -> dict:
+    """record's fields in declaration order, nested records as dicts."""
+    out = {}
+    for name in record._fields:
+        value = getattr(record, name)
+        out[name] = _plain(value) if isinstance(value, Record) else value
+    return out
+
+
 def config_echo(cfg: SimConfig) -> dict:
-    """Fully-resolved configuration as plain JSON-ready data."""
-    echo = asdict(cfg)
+    """Fully-resolved configuration as plain JSON-ready data, every
+    section and key in declaration order."""
+    echo = _plain(cfg)
     # workers and output_dir are execution plumbing, deliberately left out:
     # summary.json must be byte-identical for identical simulations at any
     # worker count or output location (both live in run_meta.json).

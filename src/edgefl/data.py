@@ -3,14 +3,13 @@ partitioning across devices."""
 
 from __future__ import annotations
 
-import gzip
 import struct
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
 from .numerics import RngStream, as_params, sigmoid
+from .record import Record
 
 IMAGES_MAGIC = 0x00000803
 LABELS_MAGIC = 0x00000801
@@ -25,8 +24,7 @@ LABELS_MAGIC = 0x00000801
 CHUNK_BYTES = 3 << 18
 
 
-@dataclass(frozen=True)
-class Dataset:
+class Dataset(Record):
     """Ordered sample collection stored as stacked arrays.
 
     x: (n, d) float64 features; y: (n,) float64 labels, in
@@ -36,7 +34,7 @@ class Dataset:
     x: np.ndarray
     y: np.ndarray
 
-    def __post_init__(self):
+    def _check(self):
         if self.x.ndim != 2 or self.y.ndim != 1 or self.x.shape[0] != self.y.shape[0]:
             raise ValueError(
                 f"inconsistent dataset arrays: x {self.x.shape}, y {self.y.shape}"
@@ -50,8 +48,7 @@ class Dataset:
         return self.x.shape[1]
 
 
-@dataclass(frozen=True, eq=False)
-class ShardStack:
+class ShardStack(Record):
     """Every device's training shard in one zero-padded block.
 
     x: (n, m_max, d) and y: (n, m_max). Device device_ids[k] owns the
@@ -63,7 +60,7 @@ class ShardStack:
     counts: np.ndarray
     device_ids: tuple[int, ...]
 
-    def __post_init__(self):
+    def _check(self):
         n = len(self.device_ids)
         if self.x.ndim != 3 or self.x.shape[:2] != self.y.shape or self.y.shape[0] != n \
                 or self.counts.shape != (n,):
@@ -92,6 +89,9 @@ def _read_bytes(path: str) -> bytes:
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:2] == b"\x1f\x8b":
+        # Imported here: only a gzipped file needs it.
+        import gzip
+
         raw = gzip.decompress(raw)
     return raw
 

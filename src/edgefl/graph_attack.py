@@ -11,10 +11,7 @@ differences in the test suite; graphs are tiny (one node per overheard
 device) so dense numpy math is used throughout.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
 from typing import Callable, Literal, NamedTuple, Sequence
 
 import numpy as np
@@ -22,6 +19,7 @@ import numpy as np
 from .numerics import (
     NORM_FLOOR, Projector, RngStream, as_params, ensure_finite, sigmoid, timed,
 )
+from .record import Record
 
 PROB_CLAMP_LO = 1e-12
 DIVERGENCE_LIMIT = 1e6
@@ -32,8 +30,7 @@ DIVERGENCE_LIMIT = 1e6
 LOGVAR_MAX = 10.0
 
 
-@dataclass(frozen=True)
-class AttackSettings:
+class AttackSettings(Record):
     """Hyperparameters of the attack pipeline; each field is a key of the
     attack.avgae config section, and every check here names its key.
 
@@ -60,7 +57,7 @@ class AttackSettings:
     psi_hidden: int = 8
     identity_projection: bool = False
 
-    def __post_init__(self):
+    def _check(self):
         object.__setattr__(self, "hidden_dims", tuple(self.hidden_dims))
         for key, ok, rule in (
             ("d_feat", self.d_feat >= 1, ">= 1"),
@@ -99,8 +96,7 @@ class AttackSettings:
             )
 
 
-@dataclass(frozen=True)
-class ModelGraph:
+class ModelGraph(Record):
     """Correlation graph over overheard models, attacker node last.
 
     adjacency: (n, n) symmetric, unit diagonal, entries in [0, 1];
@@ -112,7 +108,7 @@ class ModelGraph:
     features: np.ndarray
     raw_models: np.ndarray
 
-    def __post_init__(self):
+    def _check(self):
         n = self.adjacency.shape[0]
         if self.adjacency.shape != (n, n):
             raise ValueError(f"adjacency must be square, got {self.adjacency.shape}")
@@ -130,7 +126,6 @@ class ModelGraph:
         return self.adjacency.shape[0]
 
 
-@dataclass
 class EncoderState:
     """Learnable weights: graph layers, latent heads, and the scoring MLP.
 
@@ -139,13 +134,17 @@ class EncoderState:
     stack of k encoders puts a leading axis of length k on every array.
     """
 
-    layer_weights: list[np.ndarray]
-    mu_head: np.ndarray
-    logvar_head: np.ndarray
-    psi_w1: np.ndarray
-    psi_b1: np.ndarray
-    psi_w2: np.ndarray
-    psi_b2: np.ndarray
+    def __init__(
+        self, layer_weights: list[np.ndarray], mu_head: np.ndarray, logvar_head: np.ndarray,
+        psi_w1: np.ndarray, psi_b1: np.ndarray, psi_w2: np.ndarray, psi_b2: np.ndarray,
+    ):
+        self.layer_weights = layer_weights
+        self.mu_head = mu_head
+        self.logvar_head = logvar_head
+        self.psi_w1 = psi_w1
+        self.psi_b1 = psi_b1
+        self.psi_w2 = psi_w2
+        self.psi_b2 = psi_b2
 
     def blocks(self) -> list[np.ndarray]:
         """Every parameter array, in a fixed order."""
@@ -155,7 +154,7 @@ class EncoderState:
         ]
 
     @staticmethod
-    def view(buffer: np.ndarray, shapes: Sequence[tuple[int, ...]]) -> EncoderState:
+    def view(buffer: np.ndarray, shapes: Sequence[tuple[int, ...]]) -> "EncoderState":
         """The encoder(s) whose blocks(), of the given one-encoder shapes,
         view consecutive spans of buffer's last axis (any leading axis of
         buffer is the stack axis)."""
@@ -167,8 +166,7 @@ class EncoderState:
         return EncoderState(blocks[:-6], *blocks[-6:])
 
 
-@dataclass(frozen=True)
-class LatentState:
+class LatentState(NamedTuple):
     """Per-node latent Gaussians and the sample used downstream."""
 
     mu: np.ndarray
@@ -176,8 +174,7 @@ class LatentState:
     z: np.ndarray
 
 
-@dataclass(frozen=True)
-class LinkSample:
+class LinkSample(NamedTuple):
     """Link-reconstruction weights, both (n, n).
 
     positive[v, u] = 1/|pos_v| for each observed neighbor u of v and
@@ -189,20 +186,25 @@ class LinkSample:
     negative: np.ndarray
 
 
-@dataclass
 class AttackDiagnostics:
-    """Per-round trace of one attacker's pipeline."""
+    """Per-round trace of one attacker's pipeline: the constructor takes
+    what is known when the record is made, and :func:`generate_malicious`
+    sets the rest."""
 
-    attacker_id: int = -1
-    skipped: bool = False
-    skip_reason: str = ""
-    delta_g_initial: float = float("nan")
-    delta_g_final: float = float("nan")
-    gamma_model: float = float("nan")
-    d_thresh: float = float("nan")
-    uniform_fallback: bool = False
-    centroid_pull: float = 0.0
-    constraint_ok: bool = True
+    def __init__(
+        self, attacker_id: int = -1, skipped: bool = False, skip_reason: str = "",
+        delta_g_initial: float = math.nan, delta_g_final: float = math.nan,
+    ):
+        self.attacker_id = attacker_id
+        self.skipped = skipped
+        self.skip_reason = skip_reason
+        self.delta_g_initial = delta_g_initial
+        self.delta_g_final = delta_g_final
+        self.gamma_model = math.nan
+        self.d_thresh = math.nan
+        self.uniform_fallback = False
+        self.centroid_pull = 0.0
+        self.constraint_ok = True
 
 
 class StackFailure(RuntimeError):
@@ -215,8 +217,7 @@ class StackFailure(RuntimeError):
         self.index = index
 
 
-@dataclass(frozen=True)
-class GaeTrainResult:
+class GaeTrainResult(NamedTuple):
     encoder: EncoderState
     loss_trace: list[float]
     latent: LatentState  # of the trained encoder under its noise
@@ -291,8 +292,7 @@ def _mT(a: np.ndarray) -> np.ndarray:
     return a.swapaxes(-1, -2)
 
 
-@dataclass
-class _Forward:
+class _Forward(NamedTuple):
     hiddens: list[np.ndarray]  # H[1], ..., H[L]
     mids: list[np.ndarray]     # M[l] = H[l-1] + Ahat @ H[l-1], H[0] = features
     preacts: list[np.ndarray]  # S[l] = M[l] @ W[l]
@@ -644,11 +644,15 @@ def surrogate_objective(
 
     The decoded adjacency row a_j = sigmoid(z_a . z_j) induces the
     mixture sum_j (a_j / sum a) model_j; the objective is the dot
-    product of (mixture - mean benign model) with the ascent vector.
+    product of (mixture - mean benign model) with the ascent vector. A
+    row whose weights all underflow to 0 mixes no model: as in
+    :func:`surrogate_gradient`, it divides by 1, so the objective is
+    -mean(c).
     """
-    a = sigmoid(benign_latents @ z_a)
+    with np.errstate(over="ignore"):  # exp(-logit) overflows to inf: weight 0
+        a = sigmoid(benign_latents @ z_a)
     c = benign_models @ ascent
-    mix = float(a @ c) / float(a.sum())
+    mix = float(a @ c) / (float(a.sum()) or 1.0)
     return mix - float(c.mean())
 
 
@@ -658,7 +662,11 @@ def surrogate_gradient(z_a: np.ndarray, benign_z: np.ndarray, c: np.ndarray) -> 
     benign models dotted with the ascent. Each product is the
     one-attacker BLAS call (matrix-vector, dot, vector-matrix) on the
     same operands, so each row gets its own bits. A decoded row whose
-    weights all underflow to 0 mixes no model: its gradient is 0."""
+    weights all underflow to 0 mixes no model: its gradient is 0.
+
+    Call it inside np.errstate(over="ignore") or wider, as the ascent
+    does with all="ignore": at a logit below about -709, exp overflows
+    to inf, which gives the right weight of 0, but numpy warns."""
     a = _sigmoid(np.matmul(benign_z, z_a[..., None])[..., 0])
     asum = a.sum(axis=-1, keepdims=True)
     # Such a row's coefficients are 0 because a is; dividing by 1 keeps

@@ -1,9 +1,7 @@
 """Accuracy evaluation, distance-based stealth reporting, and round-trace
 summaries."""
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -15,26 +13,30 @@ from .training import LossKind
 REGRESSION_HIT_BAND = 0.5
 
 
-@dataclass
 class RoundRecord:
     """Everything recorded about one communication round. Row k of
     models, distance_to_global and local_loss belongs to device_ids[k];
     rows run benign devices first, then attackers, each in ascending id.
     Attackers hold no data, so their local_loss is NaN."""
 
-    round_index: int
-    global_params: np.ndarray
-    device_ids: np.ndarray
-    is_malicious: np.ndarray
-    models: np.ndarray
-    distance_to_global: np.ndarray
-    local_loss: np.ndarray
-    test_accuracy: float
-    attack_diagnostics: list[AttackDiagnostics] = field(default_factory=list)
+    def __init__(
+        self, round_index: int, global_params: np.ndarray, device_ids: np.ndarray,
+        is_malicious: np.ndarray, models: np.ndarray, distance_to_global: np.ndarray,
+        local_loss: np.ndarray, test_accuracy: float,
+        attack_diagnostics: list[AttackDiagnostics] | None = None,
+    ):
+        self.round_index = round_index
+        self.global_params = global_params
+        self.device_ids = device_ids
+        self.is_malicious = is_malicious
+        self.models = models
+        self.distance_to_global = distance_to_global
+        self.local_loss = local_loss
+        self.test_accuracy = test_accuracy
+        self.attack_diagnostics = [] if attack_diagnostics is None else attack_diagnostics
 
 
-@dataclass(frozen=True)
-class DistanceReport:
+class DistanceReport(NamedTuple):
     max_benign_distance: float
     per_attacker_distance: dict[int, float]
     stealth_flags: dict[int, bool]

@@ -1,14 +1,12 @@
 """The communication-round loop: batched local training, attack
 execution, aggregation, metrics, and result persistence."""
 
-from __future__ import annotations
-
 import json
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,8 +31,7 @@ ATTACK_DIAG_COLUMNS = [
 ]
 
 
-@dataclass
-class _Setup:
+class _Setup(NamedTuple):
     shards: ShardStack
     test_set: Dataset
     # Per attacker, into the shard order, ascending; only for the attacks

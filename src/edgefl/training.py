@@ -2,9 +2,6 @@
 and the local gradient-descent loop, run for every benign device of a
 round at once over a zero-padded :class:`ShardStack`."""
 
-from __future__ import annotations
-
-from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
@@ -12,6 +9,7 @@ import numpy as np
 
 from .numerics import RngStream, as_params, sigmoid
 from .data import ShardStack
+from .record import Record
 
 
 class LossKind(str, Enum):
@@ -19,8 +17,7 @@ class LossKind(str, Enum):
     LOGISTIC = "logistic"
 
 
-@dataclass(frozen=True)
-class TrainSettings:
+class TrainSettings(Record):
     """Local training hyperparameters, fixed for an entire run."""
 
     alpha: float = 0.001
@@ -28,7 +25,7 @@ class TrainSettings:
     local_iterations: int = 5
     batch_size: int | None = None  # None trains full-batch
 
-    def __post_init__(self):
+    def _check(self):
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"training.alpha must be in [0, 1], got {self.alpha}")
         if not self.learning_rate > 0:

@@ -10,7 +10,6 @@ without them it reports SKIP with instructions instead of PASS/FAIL.
 
 import os
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -536,8 +535,8 @@ def test_criterion_9_channel_units():
         }
         attacker = DevicePosition(*rng.uniform(100.5, 200, size=2), rng.uniform(0, 10))
         lo, hi = sorted(rng.uniform(0, 5, size=2))
-        big = eavesdrop_set(positions, attacker, replace(cfg, snr_min=lo))
-        small = eavesdrop_set(positions, attacker, replace(cfg, snr_min=hi))
+        big = eavesdrop_set(positions, attacker, cfg.replace(snr_min=lo))
+        small = eavesdrop_set(positions, attacker, cfg.replace(snr_min=hi))
         monotone &= small <= big
 
     ok = exact and monotone

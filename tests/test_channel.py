@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -67,7 +65,7 @@ def test_eavesdrop_formula_chain_oracle():
         d = distance(pos, attacker)
         if channel_gain(d, CFG) * CFG.transmit_power / CFG.noise_power >= 1.0:
             expected.add(dev)
-    got = eavesdrop_set(positions, attacker, replace(CFG, snr_min=1.0))
+    got = eavesdrop_set(positions, attacker, CFG.replace(snr_min=1.0))
     assert got == expected == {1, 2, 3}
     assert snr(channel_gain(10.0, CFG), CFG) == 1.0  # boundary case
 
@@ -75,8 +73,8 @@ def test_eavesdrop_formula_chain_oracle():
 def test_eavesdrop_snr_zero_and_infinite():
     attacker = DevicePosition(50.0, 50.0, 5.0)
     positions = {i: DevicePosition(float(i), 0.0, 0.0) for i in range(1, 6)}
-    assert eavesdrop_set(positions, attacker, replace(CFG, snr_min=0.0)) == set(positions)
-    assert eavesdrop_set(positions, attacker, replace(CFG, snr_min=float("inf"))) == set()
+    assert eavesdrop_set(positions, attacker, CFG.replace(snr_min=0.0)) == set(positions)
+    assert eavesdrop_set(positions, attacker, CFG.replace(snr_min=float("inf"))) == set()
 
 
 def test_eavesdrop_monotone_in_threshold_random_geometries():
@@ -89,8 +87,8 @@ def test_eavesdrop_monotone_in_threshold_random_geometries():
         }
         attacker = DevicePosition(*rng.uniform(100.5, 200, size=2), rng.uniform(0, 10))
         lo, hi = sorted(rng.uniform(0, 5, size=2))
-        big = eavesdrop_set(positions, attacker, replace(CFG, snr_min=lo))
-        assert eavesdrop_set(positions, attacker, replace(CFG, snr_min=hi)) <= big
+        big = eavesdrop_set(positions, attacker, CFG.replace(snr_min=lo))
+        assert eavesdrop_set(positions, attacker, CFG.replace(snr_min=hi)) <= big
 
 
 def test_device_position_altitude_guard():

@@ -1,6 +1,5 @@
 import math
 import re
-from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -239,7 +238,7 @@ def test_sample_links_equals_the_per_node_loop_bit_for_bit():
         weights[rng.uniform(size=(n, n)) < rng.uniform()] = 0.0
         adjacency = np.triu(weights, 1) + np.triu(weights, 1).T + np.eye(n)
         graph = ModelGraph(adjacency, np.zeros((n, 2)), np.zeros((n, 2)))
-        settings = replace(SMALL, negative_sample_ratio=float(rng.choice([0.0, 0.5, 1.0, 1.5, 3.0])))
+        settings = SMALL.replace(negative_sample_ratio=float(rng.choice([0.0, 0.5, 1.0, 1.5, 3.0])))
         got_rng, want_rng = RngStream(trial, "atk"), RngStream(trial, "atk")
         got = sample_links(graph, settings, got_rng)
         want_pos, want_neg = _sample_links_loop(graph, settings, want_rng)
@@ -417,6 +416,21 @@ def test_surrogate_gradient_matches_finite_differences():
         _assert_close(grad, fd, 1e-4)
 
 
+def test_surrogate_of_a_row_that_underflows_mixes_no_model():
+    # Every decoded weight of this latent underflows to 0: the objective
+    # divides by 1 as the gradient does, and the gradient is 0.
+    z_a = np.array([-500.0, -500.0])
+    benign_z = np.array([[1.0, 1.0], [1.0, 0.8], [0.9, 1.0]])
+    benign_models = np.array([[1.0, 0.0, 2.0], [0.0, 2.0, 1.0], [3.0, 1.0, 0.0]])
+    ascent = np.array([0.6, -0.8, 0.0])
+    c = benign_models @ ascent
+    objective = surrogate_objective(z_a, benign_z, benign_models, ascent)
+    assert math.isfinite(objective) and objective == -c.mean()
+    with np.errstate(all="ignore"):
+        [grad] = surrogate_gradient(z_a[None], benign_z[None], c)
+    np.testing.assert_array_equal(grad, np.zeros(2))
+
+
 # ------------------------------------------------------------------ train_gae
 
 def test_train_gae_zero_epochs_returns_initialization():
@@ -466,7 +480,7 @@ def test_train_gae_one_epoch_steps_every_block():
     links, eps = _objective_of(graph, settings, RngStream(14, "atk"))
     _, grads = loss_and_grads(graph, start, settings, links, eps)
     # blocks() lists each layer weight plus every other field once.
-    assert len(start.blocks()) == len(start.layer_weights) + len(fields(EncoderState)) - 1
+    assert len(start.blocks()) == len(start.layer_weights) + len(vars(start)) - 1
     for after, before, g in zip(trained.encoder.blocks(), start.blocks(), grads.blocks()):
         assert not np.array_equal(after, before)
         np.testing.assert_array_equal(after, before - settings.gae_learning_rate * g)
@@ -497,8 +511,8 @@ def test_train_gae_checks_the_loss_at_the_trained_weights():
     )
     for epochs in (200, 22):
         with pytest.raises(StackFailure, match=r"loss 7\.446e\+06 at epoch 22\)"):
-            train_gae(graph, replace(settings, gae_epochs=epochs), [RngStream(5, "attacker")])
-    [result] = train_gae(graph, replace(settings, gae_epochs=21), [RngStream(5, "attacker")])
+            train_gae(graph, settings.replace(gae_epochs=epochs), [RngStream(5, "attacker")])
+    [result] = train_gae(graph, settings.replace(gae_epochs=21), [RngStream(5, "attacker")])
     assert max(result.loss_trace) <= DIVERGENCE_LIMIT
 
 
@@ -660,7 +674,7 @@ def test_train_gae_stack_nonfinite_hidden_names_the_first_layer_and_encoder():
         return [_outcome_of(lambda r=r: train_gae(graph, settings, [r])[0]) for r in streams()]
 
     with np.errstate(over="ignore", invalid="ignore"):
-        trained, untrained = alone(settings), alone(replace(settings, gae_epochs=0))
+        trained, untrained = alone(settings), alone(settings.replace(gae_epochs=0))
         with pytest.raises(StackFailure) as stacked:
             train_gae(graph, settings, streams())
     failures = {j: str(o) for j, o in enumerate(trained) if isinstance(o, Exception)}
@@ -811,7 +825,7 @@ def test_adversarial_reconstruct_stack_failure_stays_with_its_attacker(
         if message is None:
             rows = adversarial_reconstruct(graph, latents, ascent, settings)
             after_one = adversarial_reconstruct(
-                graph, latents, ascent, replace(settings, ascent_steps=1)
+                graph, latents, ascent, settings.replace(ascent_steps=1)
             )
         else:
             with pytest.raises(StackFailure) as stacked:

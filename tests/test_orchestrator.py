@@ -8,7 +8,6 @@ import re
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -120,6 +119,40 @@ def test_empty_config_echoes_every_default():
             "signflip": {"scale": 3.0},
         },
     }
+
+
+@pytest.mark.parametrize("name", ["synthetic_avgae.yaml", "synthetic_gaussian.yaml"])
+def test_config_echo_lists_sections_and_keys_in_declaration_order(name):
+    echo = config_echo(validate_config((ROOT / "configs" / name).read_text()))
+    assert list(echo) == [
+        "seed", "rounds", "devices", "dataset", "loss", "training", "channel",
+        "positions", "global_init", "attack",
+    ]
+    assert {section: list(keys) for section, keys in echo.items() if isinstance(keys, dict)} == {
+        "devices": [
+            "n_benign", "n_malicious", "samples_per_device", "attacker_reported_samples",
+            "b_a_policy",
+        ],
+        "dataset": [
+            "kind", "dim", "n_test", "w_true_seed", "w_scale", "train_images", "train_labels",
+            "test_images", "test_labels", "class_a", "class_b",
+        ],
+        "training": ["alpha", "learning_rate", "local_iterations", "batch_size"],
+        "channel": ["gain_basis", "transmit_power", "noise_power", "snr_min"],
+        "positions": ["mode", "x_range", "y_range", "z_range", "benign", "attackers"],
+        "global_init": ["kind", "std"],
+        "attack": ["kind", "avgae", "gaussian", "signflip"],
+    }
+    avgae = echo["attack"]["avgae"]
+    assert list(avgae) == [
+        "d_feat", "d_z", "hidden_dims", "activation", "gae_epochs", "gae_learning_rate",
+        "beta", "ascent_steps", "ascent_step_size", "d_thresh_mode", "d_thresh_value",
+        "d_thresh_percentile", "negative_sample_ratio", "psi_hidden", "identity_projection",
+    ]
+    # The projection width is resolved to the model's 10 dims.
+    assert avgae["d_feat"] == 10
+    assert list(echo["attack"]["gaussian"]) == ["sigma"]
+    assert list(echo["attack"]["signflip"]) == ["scale"]
 
 
 @pytest.mark.parametrize("text, path", [
@@ -522,7 +555,7 @@ def test_emit_outputs_files_and_row_counts(tmp_path):
     cfg = validate_config(_tiny_attack_config(rounds=4))
     records = run_simulation(cfg)
     # A Path output_dir is written to, and left out of the echo, like a str.
-    written = emit_outputs(records, replace(cfg, output_dir=tmp_path / "run"), elapsed_seconds=1.5)
+    written = emit_outputs(records, cfg.replace(output_dir=tmp_path / "run"), elapsed_seconds=1.5)
     rounds_lines = written["rounds"].read_text().strip().splitlines()
     assert rounds_lines[0] == ",".join(ROUNDS_CSV_COLUMNS)
     assert len(rounds_lines) == 1 + 4 * (4 + 1)
@@ -548,7 +581,7 @@ def test_summary_is_strict_json_when_no_attack_ran(tmp_path):
     cfg = validate_config(_tiny_attack_config(), overrides=["channel.snr_min=1000000000.0"])
     records = run_simulation(cfg)
     assert all(diag.skipped for r in records for diag in r.attack_diagnostics)
-    written = emit_outputs(records, replace(cfg, output_dir=str(tmp_path / "run")))
+    written = emit_outputs(records, cfg.replace(output_dir=str(tmp_path / "run")))
 
     def reject(constant):
         raise ValueError(f"non-standard JSON constant {constant}")
@@ -588,14 +621,14 @@ def test_rounds_csv_equals_csv_writer_output(tmp_path):
         local_loss=np.array([1 / 3, float("nan"), float("nan")]),
         test_accuracy=np.float64(0.1),
     ))
-    written = emit_outputs(records, replace(cfg, output_dir=str(tmp_path)))
+    written = emit_outputs(records, cfg.replace(output_dir=str(tmp_path)))
     assert written["rounds"].read_bytes() == _csv_writer_rounds(records)
 
 
 def test_emit_outputs_no_attack_diag_for_benign_runs(tmp_path):
     cfg = validate_config(MINIMAL)
     records = run_simulation(cfg)
-    written = emit_outputs(records, replace(cfg, output_dir=str(tmp_path / "run")))
+    written = emit_outputs(records, cfg.replace(output_dir=str(tmp_path / "run")))
     assert "attack_diag" not in written
     assert not (tmp_path / "run" / "attack_diag.csv").exists()
 
@@ -604,7 +637,7 @@ def test_failed_summary_write_leaves_no_partial_or_temporary_file(tmp_path, monk
     cfg = validate_config(MINIMAL)
     records = run_simulation(cfg)
     fresh, rerun = tmp_path / "fresh", tmp_path / "rerun"
-    emit_outputs(records, replace(cfg, output_dir=str(rerun)))
+    emit_outputs(records, cfg.replace(output_dir=str(rerun)))
     complete = (rerun / "summary.json").read_bytes()
 
     def half_written(obj, fh, **kwargs):
@@ -614,7 +647,7 @@ def test_failed_summary_write_leaves_no_partial_or_temporary_file(tmp_path, monk
     monkeypatch.setattr(simulation.json, "dump", half_written)
     for out in (fresh, rerun):
         with pytest.raises(OSError, match="disk full"):
-            emit_outputs(records, replace(cfg, output_dir=str(out)))
+            emit_outputs(records, cfg.replace(output_dir=str(out)))
     # rounds.csv was written whole before the summary failed.
     assert sorted(p.name for p in fresh.iterdir()) == ["rounds.csv"]
     assert sorted(p.name for p in rerun.iterdir()) == ["rounds.csv", "run_meta.json", "summary.json"]
@@ -624,7 +657,7 @@ def test_failed_summary_write_leaves_no_partial_or_temporary_file(tmp_path, monk
 def test_identical_seed_produces_identical_bytes(tmp_path):
     cfg = validate_config(_tiny_attack_config())
     for name in ("a", "b"):
-        emit_outputs(run_simulation(cfg), replace(cfg, output_dir=str(tmp_path / name)))
+        emit_outputs(run_simulation(cfg), cfg.replace(output_dir=str(tmp_path / name)))
     for fname in ("rounds.csv", "summary.json", "attack_diag.csv"):
         assert (tmp_path / "a" / fname).read_bytes() == (tmp_path / "b" / fname).read_bytes()
 
@@ -633,8 +666,8 @@ def test_worker_count_does_not_change_bytes(tmp_path):
     base = _tiny_attack_config()
     cfg1 = validate_config(base, overrides=["workers=1"])
     cfg4 = validate_config(base, overrides=["workers=4"])
-    emit_outputs(run_simulation(cfg1), replace(cfg1, output_dir=str(tmp_path / "w1")))
-    emit_outputs(run_simulation(cfg4), replace(cfg4, output_dir=str(tmp_path / "w4")))
+    emit_outputs(run_simulation(cfg1), cfg1.replace(output_dir=str(tmp_path / "w1")))
+    emit_outputs(run_simulation(cfg4), cfg4.replace(output_dir=str(tmp_path / "w4")))
     assert (tmp_path / "w1" / "rounds.csv").read_bytes() == (
         tmp_path / "w4" / "rounds.csv"
     ).read_bytes()
@@ -643,8 +676,8 @@ def test_worker_count_does_not_change_bytes(tmp_path):
 def test_different_seeds_differ(tmp_path):
     cfg_a = validate_config(MINIMAL, overrides=["seed=1"])
     cfg_b = validate_config(MINIMAL, overrides=["seed=2"])
-    emit_outputs(run_simulation(cfg_a), replace(cfg_a, output_dir=str(tmp_path / "a")))
-    emit_outputs(run_simulation(cfg_b), replace(cfg_b, output_dir=str(tmp_path / "b")))
+    emit_outputs(run_simulation(cfg_a), cfg_a.replace(output_dir=str(tmp_path / "a")))
+    emit_outputs(run_simulation(cfg_b), cfg_b.replace(output_dir=str(tmp_path / "b")))
     assert (tmp_path / "a" / "rounds.csv").read_bytes() != (
         tmp_path / "b" / "rounds.csv"
     ).read_bytes()
@@ -718,10 +751,10 @@ def test_grouped_attackers_match_a_per_attacker_loop(tmp_path, monkeypatch):
     setup = simulation._setup(cfg)
     assert setup.attack_groups == [[7, 9], [8], [10]]
     assert setup.overheard_rows[10].tolist() == [4]  # device 5
-    emit_outputs(run_simulation(cfg), replace(cfg, output_dir=str(tmp_path / "grouped")))
+    emit_outputs(run_simulation(cfg), cfg.replace(output_dir=str(tmp_path / "grouped")))
     with monkeypatch.context() as patch:
         _one_attacker_at_a_time(patch)
-        emit_outputs(run_simulation(cfg), replace(cfg, output_dir=str(tmp_path / "alone")))
+        emit_outputs(run_simulation(cfg), cfg.replace(output_dir=str(tmp_path / "alone")))
     for name in ("rounds.csv", "summary.json", "attack_diag.csv"):
         grouped = (tmp_path / "grouped" / name).read_bytes()
         assert grouped == (tmp_path / "alone" / name).read_bytes()
@@ -1011,6 +1044,17 @@ def test_cli_import_loads_no_scipy():
     probe = (
         "import sys, edgefl.cli; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    assert _fresh_python(probe) == "[]"
+
+
+def test_cli_import_loads_no_dataclasses_argparse_or_gzip():
+    # Each costs every short-lived process that imports edgefl.cli: the
+    # records are built without dataclasses' generated code, and argparse
+    # and gzip load only to parse a command line or read a gzipped file.
+    probe = (
+        "import sys, edgefl.cli; "
+        "print([m for m in ('dataclasses', 'argparse', 'gzip') if m in sys.modules])"
     )
     assert _fresh_python(probe) == "[]"
 
