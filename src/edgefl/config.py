@@ -5,10 +5,10 @@ Each YAML section is one frozen :class:`~edgefl.record.Record`: its
 fields are the section's keys, in the order the echo lists them, its
 annotations the accepted types and its class-level values the only
 defaults, and its ``_check`` holds every rule over its keys, each error
-naming its key path. The modules that declare sections do not postpone
-annotations, so the reader takes each key's type from the class itself.
-One generic reader walks :class:`SimConfig` and reads every key; no pass
-rewrites keys before it.
+naming its key path. Section annotations are evaluated (see
+:mod:`edgefl.record`), so the reader takes each key's type from the
+class itself. One generic reader walks :class:`SimConfig` and reads
+every key; no pass rewrites keys before it.
 """
 
 import json

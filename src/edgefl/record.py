@@ -9,6 +9,11 @@ constructor takes every other field by position or by name, then calls
 field with ``object.__setattr__``. After that the record is frozen.
 Records compare and hash by their fields; ``replace`` builds a checked
 copy.
+
+The modules that declare config sections or named tuples do not use
+``from __future__ import annotations``: the config reader takes each
+key's type from a section's annotations, and typing.NamedTuple compiles
+every string annotation when it builds its class.
 """
 
 
