@@ -5,6 +5,7 @@ Exit codes: 0 success, 1 configuration error, 2 runtime error.
 
 from __future__ import annotations
 
+import argparse
 import sys
 import time
 from pathlib import Path
@@ -13,11 +14,7 @@ from .config import ConfigError, validate_config
 from .simulation import emit_outputs, run_simulation
 
 
-def _build_parser() -> "argparse.ArgumentParser":
-    # Imported here: a program that imports edgefl.cli to call its
-    # functions never parses a command line.
-    import argparse
-
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="edgefl",
         description="Deterministic federated-learning simulator with model poisoning attacks",

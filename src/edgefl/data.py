@@ -53,12 +53,16 @@ class ShardStack(Record):
 
     x: (n, m_max, d) and y: (n, m_max). Device device_ids[k] owns the
     first counts[k] rows of block k; every row past them is zero.
+    Stacks compare and hash by identity: their arrays have no truth value.
     """
 
     x: np.ndarray
     y: np.ndarray
     counts: np.ndarray
     device_ids: tuple[int, ...]
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def _check(self):
         n = len(self.device_ids)

@@ -236,6 +236,8 @@ def test_partition_deals_into_one_zero_padded_stack():
         assert not stack.x[k, size:].any() and not stack.y[k, size:].any()
     part = stack.rows(1, 3)
     assert part.device_ids == (2, 3) and np.shares_memory(part.x, stack.x)
+    # Stacks compare by identity, never element by element.
+    assert stack == stack and stack != stack.rows(0, 3) and {stack, part}
 
 
 def test_partition_insufficient_samples():

@@ -1048,13 +1048,13 @@ def test_cli_import_loads_no_scipy():
     assert _fresh_python(probe) == "[]"
 
 
-def test_cli_import_loads_no_dataclasses_argparse_or_gzip():
+def test_cli_import_loads_no_dataclasses_or_gzip():
     # Each costs every short-lived process that imports edgefl.cli: the
-    # records are built without dataclasses' generated code, and argparse
-    # and gzip load only to parse a command line or read a gzipped file.
+    # records are built without dataclasses' generated code, and gzip
+    # loads only to read a gzipped file.
     probe = (
         "import sys, edgefl.cli; "
-        "print([m for m in ('dataclasses', 'argparse', 'gzip') if m in sys.modules])"
+        "print([m for m in ('dataclasses', 'gzip') if m in sys.modules])"
     )
     assert _fresh_python(probe) == "[]"
 
