@@ -17,11 +17,7 @@ run_simulation(cfg, stage_seconds), run in this process on the configs
 that benchmarks/workloads.py builds, because the benchmark's child
 process passes no stage dict. The stage figures are measured when the
 file is written, and "stage_seconds_measured" says when: with --no-run
-they are not interleaved with another checkout's runs. It also records,
-per edgefl module, the median ``-X importtime`` self time over
-IMPORT_REPEATS fresh interpreters that import edgefl.cli from this
-checkout with this process's environment, so with its bytecode setting;
-these too are measured when the file is written.
+they are not interleaved with another checkout's runs.
 
 --no-run runs no benchmark and reads the result files already in
 benchmarks/out/, refusing any written from other src/edgefl sources. To compare
@@ -45,8 +41,6 @@ BENCH = ROOT / "benchmarks"
 END_TO_END = ("wall_s", "setup_s", "peak_rss_mb")
 # In-process runs per seed and workload, after one untimed warm-up run.
 STAGE_REPEATS = 3
-# Fresh interpreters whose -X importtime output gives the import figures.
-IMPORT_REPEATS = 9
 
 
 def result_path(workload: str, seed: int) -> Path:
@@ -104,27 +98,6 @@ def stage_seconds(workloads, name: str, seeds: list[int]) -> dict:
             "interleaved": False,
         },
     }
-
-
-def import_seconds() -> dict[str, float]:
-    """Median -X importtime self time, in seconds, of each edgefl module
-    that ``import edgefl.cli`` loads, over IMPORT_REPEATS interpreters."""
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p
-    )}
-    samples: dict[str, list[float]] = {}
-    for _ in range(IMPORT_REPEATS):
-        report = subprocess.run(
-            [sys.executable, "-X", "importtime", "-c", "import edgefl.cli"],
-            env=env, capture_output=True, text=True, check=True,
-        ).stderr
-        # Lines read "import time: <self us> | <cumulative us> | <module>".
-        for line in report.splitlines():
-            self_us, _, module = line.removeprefix("import time:").split("|")
-            module = module.strip()
-            if module.split(".")[0] == "edgefl":
-                samples.setdefault(module, []).append(int(self_us) / 1e6)
-    return {module: statistics.median(v) for module, v in samples.items()}
 
 
 def git_clean() -> bool | None:
@@ -198,7 +171,6 @@ def main() -> int:
         },
         "blas": env["blas"],
         "bytecode": bytecode,
-        "import_self_seconds_median": import_seconds(),
         "workloads": per_workload,
     }
     out = ROOT / f"BENCH_{args.label}.json"
