@@ -1,5 +1,8 @@
-"""Run configuration: YAML parsing, defaulting, validation, and the
-fully-resolved echo written into every run summary.
+"""Run configuration: reading its YAML text, defaulting, validation, and
+the fully-resolved echo written into every run summary.
+
+:func:`load` reads the strict YAML subset that run configs and
+``--override`` values use, and refuses the rest with its line and column.
 
 Each YAML section is one frozen :class:`~edgefl.record.Record`: its
 fields are the section's keys, in the order the echo lists them, its
@@ -18,8 +21,6 @@ import re
 import types
 from enum import Enum
 from typing import Literal, Mapping, Sequence, Union, get_args, get_origin
-
-import yaml
 
 from .channel import ChannelConfig
 from .graph_attack import AttackSettings
@@ -224,20 +225,233 @@ class SimConfig(Record):
             object.__setattr__(self, "attack", attack)
 
 
-class _Loader(yaml.SafeLoader):
-    """SafeLoader that also reads YAML 1.2 exponent floats such as 1e-4
-    and 1e9, which YAML 1.1 (PyYAML's default) leaves as strings."""
-
-
-_Loader.add_implicit_resolver(
-    "tag:yaml.org,2002:float",
-    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"),
-    list("-+.0123456789"),
-)
-
-
 def _key(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
+
+
+# ------------------------------------------------------------- YAML subset
+# The reader below returns what PyYAML's SafeLoader, plus YAML 1.2
+# exponent floats such as 1e-4, returns for the same text, or raises
+# ConfigError; tests/test_config_text.py compares the two.
+
+_WORDS = {"~": None, "null": None, "Null": None, "NULL": None, "true": True, "True": True,
+          "TRUE": True, "false": False, "False": False, "FALSE": False}
+# A decimal int, a float, or (unnamed, matched loosely so that a word
+# that might be one is refused, not guessed) what else YAML 1.1 reads as
+# a number or a date: octal, hex and binary ints, "_" separators, base 60.
+_NUMBER = re.compile(
+    r"(?P<int>[-+]?(?:0|[1-9][0-9]*))"
+    r"|(?P<float>[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+|[-+]?[0-9]+\.[0-9]*"
+    r"|\.[0-9]+|[-+]?\.(?:inf|Inf|INF)|\.(?:nan|NaN|NAN))"
+    r"|[-+]?(?:0[0-9A-Za-z_]|[0-9.][0-9._]*[_:]|[0-9]{4}-).*"
+)
+# The other plain words YAML 1.1 reads as something else than their text.
+_YAML11_WORDS = {"yes", "Yes", "YES", "no", "No", "NO", "on", "On", "ON", "off", "Off", "OFF",
+                 "<<", "="}
+_ESCAPES = dict(zip('0abt\tnvfre "/\\N_LP', '\0\a\b\t\t\n\v\f\r\x1b "/\\\x85\xa0\u2028\u2029'))
+
+
+def _at(line: int, col: int, msg: str, path: str = "") -> ConfigError:
+    return ConfigError(f"line {line}, column {col + 1}: {path}{': ' if path else ''}{msg}")
+
+
+def load(text: str):
+    """The value of YAML text, in the subset run configs use: block
+    mappings with plain identifier keys, block sequences, flow
+    collections closed on their line, quoted strings, comments, and plain
+    null, boolean, decimal int and float scalars (an empty document is
+    None). Anything else, and any duplicate key, raises ConfigError with
+    its line and column."""
+    lines = []  # (line number, indent, line) of each line with content
+    for n, line in enumerate(text.split("\n"), 1):
+        line = line.removesuffix("\r")
+        body = line.lstrip(" ")
+        if not line.replace("\t", " ").isprintable():
+            col = next(k for k, c in enumerate(line) if c != "\t" and not c.isprintable())
+            raise _at(n, col, f"non-printable character {line[col]!r}")
+        if body.startswith("\t"):
+            raise _at(n, len(line) - len(body), "tab in indentation")
+        if line[:3] in ("---", "...") and line[3:4] in ("", " ", "\t") or line[:1] == "%":
+            raise _at(n, 0, "document markers and directives are not read")
+        if body and body[0] != "#":
+            lines.append((n, len(line) - len(body), line))
+    if not lines:
+        return None
+    value, i = _block(lines, 0, "")
+    if i < len(lines):
+        n, indent, _ = lines[i]
+        raise _at(n, indent, "unexpected line at this indentation")
+    return value
+
+
+def _entry(line: str, indent: int) -> bool:
+    return line[indent] == "-" and line[indent + 1:indent + 2] in ("", " ")
+
+
+def _key_end(line: str, j: int) -> int:
+    """The index of the ':' ending a plain identifier key at line[j], or -1."""
+    colon = line.find(":", j)
+    key = line[j:colon]
+    ok = colon > j and key.isidentifier() and key.isascii()
+    return colon if ok and line[colon + 1:colon + 2] in ("", " ") else -1
+
+
+def _map_key(line: str, j: int, n: int, path: str, mapping: dict):
+    """The key at line[j], its key path and the index after its ':'."""
+    colon = _key_end(line, j)
+    if colon < 0:
+        raise _at(n, j, "expected 'key: value' with a plain identifier key")
+    key = line[j:colon]
+    if key in _WORDS or key in _YAML11_WORDS:
+        raise _at(n, j, f"key {key!r} is not read as a string; rename it")
+    if key in mapping:
+        raise _at(n, j, f"duplicate key {_key(path, key)}")
+    return key, _key(path, key), colon + 1
+
+
+def _block(lines: list, i: int, path: str):
+    """The block node starting at lines[i] and the index of the line after it."""
+    n, indent, line = lines[i]
+    if _entry(line, indent):
+        out = []
+    elif _key_end(line, indent) >= 0:
+        out = {}
+    elif not path:
+        value, j = _inline(line, indent, n, path)
+        _end(line, j, n)
+        return value, i + 1
+    else:
+        raise _at(n, indent, "expected 'key: value' or '- item'", path)
+    while i < len(lines) and lines[i][1] >= indent:
+        n, at, line = lines[i]
+        if at > indent:
+            raise _at(n, at, "unexpected indentation")
+        if isinstance(out, list):
+            if not _entry(line, indent):
+                break
+            j, item = _skip(line, indent + 1), f"{path}[{len(out)}]"
+            if j == len(line) or line[j] == "#":
+                raise _at(n, indent, "empty sequence entry", item)
+        else:
+            key, item, j = _map_key(line, indent, n, path, out)
+            j = _skip(line, j)
+        i += 1
+        if j < len(line) and line[j] != "#":
+            value, j = _inline(line, j, n, item)
+            _end(line, j, n)
+        elif i < len(lines) and (
+            lines[i][1] > indent or lines[i][1] == indent and _entry(lines[i][2], indent)
+        ):
+            value, i = _block(lines, i, item)
+        else:
+            value = None
+        if isinstance(out, list):
+            out.append(value)
+        else:
+            out[key] = value
+    return out, i
+
+
+def _skip(line: str, j: int) -> int:
+    while line[j:j + 1] == " ":
+        j += 1
+    return j
+
+
+def _end(line: str, j: int, n: int) -> None:
+    """Only spaces and a comment may follow a value that ends at line[j]."""
+    k = _skip(line, j)
+    if k < len(line) and not (line[k] == "#" and k > j):
+        raise _at(n, k, f"unexpected {line[k]!r}")
+
+
+def _inline(line: str, j: int, n: int, path: str, flow: bool = False):
+    """The value written at line[j] and the index after it."""
+    c = line[j:j + 1]
+    if c in ("[", "{"):
+        return _flow(line, j, n, path)
+    if c in ("'", '"'):
+        return _quoted(line, j, n)
+    nxt = line[j + 1:j + 2]
+    if not c or c in "?:,]}#&*!|>%@`\t" or c == "-" and nxt in ("", " ", "\t", ",", "]", "}"):
+        raise _at(n, j, f"no value can start with {c!r}", path)
+    k = j
+    while k < len(line):
+        c = line[k]
+        if c == "#" and line[k - 1] == " " or flow and c in ",]}":
+            break
+        if c == "\t" or flow and c in "[{?:" or c == ":" and line[k + 1:k + 2] in ("", " "):
+            raise _at(n, k, f"{c!r} is not read inside a plain value", path)
+        k += 1
+    text = line[j:k].rstrip(" ")
+    return _scalar(text, n, j, path), j + len(text)
+
+
+def _flow(line: str, j: int, n: int, path: str):
+    """The [...] or {...} opening at line[j] and the index after it."""
+    close = "]" if line[j] == "[" else "}"
+    out = [] if close == "]" else {}
+    j = _skip(line, j + 1)
+    while line[j:j + 1] != close:
+        if j == len(line):
+            raise _at(n, j, f"{close!r} missing on this line", path)
+        if isinstance(out, list):
+            item = f"{path}[{len(out)}]"
+        else:
+            key, item, j = _map_key(line, j, n, path, out)
+            j = _skip(line, j)
+        value, j = _inline(line, j, n, item, flow=True)
+        if isinstance(out, list):
+            out.append(value)
+        else:
+            out[key] = value
+        j = _skip(line, j)
+        if line[j:j + 1] == ",":
+            j = _skip(line, j + 1)
+        elif line[j:j + 1] != close:
+            raise _at(n, j, f"expected ',' or {close!r} on this line", path)
+    return out, j + 1
+
+
+def _quoted(line: str, j: int, n: int):
+    """The '...' or "..." string opening at line[j] and the index after it."""
+    quote, chars, k = line[j], [], j + 1
+    while k < len(line):
+        c = line[k]
+        if c == quote and line[k + 1:k + 2] == "'" == quote:
+            chars.append(c)
+            k += 1
+        elif c == quote:
+            return "".join(chars), k + 1
+        elif c == "\\" and quote == '"':
+            k += 1
+            if line[k:k + 1] not in _ESCAPES:
+                raise _at(n, k - 1, f"unsupported escape {line[k - 1:k + 1]!r}")
+            chars.append(_ESCAPES[line[k]])
+        else:
+            chars.append(c)
+        k += 1
+    raise _at(n, j, "quoted string not closed on its line")
+
+
+def _scalar(text: str, n: int, j: int, path: str):
+    """The plain scalar text as YAML reads it."""
+    if text in _WORDS:
+        return _WORDS[text]
+    number = _NUMBER.fullmatch(text)
+    if number and number.lastgroup == "int":
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() parses
+            raise _at(n, j, "integer too long", path) from None
+    if number and number.lastgroup == "float":
+        return float(text.lower().replace(".inf", "inf").replace(".nan", "nan"))
+    if number or text in _YAML11_WORDS:
+        raise _at(n, j, (
+            f"YAML 1.1 reads {text!r} as something other than this text; quote it, or "
+            "write a number in plain decimal and a boolean as true/false"
+        ), path)
+    return text
 
 
 def _read(cls, raw, path: str):
@@ -323,9 +537,9 @@ def apply_overrides(raw: Mapping, overrides: Sequence[str]) -> dict:
         if not dotted:
             raise ConfigError(f"override has empty key: {item!r}")
         try:
-            value = yaml.load(text, Loader=_Loader)
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"override {dotted}: unparseable value {text!r}: {exc}")
+            value = load(text)
+        except ConfigError as exc:
+            raise ConfigError(f"override {dotted}: unparseable value {text!r}: {exc}") from None
         node = raw
         parts = dotted.split(".")
         for part in parts[:-1]:
@@ -347,13 +561,7 @@ def validate_config(source: str | Mapping, overrides: Sequence[str] = ()) -> Sim
     key.path=value strings applied before validation. Every error names
     the offending key path.
     """
-    if isinstance(source, str):
-        try:
-            raw = yaml.load(source, Loader=_Loader)
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"config is not valid YAML: {exc}")
-    else:
-        raw = source
+    raw = load(source) if isinstance(source, str) else source
     if raw is None:
         raw = {}
     if not isinstance(raw, Mapping):

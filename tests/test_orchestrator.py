@@ -1040,7 +1040,7 @@ def _fresh_python(probe: str) -> str:
 
 
 def test_cli_import_loads_no_scipy():
-    # The runtime needs only numpy and PyYAML; scipy is a test dependency.
+    # The runtime needs only numpy; scipy is a test dependency.
     probe = (
         "import sys, edgefl.cli; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
@@ -1048,13 +1048,13 @@ def test_cli_import_loads_no_scipy():
     assert _fresh_python(probe) == "[]"
 
 
-def test_cli_import_loads_no_dataclasses_or_gzip():
+def test_cli_import_loads_no_dataclasses_gzip_or_yaml():
     # Each costs every short-lived process that imports edgefl.cli: the
-    # records are built without dataclasses' generated code, and gzip
-    # loads only to read a gzipped file.
+    # records are built without dataclasses' generated code, gzip loads
+    # only to read a gzipped file, and configs are read without PyYAML.
     probe = (
         "import sys, edgefl.cli; "
-        "print([m for m in ('dataclasses', 'gzip') if m in sys.modules])"
+        "print([m for m in ('dataclasses', 'gzip', 'yaml') if m in sys.modules])"
     )
     assert _fresh_python(probe) == "[]"
 
