@@ -271,8 +271,8 @@ def load(text: str):
             raise _at(n, col, f"non-printable character {line[col]!r}")
         if body.startswith("\t"):
             raise _at(n, len(line) - len(body), "tab in indentation")
-        if line[:3] in ("---", "...") and line[3:4] in ("", " ", "\t") or line[:1] == "%":
-            raise _at(n, 0, "document markers and directives are not read")
+        if line[:3] in ("---", "...") and line[3:4] in ("", " ", "\t"):
+            raise _at(n, 0, "document markers are not read")
         if body and body[0] != "#":
             lines.append((n, len(line) - len(body), line))
     if not lines:
@@ -418,7 +418,7 @@ def _quoted(line: str, j: int, n: int):
     quote, chars, k = line[j], [], j + 1
     while k < len(line):
         c = line[k]
-        if c == quote and line[k + 1:k + 2] == "'" == quote:
+        if c == quote == "'" and line[k + 1:k + 2] == "'":
             chars.append(c)
             k += 1
         elif c == quote:
