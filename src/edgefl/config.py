@@ -238,7 +238,8 @@ _WORDS = {"~": None, "null": None, "Null": None, "NULL": None, "true": True, "Tr
           "TRUE": True, "false": False, "False": False, "FALSE": False}
 # A decimal int, a float, or (unnamed, matched loosely so that a word
 # that might be one is refused, not guessed) what else YAML 1.1 reads as
-# a number or a date: octal, hex and binary ints, "_" separators, base 60.
+# a number or a date: octal, hex and binary ints, "_" separators, base 60
+# and dates.
 _NUMBER = re.compile(
     r"(?P<int>[-+]?(?:0|[1-9][0-9]*))"
     r"|(?P<float>[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+|[-+]?[0-9]+\.[0-9]*"
