@@ -61,10 +61,14 @@ def ensure_finite(name: str, values: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(over="ignore")
-def sigmoid(x) -> np.ndarray:
-    """Logistic function 1 / (1 + exp(-x)); exp overflows to inf for
-    x below about -709, which correctly gives 0."""
-    return 1.0 / (1.0 + np.exp(-x))
+def sigmoid(x, out=None) -> np.ndarray:
+    """Logistic function 1 / (1 + exp(-x)) of an array, written into out
+    when given (out may be x); exp overflows to inf for x below about
+    -709, which correctly gives 0."""
+    out = np.negative(x, out=out)
+    np.exp(out, out=out)
+    out += 1.0
+    return np.divide(1.0, out, out=out)
 
 
 def euclidean_distance(rows, b) -> np.ndarray:

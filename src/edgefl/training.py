@@ -49,9 +49,14 @@ def require_binary_labels(y: np.ndarray, what: str) -> None:
         raise ValueError(f"{what}: labels must be 0 or 1 for the logistic loss")
 
 
-def _margin_losses(kind: LossKind, z: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _margin_losses(kind: LossKind, z: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Per-sample losses of margins z against labels y, written into out;
+    z is overwritten. Returns out."""
     if kind == LossKind.LINEAR:
-        return 0.5 * (z - y) ** 2
+        np.subtract(z, y, out=out)
+        np.square(out, out=out)
+        out *= 0.5
+        return out
     # Stable rearrangement of the logistic loss
     #   y*log(1 + exp(-z)) - (1-y)*log(1 - 1/(1 + exp(-z)))
     # via softplus: y*softplus(-z) + (1-y)*softplus(z). Labels are 0 or 1
@@ -60,18 +65,22 @@ def _margin_losses(kind: LossKind, z: np.ndarray, y: np.ndarray) -> np.ndarray:
     # 0*finite and the loss is one softplus of the signed margin
     # v = (1-2y)*z; any other label silently gets softplus((1-2y)*z).
     # softplus(v) = max(v, 0) + log1p(exp(-|v|)) runs on numpy's
-    # vectorized exp and log1p, in one buffer: within 2 ulp of
-    # np.logaddexp(0, v) (measured on an AVX-512 x86-64), at a third of
-    # its cost. 0.0*z is +-0 for a finite margin and leaves those bits
-    # alone; for an infinite one it keeps the loss NaN, as the 0*inf of
-    # the two-term form did.
-    v = z * (1.0 - 2.0 * y)
-    out = np.abs(v)
+    # vectorized exp and log1p, in two buffers: 1-2y is built in out and
+    # v is written over z. It is within 2 ulp of np.logaddexp(0, v)
+    # (measured on an AVX-512 x86-64), at a third of its cost. An
+    # infinite or NaN margin's loss is set to NaN, as the 0*inf of the
+    # two-term form made it; a finite margin's loss needs no such term.
+    finite = np.isfinite(z)
+    np.multiply(y, 2.0, out=out)
+    np.subtract(1.0, out, out=out)
+    v = np.multiply(z, out, out=z)
+    np.abs(v, out=out)
     np.negative(out, out=out)
     np.exp(out, out=out)
     np.log1p(out, out=out)
     out += np.maximum(v, 0.0, out=v)
-    out += np.multiply(z, 0.0, out=v)
+    if not finite.all():
+        out[~finite] = np.nan
     return out
 
 
@@ -92,14 +101,21 @@ def _by_count(counts: np.ndarray) -> list[tuple[slice | np.ndarray, int]]:
     return [(order[a:b], int(counts[order[a]])) for a, b in zip(edges, edges[1:])]
 
 
-def _margins(x: np.ndarray, W: np.ndarray) -> np.ndarray:
-    return np.matmul(x, W[:, :, None])[..., 0]
+def _margins(x: np.ndarray, W: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Every device's margins x @ w, written into out (devices x rows)."""
+    np.matmul(x, W[:, :, None], out=out[:, :, None])
+    return out
 
 
-def _gradients(kind, x, y, W, z, alpha: float) -> np.ndarray:
-    residual = z - y if kind == LossKind.LINEAR else sigmoid(z) - y
-    grad = np.matmul(x.transpose(0, 2, 1), residual[:, :, None])[..., 0]
-    return grad / x.shape[1] + alpha * W
+def _gradients(kind, x, y, W, z, alpha: float, out: np.ndarray) -> np.ndarray:
+    """Every device's gradient, written into out (W's shape); the
+    residual is written over the margins z."""
+    residual = sigmoid(z, out=z) if kind == LossKind.LOGISTIC else z
+    np.subtract(residual, y, out=residual)
+    np.matmul(x.transpose(0, 2, 1), residual[:, :, None], out=out[:, :, None])
+    out /= x.shape[1]
+    out += alpha * W
+    return out
 
 
 def stack_loss(kind: LossKind, W, stack: ShardStack, alpha: float) -> np.ndarray:
@@ -108,11 +124,18 @@ def stack_loss(kind: LossKind, W, stack: ShardStack, alpha: float) -> np.ndarray
     pass in numpy's vectorized exp and log1p, within 2 ulp of the
     two-term form. It equals that form only for labels 0 and 1, which
     are not checked here: this runs every round, on labels the run
-    checked at setup."""
+    checked at setup. Two (devices x widest shard) buffers, the margins
+    and the losses, are all it holds; each group of devices uses their
+    corner."""
     mean = np.empty(len(stack))
+    z_held = np.empty((len(stack), int(stack.counts.max())))
+    loss_held = np.empty_like(z_held)
     for rows, c in _by_count(stack.counts):
-        z = _margins(stack.x[rows, :c], W[rows])
-        mean[rows] = _margin_losses(kind, z, stack.y[rows, :c]).sum(axis=1) / c
+        Ws = W[rows]
+        k = len(Ws)
+        z = _margins(stack.x[rows, :c], Ws, z_held[:k, :c])
+        losses = _margin_losses(kind, z, stack.y[rows, :c], loss_held[:k, :c])
+        mean[rows] = losses.sum(axis=1) / c
     return mean + alpha * 0.5 * np.matmul(W[:, None, :], W[:, :, None])[:, 0, 0]
 
 
@@ -137,7 +160,8 @@ def local_loss(kind: LossKind, w, ds, alpha: float) -> float:
 def local_gradient(kind: LossKind, w, ds, alpha: float) -> np.ndarray:
     """Analytic gradient of :func:`local_loss` at w."""
     W, stack = _single(w, ds, "local gradient")
-    return _gradients(kind, stack.x, stack.y, W, _margins(stack.x, W), alpha)[0]
+    z = _margins(stack.x, W, np.empty(stack.y.shape))
+    return _gradients(kind, stack.x, stack.y, W, z, alpha, np.empty_like(W))[0]
 
 
 class Diverged(FloatingPointError):
@@ -174,6 +198,11 @@ def _descend(kind, w_init, stack: ShardStack, settings: TrainSettings, rngs) -> 
     sampled = settings.batch_size is not None and settings.batch_size < stack.counts.max()
     x, y, counts = stack.x, stack.y, stack.counts
     groups = _by_count(counts)
+    # Held for the whole call: each step writes a group's margins, then
+    # its residual, into the group's corner of z_held, and its gradients
+    # into grad_held, before scattering them to grad.
+    z_held = np.empty((len(stack), settings.batch_size if sampled else int(counts.max())))
+    grad_held = np.empty_like(W)
     grad = np.empty_like(W)
     z_finite = np.empty(len(stack), dtype=bool)
     for t in range(settings.local_iterations):
@@ -182,9 +211,10 @@ def _descend(kind, w_init, stack: ShardStack, settings: TrainSettings, rngs) -> 
             groups = _by_count(counts)
         for rows, c in groups:
             xs, Ws = x[rows, :c], W[rows]
-            z = _margins(xs, Ws)
+            k = len(Ws)
+            z = _margins(xs, Ws, z_held[:k, :c])
             z_finite[rows] = np.isfinite(z).all(axis=1)
-            grad[rows] = _gradients(kind, xs, y[rows, :c], Ws, z, settings.alpha)
+            grad[rows] = _gradients(kind, xs, y[rows, :c], Ws, z, settings.alpha, grad_held[:k])
         _require_finite(z_finite, "margins", t, stack.device_ids)
         W = W - settings.learning_rate * grad
         _require_finite(np.isfinite(W).all(axis=1), "model", t, stack.device_ids)

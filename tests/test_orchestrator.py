@@ -1102,6 +1102,14 @@ def test_cli_config_errors_exit_1(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_cli_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    latin1 = tmp_path / "latin1.yaml"
+    latin1.write_bytes(b"output_dir: caf\xe9\n")
+    assert cli_main(["validate", "--config", str(latin1)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot read {latin1}: ") and "utf-8" in err
+
+
 def test_cli_runtime_errors_exit_2(tmp_path, capsys):
     cfg_path = tmp_path / "run.yaml"
     cfg_path.write_text(MINIMAL)

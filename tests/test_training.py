@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -290,8 +291,9 @@ def _reference_descent(kind, w0, data, settings, rng):
 @pytest.mark.parametrize("kind", [LossKind.LINEAR, LossKind.LOGISTIC])
 @pytest.mark.parametrize("batch_size", [None, 64])
 @pytest.mark.parametrize("workers", [1, 2, 3])
-def test_train_stack_matches_per_device_loop_bit_for_bit(kind, batch_size, workers):
-    stack = _unequal_stack(kind)
+def test_train_stack_matches_per_device_loop_bit_for_bit(kind, batch_size, workers,
+                                                       sizes=(50, 200, 137)):
+    stack = _unequal_stack(kind, sizes)
     settings = TrainSettings(alpha=0.01, learning_rate=0.05, local_iterations=6,
                              batch_size=batch_size)
     w0 = np.linspace(-0.3, 0.3, stack.x.shape[2])
@@ -311,6 +313,46 @@ def test_train_stack_matches_per_device_loop_bit_for_bit(kind, batch_size, worke
             _one_pass_logistic(z, y)
         reg = settings.alpha * 0.5 * float(got[k] @ got[k])
         assert losses[k] == float(np.mean(per_sample)) + reg
+
+
+@pytest.mark.parametrize("kind", [LossKind.LINEAR, LossKind.LOGISTIC])
+@pytest.mark.parametrize("batch_size", [None, 64])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_train_stack_matches_per_device_loop_when_devices_share_a_count(kind, batch_size, workers):
+    # Two pairs of devices share a count below the widest, so their
+    # groups index rows by array and write into [:2, :c] corners of the
+    # held buffers.
+    test_train_stack_matches_per_device_loop_bit_for_bit(
+        kind, batch_size, workers, sizes=(50, 200, 50, 137, 137))
+
+
+def test_round_loop_holds_at_most_two_and_a_half_device_sample_slabs():
+    # A slab is one float64 per (device, sample). train_stack holds its
+    # margins and residual in one slab for the whole call, and stack_loss
+    # two; fresh temporaries every step would peak above three.
+    n, m, d = 200, 200, 10
+    rng = np.random.default_rng(77)
+    stack = ShardStack(rng.normal(size=(n, m, d)),
+                       rng.integers(0, 2, size=(n, m)).astype(float),
+                       np.full(n, m), tuple(range(n)))
+    streams = [RngStream(78, f"device-{i}") for i in range(n)]
+    W = rng.normal(size=(n, d))
+    calls = {
+        "train_stack": lambda: train_stack(LossKind.LOGISTIC, np.zeros(d), stack,
+                                           TrainSettings(), streams),
+        "stack_loss": lambda: stack_loss(LossKind.LOGISTIC, W, stack, alpha=0.001),
+    }
+    slabs = {}
+    for name, call in calls.items():
+        call()  # warm: lazy imports and caches are not the round loop's
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            call()
+            slabs[name] = (tracemalloc.get_traced_memory()[1] - base) / (n * m * 8)
+        finally:
+            tracemalloc.stop()
+    assert all(v <= 2.5 for v in slabs.values()), slabs
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
