@@ -51,7 +51,7 @@ def require_binary_labels(y: np.ndarray, what: str) -> None:
 
 def _margin_losses(kind: LossKind, z: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Per-sample losses of margins z against labels y, written into out;
-    z is overwritten. Returns out."""
+    z may be overwritten. Returns out."""
     if kind == LossKind.LINEAR:
         np.subtract(z, y, out=out)
         np.square(out, out=out)
@@ -67,9 +67,10 @@ def _margin_losses(kind: LossKind, z: np.ndarray, y: np.ndarray, out: np.ndarray
     # softplus(v) = max(v, 0) + log1p(exp(-|v|)) runs on numpy's
     # vectorized exp and log1p, in two buffers: 1-2y is built in out and
     # v is written over z. It is within 2 ulp of np.logaddexp(0, v)
-    # (measured on an AVX-512 x86-64), at a third of its cost. An
-    # infinite or NaN margin's loss is set to NaN, as the 0*inf of the
-    # two-term form made it; a finite margin's loss needs no such term.
+    # (measured on an AVX-512 x86-64), at a third of its cost. A margin
+    # that is not finite gets a NaN loss, as the 0*inf of the two-term
+    # form gives: on the matching label one softplus pass alone would
+    # give a finite 0 and hide the overflow from the round's check.
     finite = np.isfinite(z)
     np.multiply(y, 2.0, out=out)
     np.subtract(1.0, out, out=out)
@@ -110,8 +111,9 @@ def _margins(x: np.ndarray, W: np.ndarray, out: np.ndarray) -> np.ndarray:
 def _gradients(kind, x, y, W, z, alpha: float, out: np.ndarray) -> np.ndarray:
     """Every device's gradient, written into out (W's shape); the
     residual is written over the margins z."""
-    residual = sigmoid(z, out=z) if kind == LossKind.LOGISTIC else z
-    np.subtract(residual, y, out=residual)
+    if kind == LossKind.LOGISTIC:
+        sigmoid(z, out=z)
+    residual = np.subtract(z, y, out=z)
     np.matmul(x.transpose(0, 2, 1), residual[:, :, None], out=out[:, :, None])
     out /= x.shape[1]
     out += alpha * W
@@ -124,9 +126,9 @@ def stack_loss(kind: LossKind, W, stack: ShardStack, alpha: float) -> np.ndarray
     pass in numpy's vectorized exp and log1p, within 2 ulp of the
     two-term form. It equals that form only for labels 0 and 1, which
     are not checked here: this runs every round, on labels the run
-    checked at setup. Two (devices x widest shard) buffers, the margins
-    and the losses, are all it holds; each group of devices uses their
-    corner."""
+    checked at setup. It holds two (devices x widest shard) buffers, the
+    margins and the losses, and each group of devices works in its
+    corner of them."""
     mean = np.empty(len(stack))
     z_held = np.empty((len(stack), int(stack.counts.max())))
     loss_held = np.empty_like(z_held)
