@@ -1,5 +1,7 @@
+import re
 import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -116,6 +118,24 @@ def test_load_idx_truncated_and_mismatch(tmp_path):
     )
     with pytest.raises(ValueError, match="mismatch.*2.*3"):
         load_idx(ip2, lp2)
+
+
+@pytest.mark.parametrize("which, raw, error", [
+    ("labels", struct.pack(">II", 0x00000802, 2) + bytes(2),
+     "bad magic at offset 0, expected 0x00000801, got 0x00000802"),
+    ("labels", struct.pack(">II", LABELS_MAGIC, 5) + bytes(2),
+     "truncated label data, expected 13 bytes, got 10"),
+    ("labels", struct.pack(">I", LABELS_MAGIC), "truncated at byte 4"),
+    ("images", struct.pack(">II", IMAGES_MAGIC, 2), "truncated at byte 8"),
+], ids=["label magic", "label data", "label header", "image header"])
+def test_load_idx_rejection_names_the_file_and_the_place(tmp_path, which, raw, error):
+    paths = dict(zip(
+        ("images", "labels"),
+        _fixture_pair(tmp_path, np.zeros((2, 2, 2), np.uint8), np.zeros(2, np.uint8)),
+    ))
+    Path(paths[which]).write_bytes(raw)
+    with pytest.raises(ValueError, match=re.escape(f"{paths[which]}: {error}")):
+        load_idx(paths["images"], paths["labels"])
 
 
 def test_load_idx_holds_one_float_copy_of_the_pixels(tmp_path):

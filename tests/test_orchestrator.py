@@ -167,6 +167,7 @@ def test_config_echo_lists_sections_and_keys_in_declaration_order(name):
     ("dataset: {kind: images}", "dataset.kind"),
     ("dataset: {dim: 0}", "dataset.dim"),
     ("dataset: {n_test: two}", "dataset.n_test"),
+    ("dataset: {n_test: 0}", "dataset.n_test"),
     ("dataset: {w_scale: -1}", "dataset.w_scale"),
     ("dataset: {class_a: 3, class_b: 3}", "dataset.class_a"),
     ("training: {alpha: 2.0}", "training.alpha"),
@@ -201,6 +202,7 @@ def test_config_echo_lists_sections_and_keys_in_declaration_order(name):
     ("attack: {gaussian: {mu: 1}}", "attack.gaussian.mu"),
     ("attack: {signflip: {scale: -1}}", "attack.signflip.scale"),
     ("attack: {signflip: 3}", "attack.signflip"),
+    ("[1, 2]", "config root"),
 ])
 def test_every_section_rejection_names_the_key_path(text, path):
     with pytest.raises(ConfigError, match=re.escape(path)):
@@ -296,6 +298,15 @@ def test_overrides_apply_and_reject_garbage():
         validate_config(MINIMAL, overrides=["no-equals-sign"])
     with pytest.raises(ConfigError, match="unknown config key"):
         validate_config(MINIMAL, overrides=["nope.x=1"])
+
+
+@pytest.mark.parametrize("override, error", [
+    ("=1", "override has empty key: '=1'"),
+    ("seed.x=1", "override seed.x: seed is not a mapping"),
+])
+def test_malformed_overrides_are_config_errors(override, error):
+    with pytest.raises(ConfigError, match=re.escape(error)):
+        validate_config(_tiny_attack_config(), [override])
 
 
 def test_exponent_floats_in_config_text_and_overrides():
@@ -791,6 +802,25 @@ def test_a_failing_attack_group_stops_the_round(monkeypatch):
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(RuntimeError):
         run_simulation(cfg)
     assert groups == [[7, 9]]
+
+
+def test_a_generation_failure_names_the_attacker_it_stopped_at(monkeypatch):
+    # Attackers 6 and 7 share one group; generation fails for the second.
+    calls = []
+    original = graph_attack.generate_malicious
+
+    def failing_second(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 2:
+            raise ValueError("generation refused")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(graph_attack, "generate_malicious", failing_second)
+    cfg = validate_config(_tiny_attack_config(), ["devices.n_benign=5", "devices.n_malicious=2"])
+    assert simulation._setup(cfg).attack_groups == [[6, 7]]
+    with pytest.raises(RuntimeError) as err:
+        run_simulation(cfg)
+    assert str(err.value) == "round 1, stage attack (device 7): generation refused"
 
 
 def test_attack_failure_text_is_the_same_at_any_worker_count():
