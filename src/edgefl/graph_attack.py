@@ -712,12 +712,14 @@ def adversarial_reconstruct(
 
 def resolve_threshold(settings: AttackSettings, overheard) -> float:
     """Stealth radius for this round: absolute, or the configured
-    percentile of pairwise distances between overheard rows."""
+    percentile of pairwise distances between overheard rows, each pair
+    taken once, a row of the upper triangle at a time."""
     if settings.d_thresh_mode == "absolute":
         return float(settings.d_thresh_value)
     models = _model_block(overheard)
-    pairwise = _offsets(models[:, None, :], models)[1]
-    upper = np.sort(pairwise[np.triu_indices(len(models), k=1)])
+    upper = np.sort(np.concatenate([
+        _offsets(models[i], models[i + 1:])[1] for i in range(len(models) - 1)
+    ]))
     return _linear_percentile(upper, settings.d_thresh_percentile)
 
 
