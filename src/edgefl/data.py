@@ -3,6 +3,7 @@ partitioning across devices."""
 
 from __future__ import annotations
 
+import math
 import struct
 from collections.abc import Sequence
 
@@ -89,7 +90,12 @@ class ShardStack(Record):
         )
 
 
-def _read_bytes(path: str) -> bytes:
+def _read_idx(path: str, magic: int, what: str) -> np.ndarray:
+    """The payload of an IDX file as a uint8 array of the shape its
+    header gives: a big-endian magic, whose low byte is the number of
+    dimensions, then one big-endian u32 size per dimension. A
+    gzip-compressed file is detected by magic and inflated. what names
+    the payload in the error for a file cut short."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:2] == b"\x1f\x8b":
@@ -97,15 +103,21 @@ def _read_bytes(path: str) -> bytes:
         import gzip
 
         raw = gzip.decompress(raw)
-    return raw
-
-
-def _read_u32(buf: bytes, offset: int, path: str, what: str) -> int:
-    if offset + 4 > len(buf):
+    start = 4 + 4 * (magic & 0xFF)
+    header = struct.unpack_from(f">{min(len(raw), start) // 4}I", raw)
+    if header and header[0] != magic:
         raise ValueError(
-            f"{path}: truncated at byte {offset}, expected 4-byte {what}"
+            f"{path}: bad magic at offset 0, expected {magic:#010x}, got {header[0]:#010x}"
         )
-    return struct.unpack_from(">I", buf, offset)[0]
+    if len(header) * 4 < start:
+        raise ValueError(
+            f"{path}: truncated at byte {len(header) * 4}, inside its {start}-byte header"
+        )
+    shape = header[1:]
+    need = start + math.prod(shape)
+    if len(raw) < need:
+        raise ValueError(f"{path}: truncated {what} data, expected {need} bytes, got {len(raw)}")
+    return np.frombuffer(raw, dtype=np.uint8, count=need - start, offset=start).reshape(shape)
 
 
 def load_idx(images_path: str, labels_path: str) -> Dataset:
@@ -115,46 +127,17 @@ def load_idx(images_path: str, labels_path: str) -> Dataset:
     keep their integer value cast to float. Sample order is file order.
     Gzip-compressed files are detected by magic and inflated.
     """
-    img = _read_bytes(images_path)
-    magic = _read_u32(img, 0, images_path, "magic")
-    if magic != IMAGES_MAGIC:
-        raise ValueError(
-            f"{images_path}: bad magic at offset 0, expected {IMAGES_MAGIC:#010x}, "
-            f"got {magic:#010x}"
-        )
-    count = _read_u32(img, 4, images_path, "image count")
-    rows = _read_u32(img, 8, images_path, "row count")
-    cols = _read_u32(img, 12, images_path, "column count")
-    need = 16 + count * rows * cols
-    if len(img) < need:
-        raise ValueError(
-            f"{images_path}: truncated pixel data, expected {need} bytes, got {len(img)}"
-        )
-
-    lab = _read_bytes(labels_path)
-    lmagic = _read_u32(lab, 0, labels_path, "magic")
-    if lmagic != LABELS_MAGIC:
-        raise ValueError(
-            f"{labels_path}: bad magic at offset 0, expected {LABELS_MAGIC:#010x}, "
-            f"got {lmagic:#010x}"
-        )
-    lcount = _read_u32(lab, 4, labels_path, "label count")
-    if len(lab) < 8 + lcount:
-        raise ValueError(
-            f"{labels_path}: truncated label data, expected {8 + lcount} bytes, "
-            f"got {len(lab)}"
-        )
-    if count != lcount:
+    pixels = _read_idx(images_path, IMAGES_MAGIC, "pixel")
+    labels = _read_idx(labels_path, LABELS_MAGIC, "label")
+    count, rows, cols = pixels.shape
+    if count != len(labels):
         raise ValueError(
             f"image/label count mismatch: {images_path} has {count}, "
-            f"{labels_path} has {lcount}"
+            f"{labels_path} has {len(labels)}"
         )
-
-    pixels = np.frombuffer(img, dtype=np.uint8, count=count * rows * cols, offset=16)
     x = pixels.reshape(count, rows * cols).astype(np.float64)
     x /= 255.0
-    y = np.frombuffer(lab, dtype=np.uint8, count=lcount, offset=8).astype(np.float64)
-    return Dataset(x, y)
+    return Dataset(x, labels.astype(np.float64))
 
 
 def binarize(ds: Dataset, class_a: int, class_b: int) -> Dataset:
