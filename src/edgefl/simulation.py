@@ -290,8 +290,9 @@ def emit_outputs(
     stage_seconds: dict[str, float] | None = None,
 ) -> dict[str, Path]:
     """Write rounds.csv, summary.json, attack_diag.csv (when the graph
-    attack ran), and run_meta.json into cfg.output_dir, each through a
-    temporary file that replaces it whole.
+    attack ran; otherwise any earlier one is removed), and run_meta.json
+    into cfg.output_dir, each through a temporary file that replaces it
+    whole.
 
     Everything except run_meta.json is a deterministic function of
     (config, seed); timing lives only in run_meta.json so the other
@@ -331,8 +332,8 @@ def emit_outputs(
             fh.write("\n")
         written["summary"] = summary_path
 
+        diag_path = out / "attack_diag.csv"
         if cfg.attack.kind == "avgae" and cfg.devices.n_malicious > 0:
-            diag_path = out / "attack_diag.csv"
             # The rows csv.writer would write: floats are written as repr,
             # flags as 0/1, and no skip reason holds a comma or a quote, so
             # no field ever needs quoting.
@@ -347,6 +348,9 @@ def emit_outputs(
                         for d in record.attack_diagnostics
                     )
             written["attack_diag"] = diag_path
+        else:
+            # An earlier run's file would read as this run's.
+            diag_path.unlink(missing_ok=True)
 
     meta_path = out / "run_meta.json"
     with _writing(meta_path) as fh:

@@ -1140,6 +1140,23 @@ def test_cli_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
     assert err.startswith(f"config error: cannot read {latin1}: ") and "utf-8" in err
 
 
+def test_cli_reads_a_config_that_starts_with_a_utf8_bom(tmp_path, capsys):
+    # PyYAML, the reference for the reader, takes the BOM as no content.
+    bom = tmp_path / "bom.yaml"
+    bom.write_bytes(b"\xef\xbb\xbf" + MINIMAL.encode())
+    assert cli_main(["validate", "--config", str(bom)]) == 0
+    assert capsys.readouterr().out == f"config OK: {bom}\n"
+
+
+def test_a_run_without_graph_attackers_leaves_no_earlier_attack_diag(tmp_path, capsys):
+    out = tmp_path / "out"
+    for name in ("synthetic_avgae", "synthetic_control"):
+        config = str(ROOT / "configs" / f"{name}.yaml")
+        assert cli_main(["simulate", "--config", config, "--out", str(out),
+                         "--override", "rounds=2"]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["rounds.csv", "run_meta.json", "summary.json"]
+
+
 def test_cli_runtime_errors_exit_2(tmp_path, capsys):
     cfg_path = tmp_path / "run.yaml"
     cfg_path.write_text(MINIMAL)
