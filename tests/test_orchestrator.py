@@ -58,6 +58,11 @@ def test_minimal_config_gets_defaults():
     assert cfg.channel.snr_min == 0.0
 
 
+def test_an_empty_section_and_a_null_optional_take_the_defaults():
+    # "devices:" with no value reads as null, as in PyYAML.
+    assert validate_config("devices:\ntraining: {batch_size: null}\n") == validate_config("")
+
+
 def test_config_rejections_name_the_key():
     with pytest.raises(ConfigError, match="devices.n_benign"):
         validate_config("devices: {n_benign: 0}")
@@ -162,6 +167,7 @@ def test_config_echo_lists_sections_and_keys_in_declaration_order(name):
     ("devices: {n_malicious: -1}", "devices.n_malicious"),
     ("devices: {samples_per_device: [10, 20]}", "devices.samples_per_device"),
     ("devices: {samples_per_device: 0}", "devices.samples_per_device"),
+    ("devices: {samples_per_device: many}", "devices.samples_per_device must be int or a list"),
     ("devices: {attacker_reported_samples: 0}", "devices.attacker_reported_samples"),
     ("devices: {attacker_reported_samples: median}", "devices.attacker_reported_samples"),
     ("dataset: {kind: images}", "dataset.kind"),
@@ -1148,7 +1154,7 @@ def test_cli_reads_a_config_that_starts_with_a_utf8_bom(tmp_path, capsys):
     assert capsys.readouterr().out == f"config OK: {bom}\n"
 
 
-def test_a_run_without_graph_attackers_leaves_no_earlier_attack_diag(tmp_path, capsys):
+def test_a_run_without_graph_attackers_leaves_no_earlier_attack_diag(tmp_path):
     out = tmp_path / "out"
     for name in ("synthetic_avgae", "synthetic_control"):
         config = str(ROOT / "configs" / f"{name}.yaml")
