@@ -50,11 +50,19 @@ class Dataset(Record):
 
 
 class ShardStack(Record):
-    """Every device's training shard in one zero-padded block.
+    """Every device's training shard in one zero-padded, feature-major
+    block.
 
-    x: (n, m_max, d) and y: (n, m_max). Device device_ids[k] owns the
-    first counts[k] rows of block k; every row past them is zero.
-    Stacks compare and hash by identity: their arrays have no truth value.
+    x: (n, d, m_max) and y: (n, m_max). Block k is device device_ids[k]'s
+    shard as a C-contiguous d x m_max array, one row per feature: the
+    device owns its first counts[k] columns and the first counts[k]
+    labels of y[k], and every entry past them is zero. Feature-major,
+    local training's per-device products run over the samples: the
+    margins are one axpy per feature and the gradient one dot product
+    per feature, each counts[k] long, where a sample-major block would
+    make them counts[k] products d long. Only this module and training
+    read the axis order. Stacks compare and hash by identity: their
+    arrays have no truth value.
     """
 
     x: np.ndarray
@@ -67,20 +75,25 @@ class ShardStack(Record):
 
     def _check(self):
         n = len(self.device_ids)
-        if self.x.ndim != 3 or self.x.shape[:2] != self.y.shape or self.y.shape[0] != n \
-                or self.counts.shape != (n,):
+        if self.x.ndim != 3 or (self.x.shape[0], self.x.shape[2]) != self.y.shape \
+                or self.y.shape[0] != n or self.counts.shape != (n,):
             raise ValueError(
-                f"inconsistent shard stack: x {self.x.shape}, y {self.y.shape}, "
-                f"counts {self.counts.shape}, {len(self.device_ids)} device ids"
+                f"inconsistent shard stack: x {self.x.shape} must be (n, d, m), "
+                f"y {self.y.shape} (n, m), counts {self.counts.shape} (n,), "
+                f"for n = {n} device ids"
             )
 
     @classmethod
     def of(cls, ds: Dataset) -> "ShardStack":
-        """A dataset as a stack of one, device 0, without copying."""
-        return cls(ds.x[None], ds.y[None], np.array([len(ds)]), (0,))
+        """A dataset as a stack of one, device 0: a feature-major copy."""
+        return cls(np.ascontiguousarray(ds.x.T)[None], ds.y[None], np.array([len(ds)]), (0,))
 
     def __len__(self) -> int:
         return len(self.device_ids)
+
+    @property
+    def dim(self) -> int:
+        return self.x.shape[1]
 
     def rows(self, start: int, stop: int) -> "ShardStack":
         """Devices start..stop-1 as a stack viewing the same block."""
@@ -88,6 +101,12 @@ class ShardStack(Record):
             self.x[start:stop], self.y[start:stop],
             self.counts[start:stop], self.device_ids[start:stop],
         )
+
+    def pooled(self) -> Dataset:
+        """Every device's samples as one sample-major dataset, device by
+        device, each in its shard's order."""
+        held = np.arange(self.y.shape[1]) < self.counts[:, None]
+        return Dataset(self.x.transpose(0, 2, 1)[held], self.y[held])
 
 
 def _read_idx(path: str, magic: int, what: str) -> np.ndarray:
@@ -165,30 +184,36 @@ def _chunk_rows(n: int, d: int) -> int:
 
 
 def synth_logistic(
-    n: int, d: int, w_true, rng: RngStream, out: Dataset | None = None,
-    rows: np.ndarray | None = None,
-) -> Dataset:
+    n: int, d: int, w_true, rng: RngStream, y: np.ndarray | None = None,
+    rows: np.ndarray | None = None, put_x=None,
+) -> Dataset | None:
     """Generate a logistic task with known ground truth.
 
     Features are i.i.d. standard normal; each label is 1.0 with
-    probability sigmoid(w_true . x). Sample i is written to row rows[i]
-    of out (default: row i of a new n-row dataset), and out is returned.
-    The features are drawn a chunk at a time into one reused buffer and
-    scattered to their rows, so no other array holds them whole; the
-    labels then take the stream's next n uniforms. The draws are those
-    of one (n, d) normal block. A chunk's margins can round differently
-    from the whole block's product, which moves a label only if its
-    uniform lies within an ulp of its probability.
+    probability sigmoid(w_true . x). By default sample i is row i of a
+    new n-row dataset, which is returned. A caller that holds its own
+    arrays passes y, rows and put_x, and gets None: sample i's label is
+    written to y[rows[i]], and put_x(start, chunk) is handed the features
+    of samples start.., one sample a row. The features are drawn a
+    chunk at a time into one reused buffer, so no other array holds them
+    whole; the labels then take the stream's next n uniforms. The draws
+    are those of one (n, d) normal block. A chunk's margins can round
+    differently from the whole block's product, which moves a label only
+    if its uniform lies within an ulp of its probability.
     """
     if n < 1:
         raise ValueError(f"sample count must be positive, got {n}")
     w_true = as_params(w_true)
     if w_true.shape[0] != d:
         raise ValueError(f"dimension mismatch: w_true has {w_true.shape[0]}, d is {d}")
-    if out is None:
+    out = None
+    if put_x is None:
         out = Dataset(np.empty((n, d)), np.empty(n))
-    if rows is None:
-        rows = np.arange(n)
+        y, rows = out.y, np.arange(n)
+
+        def put_x(start: int, chunk: np.ndarray) -> None:
+            out.x[start : start + len(chunk)] = chunk
+
     step = _chunk_rows(n, d)
     buf = np.empty((step, d))
     # Each margin waits in its sample's label slot until the uniforms,
@@ -197,12 +222,12 @@ def synth_logistic(
         at = rows[start : start + step]
         chunk = buf[: len(at)]
         rng.gen.standard_normal(out=chunk)
-        out.x[at] = chunk
-        out.y[at] = chunk @ w_true
+        put_x(start, chunk)
+        y[at] = chunk @ w_true
     del buf, chunk  # before the label pass allocates
     for start in range(0, n, step):
         at = rows[start : start + step]
-        out.y[at] = rng.gen.random(len(at)) < sigmoid(out.y[at])
+        y[at] = rng.gen.random(len(at)) < sigmoid(y[at])
     return out
 
 
@@ -210,9 +235,11 @@ def deal_slots(sizes: Sequence[int], n: int, rng: RngStream) -> np.ndarray:
     """The IID dealing rule: shuffle n samples once, then deal contiguous
     runs of the shuffled order, sizes[0] to the first device, and so on.
 
-    Returns, per sample, its row in the flattened zero-padded stack
-    (device k holds rows k*max(sizes) .. k*max(sizes) + sizes[k] - 1),
-    or -1 for a sample no device receives.
+    Returns, per sample, its slot in the zero-padded stack, or -1 for a
+    sample no device receives. Device k's samples take slots
+    k*max(sizes) .. k*max(sizes) + sizes[k] - 1; slot s is column
+    s % max(sizes) of block s // max(sizes), and entry s of the
+    flattened labels.
     """
     sizes = [int(s) for s in sizes]
     if any(s < 1 for s in sizes):
@@ -231,15 +258,22 @@ def deal_slots(sizes: Sequence[int], n: int, rng: RngStream) -> np.ndarray:
     return slots
 
 
-def _stack_of(block: Dataset, sizes: Sequence[int]) -> ShardStack:
-    """The shard stack viewing the first len(sizes) * max(sizes) rows of
-    block, as deal_slots lays them out."""
+def _empty_stack(sizes: list[int], d: int, y: np.ndarray) -> ShardStack:
+    """A zero feature block for the shards that deal_slots lays out,
+    with y, a zeroed flat label block, as their labels."""
     n, width = len(sizes), max(sizes)
     return ShardStack(
-        block.x[: n * width].reshape(n, width, block.dim),
-        block.y[: n * width].reshape(n, width),
-        np.array(sizes), tuple(range(1, n + 1)),
+        np.zeros((n, d, width)), y.reshape(n, width), np.array(sizes), tuple(range(1, n + 1))
     )
+
+
+def _put_features(stack: ShardStack, slots: np.ndarray, rows: np.ndarray) -> None:
+    """Write sample-major rows to their slots of the feature-major stack,
+    through its sample-major view: with both indices ahead of the feature
+    axis, numpy takes each row in one pass, a fifth faster here than
+    x[device, :, column] for the crowd_noise pool."""
+    device, column = np.divmod(slots, stack.x.shape[2])
+    stack.x.transpose(0, 2, 1)[device, column] = rows
 
 
 def partition_iid(ds: Dataset, sizes: Sequence[int], rng: RngStream) -> ShardStack:
@@ -251,15 +285,15 @@ def partition_iid(ds: Dataset, sizes: Sequence[int], rng: RngStream) -> ShardSta
     """
     sizes = [int(s) for s in sizes]
     slots = deal_slots(sizes, len(ds), rng)
-    stacked = len(sizes) * max(sizes)
-    block = Dataset(np.zeros((stacked, ds.dim)), np.zeros(stacked))
+    stack = _empty_stack(sizes, ds.dim, np.zeros(len(sizes) * max(sizes)))
+    labels = stack.y.reshape(-1)
     dealt = np.flatnonzero(slots >= 0)
     step = _chunk_rows(len(dealt), ds.dim)
     for start in range(0, len(dealt), step):
         src = dealt[start : start + step]
-        block.x[slots[src]] = ds.x[src]
-        block.y[slots[src]] = ds.y[src]
-    return _stack_of(block, sizes)
+        _put_features(stack, slots[src], ds.x[src])
+        labels[slots[src]] = ds.y[src]
+    return stack
 
 
 def synth_shards(
@@ -271,14 +305,27 @@ def synth_shards(
     Gives what partition_iid(train, sizes, partitioner) and a test set
     give when train is the first sum(sizes) samples of
     synth_logistic(sum(sizes) + n_test, d, w_true, rng) and the test set
-    the remaining n_test, in order. The shard stack and the test set
-    are views of one zero-filled block, and every sample is held once.
+    the remaining n_test, in order. Each drawn chunk is written to the
+    feature-major stack and, past the test-set edge, to the test set's
+    own (n_test, d) array, so every sample is held once. The labels of
+    both are views of one flat block.
     """
     sizes = [int(s) for s in sizes]
+    n_train = sum(sizes)
     stacked = len(sizes) * max(sizes)
     rows = np.concatenate([
-        deal_slots(sizes, sum(sizes), partitioner), np.arange(stacked, stacked + n_test)
+        deal_slots(sizes, n_train, partitioner), np.arange(stacked, stacked + n_test)
     ])
-    block = Dataset(np.zeros((stacked + n_test, d)), np.zeros(stacked + n_test))
-    synth_logistic(len(rows), d, w_true, rng, block, rows)
-    return _stack_of(block, sizes), Dataset(block.x[stacked:], block.y[stacked:])
+    y = np.zeros(stacked + n_test)
+    stack = _empty_stack(sizes, d, y[:stacked])
+    test = Dataset(np.empty((n_test, d)), y[stacked:])
+
+    def put_x(start: int, chunk: np.ndarray) -> None:
+        # The chunk is sliced at the test-set edge, never masked.
+        edge = min(len(chunk), max(n_train - start, 0))
+        _put_features(stack, rows[start : start + edge], chunk[:edge])
+        if edge < len(chunk):
+            test.x[start + edge - n_train : start + len(chunk) - n_train] = chunk[edge:]
+
+    synth_logistic(len(rows), d, w_true, rng, y, rows, put_x)
+    return stack, test

@@ -69,8 +69,7 @@ def _build_shards(cfg: SimConfig) -> tuple[ShardStack, Dataset]:
 def _build_datasets(cfg: SimConfig) -> tuple[Dataset, Dataset]:
     """The pooled training set, device by device, and the test set."""
     shards, test = _build_shards(cfg)
-    held = np.arange(shards.x.shape[1]) < shards.counts[:, None]
-    return Dataset(shards.x[held], shards.y[held]), test
+    return shards.pooled(), test
 
 
 def _draw_positions(
@@ -109,7 +108,7 @@ def _setup(cfg: SimConfig) -> _Setup:
     n_benign = cfg.devices.n_benign
     attacker_ids = list(range(n_benign + 1, n_benign + cfg.devices.n_malicious + 1))
 
-    dim = shards.x.shape[2]
+    dim = shards.dim
     projector = None
     avgae = cfg.attack.avgae
     if cfg.attack.kind == "avgae" and cfg.devices.n_malicious > 0:

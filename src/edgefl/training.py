@@ -85,12 +85,14 @@ def _margin_losses(kind: LossKind, z: np.ndarray, y: np.ndarray, out: np.ndarray
     return out
 
 
-# The stacked forms below take one model per device, W of shape (n, d).
-# Devices are grouped by sample count, and each group runs one BLAS call
-# per device on exactly that device's rows: matmul against the
-# transposed view, never a contiguous copy or einsum. Each device thus
-# gets the same bits as the 2-D product on its own rows; padding is
-# never summed, so it needs no mask.
+# The stacked forms below take one model per device, W of shape (n, d),
+# and a feature-major stack x of shape (devices, d, samples). Devices are
+# grouped by sample count, and each group runs one BLAS call per device
+# on exactly that device's columns, never an einsum: the margins against
+# the transposed view, one axpy per feature down the samples, and the
+# gradient against x itself, one dot product per feature along them. Each
+# device thus gets the same bits as the 2-D products on its own (d, m)
+# block; padding is never summed, so it needs no mask.
 
 def _by_count(counts: np.ndarray) -> list[tuple[slice | np.ndarray, int]]:
     if (counts == counts[0]).all():
@@ -103,8 +105,8 @@ def _by_count(counts: np.ndarray) -> list[tuple[slice | np.ndarray, int]]:
 
 
 def _margins(x: np.ndarray, W: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Every device's margins x @ w, written into out (devices x rows)."""
-    np.matmul(x, W[:, :, None], out=out[:, :, None])
+    """Every device's margins x^T w, written into out (devices x samples)."""
+    np.matmul(x.transpose(0, 2, 1), W[:, :, None], out=out[:, :, None])
     return out
 
 
@@ -114,8 +116,8 @@ def _gradients(kind, x, y, W, z, alpha: float, out: np.ndarray) -> np.ndarray:
     if kind == LossKind.LOGISTIC:
         sigmoid(z, out=z)
     residual = np.subtract(z, y, out=z)
-    np.matmul(x.transpose(0, 2, 1), residual[:, :, None], out=out[:, :, None])
-    out /= x.shape[1]
+    np.matmul(x, residual[:, :, None], out=out[:, :, None])
+    out /= x.shape[2]
     out += alpha * W
     return out
 
@@ -135,7 +137,7 @@ def stack_loss(kind: LossKind, W, stack: ShardStack, alpha: float) -> np.ndarray
     for rows, c in _by_count(stack.counts):
         Ws = W[rows]
         k = len(Ws)
-        z = _margins(stack.x[rows, :c], Ws, z_held[:k, :c])
+        z = _margins(stack.x[rows, :, :c], Ws, z_held[:k, :c])
         losses = _margin_losses(kind, z, stack.y[rows, :c], loss_held[:k, :c])
         mean[rows] = losses.sum(axis=1) / c
     return mean + alpha * 0.5 * np.matmul(W[:, None, :], W[:, :, None])[:, 0, 0]
@@ -184,15 +186,19 @@ def _require_finite(finite: np.ndarray, what: str, t: int, device_ids) -> None:
 
 
 def _minibatch(stack: ShardStack, batch_size: int, rngs: Sequence[RngStream]):
-    """Each device's batch for one step: batch_size rows drawn without
-    replacement from its own stream, or all its rows when it has no
-    more than batch_size."""
+    """Each device's batch for one step: batch_size samples drawn without
+    replacement from its own stream, or all its samples when it has no
+    more than batch_size. Each device's features come back as a
+    C-contiguous (d, batch_size) block."""
     rows = np.tile(np.arange(batch_size), (len(stack), 1))
     for k, count in enumerate(stack.counts):
         if batch_size < count:
             rows[k] = rngs[k].gen.choice(int(count), size=batch_size, replace=False)
-    block = np.arange(len(stack))[:, None]
-    return stack.x[block, rows], stack.y[block, rows], np.minimum(stack.counts, batch_size)
+    return (
+        np.take_along_axis(stack.x, rows[:, None, :], axis=2),
+        np.take_along_axis(stack.y, rows, axis=1),
+        np.minimum(stack.counts, batch_size),
+    )
 
 
 def _descend(kind, w_init, stack: ShardStack, settings: TrainSettings, rngs) -> np.ndarray:
@@ -212,7 +218,7 @@ def _descend(kind, w_init, stack: ShardStack, settings: TrainSettings, rngs) -> 
             x, y, counts = _minibatch(stack, settings.batch_size, rngs)
             groups = _by_count(counts)
         for rows, c in groups:
-            xs, Ws = x[rows, :c], W[rows]
+            xs, Ws = x[rows, :, :c], W[rows]
             k = len(Ws)
             z = _margins(xs, Ws, z_held[:k, :c])
             z_finite[rows] = np.isfinite(z).all(axis=1)

@@ -11,6 +11,7 @@ from edgefl.data import (
     IMAGES_MAGIC,
     LABELS_MAGIC,
     Dataset,
+    ShardStack,
     binarize,
     load_idx,
     partition_iid,
@@ -206,16 +207,17 @@ def _key(row):
     return tuple(row)
 
 
-def _shard_rows(stack):
-    """Each device's feature rows of the stack, without the padding."""
-    return [stack.x[k, :m] for k, m in enumerate(stack.counts)]
+def _shard_blocks(stack):
+    """Each device's (d, m) feature block of the stack, without the
+    padding."""
+    return [stack.x[k, :, :m] for k, m in enumerate(stack.counts)]
 
 
 def test_partition_single_device_is_permutation():
     ds = synth_logistic(40, 3, np.ones(3), RngStream(4, "synth"))
     stack = partition_iid(ds, [40], RngStream(4, "part"))
     assert stack.device_ids == (1,) and stack.counts.tolist() == [40]
-    assert sorted(map(_key, stack.x[0])) == sorted(map(_key, ds.x))
+    assert sorted(map(_key, stack.x[0].T)) == sorted(map(_key, ds.x))
 
 
 def test_partition_disjoint_singletons():
@@ -228,7 +230,7 @@ def test_partition_disjoint_singletons():
 def test_partition_multiset_equality_oracle():
     ds = synth_logistic(1000, 4, np.ones(4), RngStream(6, "synth"))
     shards = partition_iid(ds, [200] * 5, RngStream(6, "part"))
-    union = sorted(_key(row) for rows in _shard_rows(shards) for row in rows)
+    union = sorted(_key(sample) for block in _shard_blocks(shards) for sample in block.T)
     assert union == sorted(map(_key, ds.x))
 
 
@@ -242,18 +244,18 @@ def test_partition_random_configurations_disjoint_and_exact():
         shards = partition_iid(ds, sizes, RngStream(int(rng.integers(1e6)), "part"))
         seen: list[float] = []
         assert shards.counts.tolist() == sizes
-        for rows in _shard_rows(shards):
-            seen.extend(rows[:, 0].tolist())
+        for block in _shard_blocks(shards):
+            seen.extend(block[0].tolist())
         assert len(seen) == len(set(seen)) == sum(sizes)
 
 
 def test_partition_deals_into_one_zero_padded_stack():
     ds = synth_logistic(20, 3, np.ones(3), RngStream(8, "synth"))
     stack = partition_iid(ds, [4, 7, 2], RngStream(8, "part"))
-    assert stack.x.shape == (3, 7, 3) and stack.y.shape == (3, 7)
+    assert stack.x.shape == (3, 3, 7) and stack.y.shape == (3, 7)
     assert stack.counts.tolist() == [4, 7, 2] and stack.device_ids == (1, 2, 3)
     for k, size in enumerate(stack.counts):
-        assert not stack.x[k, size:].any() and not stack.y[k, size:].any()
+        assert not stack.x[k, :, size:].any() and not stack.y[k, size:].any()
     part = stack.rows(1, 3)
     assert part.device_ids == (2, 3) and np.shares_memory(part.x, stack.x)
     # Stacks compare by identity, never element by element.
@@ -275,14 +277,14 @@ def _two_step_reference(sizes, n_test, d, w_true, seed):
     x = gen.standard_normal((n_train + n_test, d))
     y = (gen.random(n_train + n_test) < sigmoid(x @ w_true)).astype(np.float64)
     perm = RngStream(seed, "partitioner").gen.permutation(n_train)
-    stack_x = np.zeros((len(sizes), max(sizes), d))
-    stack_y = np.zeros((len(sizes), max(sizes)))
+    blocks, labels = [], []
     start = 0
     for k, size in enumerate(sizes):
         idx = perm[start : start + size]
-        stack_x[k, :size], stack_y[k, :size] = x[idx], y[idx]
+        blocks.append(np.ascontiguousarray(x[idx].T))
+        labels.append(y[idx])
         start += size
-    return stack_x, stack_y, x[n_train:], y[n_train:]
+    return blocks, labels, x[n_train:], y[n_train:]
 
 
 @pytest.mark.parametrize("sizes, n_test, d, chunk_rows", [
@@ -308,9 +310,11 @@ def test_synth_shards_match_the_two_step_construction_bit_for_bit(
     shards, test = synth_shards(
         sizes, n_test, d, w_true, RngStream(4, "data"), RngStream(4, "partitioner")
     )
-    stack_x, stack_y, test_x, test_y = _two_step_reference(sizes, n_test, d, w_true, 4)
-    assert shards.x.tobytes() == stack_x.tobytes()
-    assert shards.y.tobytes() == stack_y.tobytes()
+    blocks, labels, test_x, test_y = _two_step_reference(sizes, n_test, d, w_true, 4)
+    for k, size in enumerate(sizes):
+        assert shards.x[k, :, :size].tobytes() == blocks[k].tobytes()
+        assert shards.y[k, :size].tobytes() == labels[k].tobytes()
+        assert not shards.x[k, :, size:].any() and not shards.y[k, size:].any()
     assert test.x.tobytes() == test_x.tobytes() and test.y.tobytes() == test_y.tobytes()
     assert shards.counts.tolist() == sizes
     assert shards.device_ids == tuple(range(1, len(sizes) + 1))
@@ -324,3 +328,55 @@ def test_synth_logistic_in_chunks_matches_one_block(monkeypatch):
     x = gen.standard_normal((23, 4))
     y = (gen.random(23) < sigmoid(x @ w_true)).astype(np.float64)
     assert ds.x.tobytes() == x.tobytes() and ds.y.tobytes() == y.tobytes()
+
+
+def _stacks_of_every_builder():
+    ds = synth_logistic(60, 4, np.ones(4), RngStream(10, "synth"))
+    shards, _ = synth_shards(
+        [7, 12, 3], 5, 4, np.ones(4), RngStream(10, "data"), RngStream(10, "part")
+    )
+    return {
+        "synth_shards": (shards, (3, 4, 12)),
+        "partition_iid": (partition_iid(ds, [9, 20, 9, 1], RngStream(10, "part")), (4, 4, 20)),
+        "ShardStack.of": (ShardStack.of(ds), (1, 4, 60)),
+        "ShardStack.of one sample": (ShardStack.of(Dataset(ds.x[:1], ds.y[:1])), (1, 4, 1)),
+    }
+
+
+def test_every_shard_stack_is_feature_major_with_a_contiguous_block_per_device():
+    for name, (stack, shape) in _stacks_of_every_builder().items():
+        assert stack.x.shape == shape and stack.dim == shape[1], name
+        assert stack.y.shape == (shape[0], shape[2]), name
+        for k in range(len(stack)):
+            assert stack.x[k].flags.c_contiguous, (name, k)
+        assert all(part.flags.c_contiguous for part in stack.rows(1, len(stack)).x), name
+
+
+def test_shard_stack_of_a_dataset_holds_its_samples_as_columns():
+    ds = synth_logistic(9, 3, np.ones(3), RngStream(11, "synth"))
+    stack = ShardStack.of(ds)
+    assert stack.x[0].tobytes() == np.ascontiguousarray(ds.x.T).tobytes()
+    assert not np.shares_memory(stack.x, ds.x)
+    pooled = stack.pooled()
+    assert pooled.x.tobytes() == ds.x.tobytes() and pooled.y.tobytes() == ds.y.tobytes()
+
+
+def test_pooled_shards_are_every_device_s_samples_in_order():
+    ds = synth_logistic(30, 3, np.ones(3), RngStream(12, "synth"))
+    stack = partition_iid(ds, [4, 9, 2], RngStream(12, "part"))
+    pooled = stack.pooled()
+    blocks = _shard_blocks(stack)
+    assert pooled.x.tobytes() == np.concatenate([b.T for b in blocks]).tobytes()
+    assert pooled.y.tolist() == [v for k, m in enumerate(stack.counts) for v in stack.y[k, :m]]
+
+
+@pytest.mark.parametrize("x, y", [
+    (np.zeros((2, 5, 3)), np.zeros((2, 5))),     # sample-major: (n, m, d)
+    (np.zeros((2, 3)), np.zeros((2, 3))),        # no feature axis
+    (np.zeros((3, 4, 5)), np.zeros((3, 5))),     # three blocks, two device ids
+])
+def test_a_shard_stack_of_the_wrong_shape_names_the_n_d_m_layout(x, y):
+    with pytest.raises(ValueError, match=re.escape(
+        f"inconsistent shard stack: x {x.shape} must be (n, d, m), y {y.shape} (n, m)"
+    )):
+        ShardStack(x, y, np.array([3, 3]), (1, 2))

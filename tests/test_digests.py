@@ -2,7 +2,8 @@
 
 Pins rounds.csv, summary.json and, where written, attack_diag.csv of
 the shipped synthetic configs at seeds 0-2, two 784-dim graph-attack
-runs and a FashionMNIST run on generated IDX files. Different numpy or
+runs and a FashionMNIST run on generated IDX files, and the pooled
+training set and test set that the acceptance criteria train on. Different numpy or
 BLAS builds can move low bits, so the table holds for one build and the
 test skips on any other. A change that moves outputs re-records the
 table by copying the digests that the failure message prints.
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 from edgefl.config import validate_config
-from edgefl.simulation import emit_outputs, run_simulation
+from edgefl.simulation import _build_datasets, emit_outputs, run_simulation
 
 from test_data import write_idx_images, write_idx_labels
 
@@ -60,58 +61,58 @@ CASES = {
 
 DIGESTS = {
     "synthetic_avgae seed 0": {
-        "rounds.csv": "d32ad425d766229d5512a53f0c199752876544ee391fe25ee343bd56d03ec0e2",
+        "rounds.csv": "39084ce74b3c7296753a0ef28f3e80fbe5b5d4604986cdb9380f3c5ddcf5034c",
         "summary.json": "05c8b0a9ae5a18b7b70bc5d39529ee1e916127e0b8cfd9bb8728b80f3e982f75",
-        "attack_diag.csv": "8d30b5352d1c3e54f86714f0b768c9404cdd92bc4ab098f33079c28134e975ea",
+        "attack_diag.csv": "5261617f6ad1f06017a20074821a4012b8006b4ac67fc4f0e98015aad6c7a2c2",
     },
     "synthetic_avgae seed 1": {
-        "rounds.csv": "daf23273772f911ad6ec91bd61bce6d74f07572b717e933b422578831dd5d7ea",
+        "rounds.csv": "2d03e7c245ad8d6a6fc5aaa51dbcbda6bf9a20d8e6bc0f349f9b2161a0265302",
         "summary.json": "adfa94c84ef34cf44b5ebe69681acbe642e0c670318fd397daa60034df4bf381",
-        "attack_diag.csv": "0898ea14f49d08fe5e2dcceabdb933feb49222413391aa6f49836e9ec6151a7b",
+        "attack_diag.csv": "d54c21c52f2b6861cb20fe9f0d655b68c0b7b275d65d17ab17cb3d1ae5fa6f7e",
     },
     "synthetic_avgae seed 2": {
-        "rounds.csv": "679bc0c2b0502f1da1166f3e3bf1c56379cd2485fa8d3fe0596493ccafe1a3d0",
+        "rounds.csv": "36c580a823b2a64697db1ded7271d8aefeff3525ba799ed05c264b35ebecf147",
         "summary.json": "c95194da59d602160d13672500c9624423536e987c55bf1d39907207ad614114",
-        "attack_diag.csv": "8c04cfc81530faf86925d35032e2e79a0cc6dd3a542da67ed607c07b26287fbe",
+        "attack_diag.csv": "887a58f2e62d8dd4b5b582a3062454900bab69d5aa407dfe26aae4e65d3a89f8",
     },
     "synthetic_control seed 0": {
-        "rounds.csv": "d58aeeb2f16ea29b212e006b04d9b30dc422679b2225dc50c845785933c52ef1",
+        "rounds.csv": "7bca8bcbf8bd3364e0dba6a45d39ae0d7a382fba80959c6ccef46e58735a9290",
         "summary.json": "04198478e84cca0e37527bb853b362a4e585d7c436c562c8a1b22aa9e1ff5ed7",
     },
     "synthetic_control seed 1": {
-        "rounds.csv": "31bb7f21b8f429bae28d9be6bfb69a16d4de7f2835f548bade0ccbb5e02b932a",
+        "rounds.csv": "8fdba02b85f2afece82521200045ca4fc0e7242271945ca6f96ae6f83dde2e9e",
         "summary.json": "2522e4791ddb12438ea4c172c0377196cf449227b525b81b8cc6a91da5625fa2",
     },
     "synthetic_control seed 2": {
-        "rounds.csv": "59610ffaf6f003e6defb8ea990d84552df4a9020ca8ad94f6cca4ccbaa0a85b3",
+        "rounds.csv": "fa509d2c3e977b5e2f20bf0e073c0ace0e00fe7b518704e0a51e254e3d4b223e",
         "summary.json": "c0c4c512132eb333b7ebe0d4cd6c762a68ed54366a08e812161e699b7e4130e3",
     },
     "synthetic_gaussian seed 0": {
-        "rounds.csv": "575e97d636d0f3fe79c337c05b055e1359cf4000cb3cdc1cad87746ee550ce82",
+        "rounds.csv": "f7923b139cefaca68929a62a3a9b4207347f895e14070ad905526d0076342647",
         "summary.json": "01c5b423ba7f34a6962bb003b08eb3bf2f8a9df0af3504df36340a59edd919d0",
     },
     "synthetic_gaussian seed 1": {
-        "rounds.csv": "d542b14b9addbc5233835e171374f217366f15294e642eb8deb0e1bc15f55cd4",
+        "rounds.csv": "4201c5ba4508a53f8d110ade09f7a2a4ce7d35b1754223fc459661f30b989af5",
         "summary.json": "532bebbac933c6950a25f5e38bac94406dc64b30e9e9054ababf707afd681584",
     },
     "synthetic_gaussian seed 2": {
-        "rounds.csv": "ef8e44f9592276f781e66c4847bf0671e396c87d1898db7d189a7cb0531a0ba8",
-        "summary.json": "8dee45ba5a3b8305311216cfa07d5673b9ac1e1d5c5b6494e62c941ed42c771f",
+        "rounds.csv": "526e58e1d62f3db1833d0d2889f747e6651c9dd148b12928cee7f3bfeb5ea497",
+        "summary.json": "415d7bf9bd9500d716c80567a6137c2f24e33860d33c38c589d2a26ef417b853",
     },
     "synthetic_avgae 784 underflow": {
-        "rounds.csv": "f1293c92fff657e261b7a7d45a6a1c0b481329a5cdcc1261e524cca6ffea6f6f",
-        "summary.json": "d5a98061e6e1280e38aea22934da1ddf47ad8c52c4c8b2e0e594d2cd0f31ad29",
-        "attack_diag.csv": "119415824c05b58be73f1b8509f2d1492594dbefc2b25390cbb321b51c25f6c7",
+        "rounds.csv": "10039cc899c29f23449fa9c4a2ad23862610b3c50d21045e5427021de18c48f3",
+        "summary.json": "d217b91ce9b31191d94aff4a2a0c12a6c22e32bd0b555bd8a4567d730071d412",
+        "attack_diag.csv": "0e3abfaad37f169480de14b415dd111f8c6b1375af131d58b2066cb1ac2559de",
     },
     "synthetic_avgae 50 x 784": {
-        "rounds.csv": "f4a3ca218a2a0c841593e0e1766e80f2139d60138922c4005d317237517d996d",
+        "rounds.csv": "2a6b1092010ecec3980bbde2a95cf75c3ae6fc2e6d0ac614e264aa92030ab4cc",
         "summary.json": "5ca1bd1d9773010900b508015142d743ed018ceb97cc48d5e05bc60bf23d504c",
-        "attack_diag.csv": "c313c3ef1c7bb9ddf10c26e304f8aff0401e4e46ef41be7fee2367ed5e1fe620",
+        "attack_diag.csv": "ecdab949447ea4a7fe0466a6a35fc60276b7470f94efc0fe9973d09e46c94120",
     },
     "fashion_avgae generated": {
-        "rounds.csv": "dd6ce0aef7b8971aad53f5ffd3190cbc8c2ba0e8812049af27c00f13323a4adc",
+        "rounds.csv": "7ce6997478ec2a04984b72bd94ad0e3bc0893067b1027517dd5ab45ef1eb00a7",
         "summary.json": "98225e2bc2dec1dc381e67a8888dd4ff1a43035727f54d3bee3cfbb4b933b990",
-        "attack_diag.csv": "53437d3ef07e117c741775727f7c8d82415ce4f286bfcf6aeb19721b8055cf5e",
+        "attack_diag.csv": "4724cc5daa9ae8cbfe788777148b464dc0d299355d92159c235a750ecc014fb4",
     },
 }
 
@@ -155,3 +156,28 @@ def test_outputs_match_their_recorded_digests(case, tmp_path, monkeypatch):
         f"outputs of {case!r} moved; if that is intended, record them in DIGESTS:\n"
         f'    "{case}": {{\n{entry}    }},'
     )
+
+
+# The arrays of _build_datasets for configs/synthetic_avgae.yaml at seed 0:
+# the pooled training set, device by device, and the test set, each
+# sample-major and C-contiguous. C3, C4 and C7 train their references on
+# these, so they must not move with the shard stack's layout.
+DATASET_DIGESTS = {
+    "train x": "df8940c7b0e5909849b9ed08961f3daa4a44e293a03f6304b8f9bc2e5669a385",
+    "train y": "9bfa51f17b110fb8cae1fbe3adae7e821d45fc43095d4533c45a817872743b3d",
+    "test x": "3c968f8d6de25e5aad1f97d4d2abeebfdb69e9d9a07584821353c8a2ad00c771",
+    "test y": "c1a479ce973ef7b92f2abf70ecb25a89857a60ee75f175ad9b7bc9f0f097aa66",
+}
+
+
+@pytest.mark.skipif(
+    _build() != BUILD, reason=f"digests are recorded on numpy/BLAS {BUILD}, not {_build()}"
+)
+def test_pooled_training_and_test_sets_match_their_recorded_digests():
+    text = (ROOT / "configs" / "synthetic_avgae.yaml").read_text()
+    pooled, test = _build_datasets(validate_config(text, ["seed=0"]))
+    arrays = {"train x": pooled.x, "train y": pooled.y, "test x": test.x, "test y": test.y}
+    assert pooled.x.shape == test.x.shape == (1000, 10)
+    assert all(a.flags.c_contiguous for a in arrays.values())
+    got = {name: hashlib.sha256(a.tobytes()).hexdigest() for name, a in arrays.items()}
+    assert got == DATASET_DIGESTS

@@ -9,6 +9,7 @@ from edgefl.numerics import RngStream
 from edgefl.training import (
     LossKind,
     TrainSettings,
+    _minibatch,
     local_gradient,
     local_loss,
     stack_loss,
@@ -270,21 +271,25 @@ def _unequal_stack(kind, sizes=(50, 200, 137), d=6):
 
 
 def _shards(stack):
-    """Each device's rows of the stack, without the padding."""
-    return [Dataset(stack.x[k, :m], stack.y[k, :m]) for k, m in enumerate(stack.counts)]
+    """Each device's contiguous (d, m) feature block and its m labels,
+    without the padding."""
+    return [(np.ascontiguousarray(stack.x[k, :, :m]), stack.y[k, :m])
+            for k, m in enumerate(stack.counts)]
 
 
-def _reference_descent(kind, w0, data, settings, rng):
-    """The local loop one device at a time on its own 2-D rows."""
+def _reference_descent(kind, w0, shard, settings, rng):
+    """The local loop one device at a time on its own contiguous (d, m)
+    block: margins x.T @ w, gradient x @ residual."""
     w = w0.copy()
     for _ in range(settings.local_iterations):
-        x, y = data.x, data.y
+        x, y = shard
         if settings.batch_size is not None and settings.batch_size < len(y):
             idx = rng.gen.choice(len(y), size=settings.batch_size, replace=False)
-            x, y = x[idx], y[idx]
-        z = x @ w
+            x, y = x.take(idx, axis=1), y[idx]
+        assert x.flags.c_contiguous
+        z = x.T @ w
         residual = z - y if kind == LossKind.LINEAR else 1.0 / (1.0 + np.exp(-z)) - y
-        w = w - settings.learning_rate * (x.T @ residual / len(y) + settings.alpha * w)
+        w = w - settings.learning_rate * (x @ residual / len(y) + settings.alpha * w)
     return w
 
 
@@ -296,7 +301,7 @@ def test_train_stack_matches_per_device_loop_bit_for_bit(kind, batch_size, worke
     stack = _unequal_stack(kind, sizes)
     settings = TrainSettings(alpha=0.01, learning_rate=0.05, local_iterations=6,
                              batch_size=batch_size)
-    w0 = np.linspace(-0.3, 0.3, stack.x.shape[2])
+    w0 = np.linspace(-0.3, 0.3, stack.dim)
     streams = [RngStream(73, f"device-{i}") for i in stack.device_ids]
     got = train_stack(kind, w0, stack, settings, streams, workers=workers)
     expected = [
@@ -306,13 +311,25 @@ def test_train_stack_matches_per_device_loop_bit_for_bit(kind, batch_size, worke
     np.testing.assert_array_equal(got, np.stack(expected))
 
     losses = stack_loss(kind, got, stack, settings.alpha)
-    for k, shard in enumerate(_shards(stack)):
-        z = shard.x @ got[k]
-        y = shard.y
+    for k, (x, y) in enumerate(_shards(stack)):
+        z = x.T @ got[k]
         per_sample = 0.5 * (z - y) ** 2 if kind == LossKind.LINEAR else \
             _one_pass_logistic(z, y)
         reg = settings.alpha * 0.5 * float(got[k] @ got[k])
         assert losses[k] == float(np.mean(per_sample)) + reg
+
+
+def test_a_minibatch_is_a_contiguous_feature_major_block_of_each_device_s_samples():
+    stack = _unequal_stack(LossKind.LOGISTIC)
+    x, y, counts = _minibatch(stack, 64, [RngStream(74, f"device-{i}") for i in stack.device_ids])
+    assert x.shape == (3, 6, 64) and y.shape == (3, 64) and counts.tolist() == [50, 64, 64]
+    for k, (block, labels) in enumerate(_shards(stack)):
+        assert x[k].flags.c_contiguous
+        idx = RngStream(74, f"device-{stack.device_ids[k]}").gen.choice(
+            len(labels), size=64, replace=False) if len(labels) > 64 else np.arange(64)
+        # Device 1 holds 50 samples: all of them, then 14 padding columns.
+        assert x[k].tobytes() == stack.x[k].take(idx, axis=1).tobytes()
+        assert y[k].tobytes() == stack.y[k, idx].tobytes()
 
 
 @pytest.mark.parametrize("kind", [LossKind.LINEAR, LossKind.LOGISTIC])
@@ -332,7 +349,7 @@ def test_round_loop_holds_at_most_two_and_a_half_device_sample_slabs():
     # two; fresh temporaries every step would peak above three.
     n, m, d = 200, 200, 10
     rng = np.random.default_rng(77)
-    stack = ShardStack(rng.normal(size=(n, m, d)),
+    stack = ShardStack(rng.normal(size=(n, d, m)),
                        rng.integers(0, 2, size=(n, m)).astype(float),
                        np.full(n, m), tuple(range(n)))
     streams = [RngStream(78, f"device-{i}") for i in range(n)]
