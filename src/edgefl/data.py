@@ -14,15 +14,18 @@ from .record import Record
 
 IMAGES_MAGIC = 0x00000803
 LABELS_MAGIC = 0x00000801
-# Feature bytes generated or copied per chunk; the chunk buffer is all
-# that is held beside the destination, and a pool that fits is one
-# chunk. The round loop holds its own buffers, so this size does not
-# decide whether they are faulted in again each round. A 10-round
-# crowd_noise run (3.3 MB pool; six fresh processes a size) took about
-# 1 560 page faults at 768 KiB, 1 500 at 512 KiB, 1 625 at 1 MiB and
-# 2 490 at 128 KiB; peak RSS was the same from 128 to 768 KiB and
-# 0.25 MB higher at 1 MiB.
-CHUNK_BYTES = 3 << 18
+# Feature bytes generated or copied per chunk; the chunk buffer, and
+# the device and column indices of its rows, are all that is held beside
+# the destination, and a pool that fits is one chunk. The round loop
+# holds its own buffers, so this size does not decide whether they are
+# faulted in again each round. A 10-round crowd_noise run (3.3 MB pool;
+# six fresh processes a size) took about 1 560 page faults at 768 KiB,
+# 1 500 at 512 KiB, 1 625 at 1 MiB and 2 490 at 128 KiB when the stack
+# was sample-major. Feature-major, the setup peaks that tracemalloc
+# sees are 4.58 MB at 512 KiB and 4.89 MB at 768 KiB, where the index
+# pair alone is 157 KB; the faults are about 1 440 and 1 500, and the
+# generation takes the same time.
+CHUNK_BYTES = 1 << 19
 
 
 class Dataset(Record):
