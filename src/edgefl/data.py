@@ -14,17 +14,11 @@ from .record import Record
 
 IMAGES_MAGIC = 0x00000803
 LABELS_MAGIC = 0x00000801
-# Feature bytes generated or copied per chunk; the chunk buffer, and
-# the device and column indices of its rows, are all that is held beside
-# the destination, and a pool that fits is one chunk. The round loop
-# holds its own buffers, so this size does not decide whether they are
-# faulted in again each round. A 10-round crowd_noise run (3.3 MB pool;
-# six fresh processes a size) took about 1 560 page faults at 768 KiB,
-# 1 500 at 512 KiB, 1 625 at 1 MiB and 2 490 at 128 KiB when the stack
-# was sample-major. Feature-major, the setup peaks that tracemalloc
-# sees are 4.58 MB at 512 KiB and 4.89 MB at 768 KiB, where the index
-# pair alone is 157 KB; the faults are about 1 440 and 1 500, and the
-# generation takes the same time.
+# Feature bytes generated or copied per chunk, and the most that
+# _stack_of buffers to turn the stack feature-major: the chunk buffer is
+# all that is held beside the destination, and a pool that fits is one
+# chunk. On crowd_noise (3.3 MB pool) the setup peaks that tracemalloc
+# sees are 4.52 MB at 512 KiB and 4.81 MB at 768 KiB.
 CHUNK_BYTES = 1 << 19
 
 
@@ -187,36 +181,30 @@ def _chunk_rows(n: int, d: int) -> int:
 
 
 def synth_logistic(
-    n: int, d: int, w_true, rng: RngStream, y: np.ndarray | None = None,
-    rows: np.ndarray | None = None, put_x=None,
-) -> Dataset | None:
+    n: int, d: int, w_true, rng: RngStream, out: Dataset | None = None,
+    rows: np.ndarray | None = None,
+) -> Dataset:
     """Generate a logistic task with known ground truth.
 
     Features are i.i.d. standard normal; each label is 1.0 with
-    probability sigmoid(w_true . x). By default sample i is row i of a
-    new n-row dataset, which is returned. A caller that holds its own
-    arrays passes y, rows and put_x, and gets None: sample i's label is
-    written to y[rows[i]], and put_x(start, chunk) is handed the features
-    of samples start.., one sample a row. The features are drawn a
-    chunk at a time into one reused buffer, so no other array holds them
-    whole; the labels then take the stream's next n uniforms. The draws
-    are those of one (n, d) normal block. A chunk's margins can round
-    differently from the whole block's product, which moves a label only
-    if its uniform lies within an ulp of its probability.
+    probability sigmoid(w_true . x). Sample i is written to row rows[i]
+    of out (default: row i of a new n-row dataset), and out is returned.
+    The features are drawn a chunk at a time into one reused buffer and
+    scattered to their rows, so no other array holds them whole; the
+    labels then take the stream's next n uniforms. The draws are those
+    of one (n, d) normal block. A chunk's margins can round differently
+    from the whole block's product, which moves a label only if its
+    uniform lies within an ulp of its probability.
     """
     if n < 1:
         raise ValueError(f"sample count must be positive, got {n}")
     w_true = as_params(w_true)
     if w_true.shape[0] != d:
         raise ValueError(f"dimension mismatch: w_true has {w_true.shape[0]}, d is {d}")
-    out = None
-    if put_x is None:
+    if out is None:
         out = Dataset(np.empty((n, d)), np.empty(n))
-        y, rows = out.y, np.arange(n)
-
-        def put_x(start: int, chunk: np.ndarray) -> None:
-            out.x[start : start + len(chunk)] = chunk
-
+    if rows is None:
+        rows = np.arange(n)
     step = _chunk_rows(n, d)
     buf = np.empty((step, d))
     # Each margin waits in its sample's label slot until the uniforms,
@@ -225,12 +213,12 @@ def synth_logistic(
         at = rows[start : start + step]
         chunk = buf[: len(at)]
         rng.gen.standard_normal(out=chunk)
-        put_x(start, chunk)
-        y[at] = chunk @ w_true
+        out.x[at] = chunk
+        out.y[at] = chunk @ w_true
     del buf, chunk  # before the label pass allocates
     for start in range(0, n, step):
         at = rows[start : start + step]
-        y[at] = rng.gen.random(len(at)) < sigmoid(y[at])
+        out.y[at] = rng.gen.random(len(at)) < sigmoid(out.y[at])
     return out
 
 
@@ -261,22 +249,28 @@ def deal_slots(sizes: Sequence[int], n: int, rng: RngStream) -> np.ndarray:
     return slots
 
 
-def _empty_stack(sizes: list[int], d: int, y: np.ndarray) -> ShardStack:
-    """A zero feature block for the shards that deal_slots lays out,
-    with y, a zeroed flat label block, as their labels."""
-    n, width = len(sizes), max(sizes)
+def _stack_of(block: Dataset, sizes: Sequence[int]) -> ShardStack:
+    """The shard stack over the first len(sizes) * max(sizes) rows of
+    block, as deal_slots lays them out, turned feature-major in place.
+
+    Each device's max(sizes) rows become its d x max(sizes) block, a
+    few devices at a time through one buffer of CHUNK_BYTES (or of one
+    device's block, if that is larger). Filling whole rows and then
+    transposing each block writes memory in order; scattering a sample
+    straight to its column would touch d cache lines per sample.
+    """
+    n, width, d = len(sizes), max(sizes), block.dim
+    rows = block.x[: n * width].reshape(n, width, d)
+    x = block.x[: n * width].reshape(n, d, width)
+    step = max(1, min(n, CHUNK_BYTES // (8 * width * d)))
+    buf = np.empty((step, d, width))
+    for start in range(0, n, step):
+        part = buf[: min(step, n - start)]
+        np.copyto(part, rows[start : start + step].transpose(0, 2, 1))
+        x[start : start + step] = part
     return ShardStack(
-        np.zeros((n, d, width)), y.reshape(n, width), np.array(sizes), tuple(range(1, n + 1))
+        x, block.y[: n * width].reshape(n, width), np.array(sizes), tuple(range(1, n + 1))
     )
-
-
-def _put_features(stack: ShardStack, slots: np.ndarray, rows: np.ndarray) -> None:
-    """Write sample-major rows to their slots of the feature-major stack,
-    through its sample-major view: with both indices ahead of the feature
-    axis, numpy takes each row in one pass, a fifth faster here than
-    x[device, :, column] for the crowd_noise pool."""
-    device, column = np.divmod(slots, stack.x.shape[2])
-    stack.x.transpose(0, 2, 1)[device, column] = rows
 
 
 def partition_iid(ds: Dataset, sizes: Sequence[int], rng: RngStream) -> ShardStack:
@@ -288,15 +282,15 @@ def partition_iid(ds: Dataset, sizes: Sequence[int], rng: RngStream) -> ShardSta
     """
     sizes = [int(s) for s in sizes]
     slots = deal_slots(sizes, len(ds), rng)
-    stack = _empty_stack(sizes, ds.dim, np.zeros(len(sizes) * max(sizes)))
-    labels = stack.y.reshape(-1)
+    stacked = len(sizes) * max(sizes)
+    block = Dataset(np.zeros((stacked, ds.dim)), np.zeros(stacked))
     dealt = np.flatnonzero(slots >= 0)
     step = _chunk_rows(len(dealt), ds.dim)
     for start in range(0, len(dealt), step):
         src = dealt[start : start + step]
-        _put_features(stack, slots[src], ds.x[src])
-        labels[slots[src]] = ds.y[src]
-    return stack
+        block.x[slots[src]] = ds.x[src]
+        block.y[slots[src]] = ds.y[src]
+    return _stack_of(block, sizes)
 
 
 def synth_shards(
@@ -308,27 +302,16 @@ def synth_shards(
     Gives what partition_iid(train, sizes, partitioner) and a test set
     give when train is the first sum(sizes) samples of
     synth_logistic(sum(sizes) + n_test, d, w_true, rng) and the test set
-    the remaining n_test, in order. Each drawn chunk is written to the
-    feature-major stack and, past the test-set edge, to the test set's
-    own (n_test, d) array, so every sample is held once. The labels of
-    both are views of one flat block.
+    the remaining n_test, in order. The shard stack and the test set
+    are views of one zero-filled block, which synth_logistic fills a
+    row per sample and _stack_of then turns feature-major where the
+    stack lies, so every sample is held once.
     """
     sizes = [int(s) for s in sizes]
-    n_train = sum(sizes)
     stacked = len(sizes) * max(sizes)
     rows = np.concatenate([
-        deal_slots(sizes, n_train, partitioner), np.arange(stacked, stacked + n_test)
+        deal_slots(sizes, sum(sizes), partitioner), np.arange(stacked, stacked + n_test)
     ])
-    y = np.zeros(stacked + n_test)
-    stack = _empty_stack(sizes, d, y[:stacked])
-    test = Dataset(np.empty((n_test, d)), y[stacked:])
-
-    def put_x(start: int, chunk: np.ndarray) -> None:
-        # The chunk is sliced at the test-set edge, never masked.
-        edge = min(len(chunk), max(n_train - start, 0))
-        _put_features(stack, rows[start : start + edge], chunk[:edge])
-        if edge < len(chunk):
-            test.x[start + edge - n_train : start + len(chunk) - n_train] = chunk[edge:]
-
-    synth_logistic(len(rows), d, w_true, rng, y, rows, put_x)
-    return stack, test
+    block = Dataset(np.zeros((stacked + n_test, d)), np.zeros(stacked + n_test))
+    synth_logistic(len(rows), d, w_true, rng, block, rows)
+    return _stack_of(block, sizes), Dataset(block.x[stacked:], block.y[stacked:])

@@ -262,6 +262,23 @@ def test_partition_deals_into_one_zero_padded_stack():
     assert stack == stack and stack != stack.rows(0, 3) and {stack, part}
 
 
+@pytest.mark.parametrize("chunk_bytes", [None, 8 * 3 * 9 * 2])  # one group; 2 devices a group
+def test_partition_gives_each_device_its_dealt_samples_as_columns(monkeypatch, chunk_bytes):
+    if chunk_bytes is not None:
+        monkeypatch.setattr(data, "CHUNK_BYTES", chunk_bytes)
+    sizes = [5, 9, 2, 9, 7]
+    ds = synth_logistic(60, 3, np.ones(3), RngStream(14, "synth"))
+    stack = partition_iid(ds, sizes, RngStream(14, "part"))
+    slots = data.deal_slots(sizes, 60, RngStream(14, "part"))
+    sample = np.full(len(sizes) * 9, -1)
+    sample[slots[slots >= 0]] = np.flatnonzero(slots >= 0)
+    for k, block in enumerate(_shard_blocks(stack)):
+        held = sample[k * 9 : k * 9 + sizes[k]]
+        assert block.tobytes() == np.ascontiguousarray(ds.x[held].T).tobytes()
+        assert stack.y[k, : sizes[k]].tobytes() == ds.y[held].tobytes()
+        assert not stack.x[k, :, sizes[k] :].any()
+
+
 def test_partition_insufficient_samples():
     ds = Dataset(np.zeros((5, 2)), np.zeros(5))
     with pytest.raises(ValueError, match="need 6.*have 5"):

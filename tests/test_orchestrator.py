@@ -526,9 +526,10 @@ attack:
 
 
 def test_logistic_run_rejects_labels_other_than_0_and_1(monkeypatch):
-    def three_labels(n, d, w_true, rng, y, rows, put_x):
-        synth_logistic(n, d, w_true, rng, y, rows, put_x)
-        y[rows[7]] = 2.0
+    def three_labels(n, d, w_true, rng, out, rows):
+        synth_logistic(n, d, w_true, rng, out, rows)
+        out.y[rows[7]] = 2.0
+        return out
 
     monkeypatch.setattr(data, "synth_logistic", three_labels)
     with pytest.raises(RuntimeError, match=(
