@@ -14,9 +14,8 @@ from .record import Record
 
 IMAGES_MAGIC = 0x00000803
 LABELS_MAGIC = 0x00000801
-# Feature bytes generated or copied per chunk, and the most that
-# _stack_of buffers to turn the stack feature-major: the chunk buffer is
-# all that is held beside the destination, and a pool that fits is one
+# Feature bytes generated or copied per chunk; the chunk buffer is all
+# that is held beside the destination, and a pool that fits is one
 # chunk. On crowd_noise (3.3 MB pool) the setup peaks that tracemalloc
 # sees are 4.52 MB at 512 KiB and 4.81 MB at 768 KiB.
 CHUNK_BYTES = 1 << 19
@@ -253,21 +252,19 @@ def _stack_of(block: Dataset, sizes: Sequence[int]) -> ShardStack:
     """The shard stack over the first len(sizes) * max(sizes) rows of
     block, as deal_slots lays them out, turned feature-major in place.
 
-    Each device's max(sizes) rows become its d x max(sizes) block, a
-    few devices at a time through one buffer of CHUNK_BYTES (or of one
-    device's block, if that is larger). Filling whole rows and then
-    transposing each block writes memory in order; scattering a sample
-    straight to its column would touch d cache lines per sample.
+    Each device's max(sizes) rows become its d x max(sizes) block, one
+    device at a time through a buffer of one block. Filling whole rows
+    and then transposing each block writes memory in order; scattering
+    a sample straight to its column would touch d cache lines per
+    sample.
     """
     n, width, d = len(sizes), max(sizes), block.dim
     rows = block.x[: n * width].reshape(n, width, d)
     x = block.x[: n * width].reshape(n, d, width)
-    step = max(1, min(n, CHUNK_BYTES // (8 * width * d)))
-    buf = np.empty((step, d, width))
-    for start in range(0, n, step):
-        part = buf[: min(step, n - start)]
-        np.copyto(part, rows[start : start + step].transpose(0, 2, 1))
-        x[start : start + step] = part
+    buf = np.empty((d, width))
+    for k in range(n):
+        np.copyto(buf, rows[k].T)
+        x[k] = buf
     return ShardStack(
         x, block.y[: n * width].reshape(n, width), np.array(sizes), tuple(range(1, n + 1))
     )

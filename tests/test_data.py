@@ -262,10 +262,7 @@ def test_partition_deals_into_one_zero_padded_stack():
     assert stack == stack and stack != stack.rows(0, 3) and {stack, part}
 
 
-@pytest.mark.parametrize("chunk_bytes", [None, 8 * 3 * 9 * 2])  # one group; 2 devices a group
-def test_partition_gives_each_device_its_dealt_samples_as_columns(monkeypatch, chunk_bytes):
-    if chunk_bytes is not None:
-        monkeypatch.setattr(data, "CHUNK_BYTES", chunk_bytes)
+def test_partition_gives_each_device_its_dealt_samples_as_columns():
     sizes = [5, 9, 2, 9, 7]
     ds = synth_logistic(60, 3, np.ones(3), RngStream(14, "synth"))
     stack = partition_iid(ds, sizes, RngStream(14, "part"))
