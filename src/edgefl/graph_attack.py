@@ -114,12 +114,13 @@ class ModelGraph(Record):
             raise ValueError(f"adjacency must be square, got {self.adjacency.shape}")
         if self.features.shape[0] != n or self.raw_models.shape[0] != n:
             raise ValueError("features/raw_models row count must match adjacency")
-        if not np.allclose(self.adjacency, self.adjacency.T, atol=1e-12):
-            raise ValueError("adjacency must be symmetric")
-        if not np.allclose(np.diag(self.adjacency), 1.0, atol=1e-12):
-            raise ValueError("adjacency must carry unit self-loops")
-        if self.adjacency.min() < 0 or self.adjacency.max() > 1 + 1e-12:
+        a = self.adjacency
+        if not (a.min() >= 0 and a.max() <= 1 + 1e-12):  # false on a NaN too
             raise ValueError("adjacency entries must lie in [0, 1]")
+        if (np.abs(a - a.T) > 1e-12).any():
+            raise ValueError("adjacency must be symmetric")
+        if (np.abs(a.diagonal() - 1.0) > 1e-12).any():
+            raise ValueError("adjacency must carry unit self-loops")
 
     @property
     def node_count(self) -> int:
@@ -248,14 +249,15 @@ def build_graph(overheard, attacker_prev, projector: Projector) -> ModelGraph:
     # Every pairwise cosine at once: one stacked dot per pair (a gemm would
     # give other bits), norms from the diagonal, 0 when either norm is
     # below NORM_FLOOR, otherwise the ratio clipped to [-1, 1]; then
-    # max(0, .), which maps -0.0 to 0.0.
+    # max(0, .), which maps -0.0 to 0.0. A pair's two dots multiply the same
+    # factors in the same order, so the adjacency is exactly symmetric.
     dots = np.matmul(features[:, None, None, :], features[None, :, :, None])[..., 0, 0]
     norms = np.sqrt(dots.diagonal())
     small = norms < NORM_FLOOR
     safe = np.where(small, 1.0, norms)
-    cosine = np.clip(dots / (safe[:, None] * safe), -1.0, 1.0)
+    cosine = np.minimum(np.maximum(dots / (safe[:, None] * safe), -1.0), 1.0)
     adjacency = np.where((cosine > 0.0) & ~(small[:, None] | small), cosine, 0.0)
-    np.fill_diagonal(adjacency, 1.0)
+    adjacency.flat[::len(raw) + 1] = 1.0
     return ModelGraph(adjacency=adjacency, features=features, raw_models=raw)
 
 
@@ -529,27 +531,36 @@ def loss_and_grads(
     return float(sc.loss), grads
 
 
+def _init_stack(
+    graph: ModelGraph, settings: AttackSettings, rngs: Sequence[RngStream]
+) -> tuple[np.ndarray, list[tuple[int, ...]]]:
+    """A (k, P) buffer whose row j is the encoder that rngs[j] initializes,
+    and the one-encoder shapes of blocks() that view it. Row j takes its
+    standard-uniform draws u in blocks() order; u * 2b - b has the bits of
+    uniform(-b, b) for the fan-in/fan-out bound b (psi_w2 as a
+    (psi_hidden, 1) matrix), and b is 0 on the zero biases."""
+    dims = [graph.features.shape[1], *settings.hidden_dims]
+    d_last, h = dims[-1], settings.psi_hidden
+    fans = [*zip(dims, dims[1:]), (d_last, settings.d_z), (d_last, settings.d_z), (d_last, h)]
+    shapes = [*fans, (h,), (h,), ()]
+    bounds = [math.sqrt(6.0 / (fan_in + fan_out)) for fan_in, fan_out in [*fans, (h, 1)]]
+    bound = np.repeat([*bounds[:-1], 0.0, bounds[-1], 0.0], [math.prod(s) for s in shapes])
+    params = np.zeros((len(rngs), len(bound)))
+    b1 = len(bound) - 2 * h - 1  # where psi_b1 starts
+    for j, rng in enumerate(rngs):
+        rng.gen.random(out=params[j, :b1])
+        rng.gen.random(out=params[j, b1 + h:b1 + 2 * h])
+    params *= 2 * bound
+    params -= bound
+    return params, shapes
+
+
 def init_encoder(
     graph: ModelGraph, settings: AttackSettings, rng: RngStream
 ) -> EncoderState:
     """Symmetric uniform fan-in/fan-out initialization, biases zero."""
-
-    def uniform(fan_in: int, fan_out: int) -> np.ndarray:
-        bound = np.sqrt(6.0 / (fan_in + fan_out))
-        return rng.gen.uniform(-bound, bound, size=(fan_in, fan_out))
-
-    dims = [graph.features.shape[1], *settings.hidden_dims]
-    layer_weights = [uniform(dims[i], dims[i + 1]) for i in range(len(dims) - 1)]
-    d_last = dims[-1]
-    return EncoderState(
-        layer_weights=layer_weights,
-        mu_head=uniform(d_last, settings.d_z),
-        logvar_head=uniform(d_last, settings.d_z),
-        psi_w1=uniform(d_last, settings.psi_hidden),
-        psi_b1=np.zeros(settings.psi_hidden),
-        psi_w2=uniform(settings.psi_hidden, 1)[:, 0],
-        psi_b2=np.zeros(()),
-    )
+    params, shapes = _init_stack(graph, settings, [rng])
+    return EncoderState.view(params[0], shapes)
 
 
 def train_gae(
@@ -571,20 +582,17 @@ def train_gae(
     way, as epoch gae_epochs, so a diverged loss never reaches the
     returned trace or latent.
     """
-    encs, links, noise = [], [], []
-    for rng in rngs:
-        encs.append(init_encoder(graph, settings, rng))
-        links.append(sample_links(graph, settings, rng))
-        if settings.beta > 0:
-            noise.append(rng.gen.standard_normal((graph.node_count, settings.d_z)))
-    shapes = [b.shape for b in encs[0].blocks()]
-    params = np.stack([np.concatenate([b.ravel() for b in e.blocks()]) for e in encs])
+    params, shapes = _init_stack(graph, settings, rngs)
+    k, n = len(rngs), graph.node_count
+    positive, negative = np.empty((k, n, n)), np.empty((k, n, n))
+    eps = np.empty((k, n, settings.d_z)) if settings.beta > 0 else None
+    for j, rng in enumerate(rngs):
+        positive[j], negative[j] = sample_links(graph, settings, rng)
+        if eps is not None:
+            eps[j] = rng.gen.standard_normal((n, settings.d_z))
     grads = np.empty_like(params)
     enc, genc = EncoderState.view(params, shapes), EncoderState.view(grads, shapes)
-    signed = _signed(LinkSample(
-        np.stack([l.positive for l in links]), np.stack([l.negative for l in links])
-    ))
-    eps = np.stack(noise) if noise else None
+    signed = _signed(LinkSample(positive, negative))
 
     prep = _prepare(graph, settings)
     trace = np.empty((settings.gae_epochs + 1, len(rngs)))

@@ -433,19 +433,50 @@ def test_surrogate_of_a_row_that_underflows_mixes_no_model():
 
 # ------------------------------------------------------------------ train_gae
 
-def test_train_gae_zero_epochs_returns_initialization():
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_train_gae_zero_epochs_returns_initialization(k):
     rng = np.random.default_rng(59)
     settings = AttackSettings(
         d_feat=4, d_z=3, hidden_dims=(5, 3), psi_hidden=4, gae_epochs=0,
         d_thresh_percentile=90.0,
     )
     graph, _, _ = _random_graph(4, rng, settings=settings)
-    [result] = train_gae(graph, settings, [RngStream(77, "atk")])
-    reference = init_encoder(graph, settings, RngStream(77, "atk"))
-    for got, want in zip(result.encoder.layer_weights, reference.layer_weights):
-        np.testing.assert_array_equal(got, want)
-    np.testing.assert_array_equal(result.encoder.mu_head, reference.mu_head)
-    assert len(result.loss_trace) == 1
+    results = train_gae(graph, settings, [RngStream(77, f"atk-{j}") for j in range(k)])
+    assert len(results) == k
+    for j, result in enumerate(results):
+        reference = init_encoder(graph, settings, RngStream(77, f"atk-{j}"))
+        assert len(result.encoder.blocks()) == len(reference.blocks())
+        for got, want in zip(result.encoder.blocks(), reference.blocks()):
+            assert got.shape == want.shape
+            np.testing.assert_array_equal(got, want)
+        assert len(result.loss_trace) == 1
+
+
+@pytest.mark.parametrize("hidden_dims", [(5,), (5, 3), (7, 4, 2)])
+def test_init_encoder_draws_each_weight_uniform_within_its_fan_bound(hidden_dims):
+    """The draws of per-block rng.uniform(-b, b) calls in blocks() order,
+    psi_w2 as a (psi_hidden, 1) matrix, with zero biases."""
+    settings = AttackSettings(
+        d_feat=4, d_z=3, hidden_dims=hidden_dims, psi_hidden=6, d_thresh_percentile=90.0,
+    )
+    graph, _, _ = _random_graph(5, np.random.default_rng(61), settings=settings)
+    enc = init_encoder(graph, settings, RngStream(78, "atk"))
+    gen = RngStream(78, "atk").gen
+
+    def uniform(fan_in, fan_out):
+        bound = np.sqrt(6.0 / (fan_in + fan_out))
+        return gen.uniform(-bound, bound, size=(fan_in, fan_out))
+
+    dims = [4, *hidden_dims]
+    want_layers = [uniform(a, b) for a, b in zip(dims, dims[1:])]
+    want = [
+        *want_layers, uniform(dims[-1], 3), uniform(dims[-1], 3), uniform(dims[-1], 6),
+        np.zeros(6), uniform(6, 1)[:, 0], np.zeros(()),
+    ]
+    assert len(enc.layer_weights) == len(hidden_dims)
+    for got, expected in zip(enc.blocks(), want, strict=True):
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
 
 
 def test_train_gae_descends_and_is_deterministic():
@@ -1195,3 +1226,23 @@ def test_model_graph_invariants_enforced():
             adjacency=np.array([[0.5, 0.1], [0.1, 0.5]]),
             features=np.zeros((2, 2)), raw_models=np.zeros((2, 2)),
         )
+    # The tolerances are absolute: numpy.allclose's default rtol of 1e-5
+    # would pass the first two.
+    for adjacency, message in (
+        ([[1.0, 0.5], [0.500004, 1.0]], "symmetric"),
+        ([[0.999995, 0.5], [0.5, 1.0]], "self-loops"),
+        ([[1.0, math.nan], [math.nan, 1.0]], r"lie in \[0, 1\]"),
+        ([[1.0, math.inf], [math.inf, 1.0]], r"lie in \[0, 1\]"),
+        ([[1.0, -0.1], [-0.1, 1.0]], r"lie in \[0, 1\]"),
+        ([[1.0, 1 + 2e-12], [1 + 2e-12, 1.0]], r"lie in \[0, 1\]"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            ModelGraph(
+                adjacency=np.array(adjacency),
+                features=np.zeros((2, 2)), raw_models=np.zeros((2, 2)),
+            )
+    # Within 1e-12 of each rule passes.
+    ModelGraph(
+        adjacency=np.array([[1.0 - 1e-12, 0.5], [0.5 + 1e-12, 1.0]]),
+        features=np.zeros((2, 2)), raw_models=np.zeros((2, 2)),
+    )
