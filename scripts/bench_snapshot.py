@@ -11,13 +11,16 @@ For every workload named in BENCHMARK.json and every seed, this runs
 and reads the result file that run.py writes to benchmarks/out/. The
 snapshot holds the git SHA, the machine and the BLAS, whether Python
 could cache bytecode, and per workload the median, min and max over the
-seeds of each end-to-end metric (wall_s, setup_s, peak_rss_mb). It adds
-the median and quartiles of the seconds per stage of
-run_simulation(cfg, stage_seconds), run in this process on the configs
-that benchmarks/workloads.py builds, because the benchmark's child
-process passes no stage dict. The stage figures are measured when the
-file is written, and "stage_seconds_measured" says when: with --no-run
-they are not interleaved with another checkout's runs.
+seeds of each end-to-end metric (wall_s, setup_s, peak_rss_mb) and of
+the median calibration probe that run.py records beside them, which
+tells a loaded machine from a slower checkout. It adds the median and
+quartiles of the seconds per stage of run_simulation(cfg, stage_seconds)
+followed by emit_outputs into a temporary directory ("emit"), run in
+this process on the configs that benchmarks/workloads.py builds, because
+the benchmark's child process passes no stage dict. The stage figures
+are measured when the file is written, and "stage_seconds_measured"
+says when: with --no-run they are not interleaved with another
+checkout's runs.
 
 --no-run runs no benchmark and reads the result files already in
 benchmarks/out/, refusing any written from other src/edgefl sources. To compare
@@ -33,6 +36,7 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -74,20 +78,21 @@ def quartiles(values: list[float]) -> list[float]:
 
 def stage_seconds(workloads, name: str, seeds: list[int]) -> dict:
     """Median and quartiles of the seconds per stage over STAGE_REPEATS
-    in-process runs per seed, measured now."""
+    in-process runs per seed, each followed by its emit, measured now."""
     from edgefl.config import validate_config
-    from edgefl.simulation import run_simulation
+    from edgefl.simulation import emit_outputs, run_simulation
 
     workload = workloads.WORKLOADS[name]
     text = (ROOT / workload.config).read_text()
     samples: list[dict[str, float]] = []
-    for seed in seeds:
-        cfg = validate_config(text, workload.overrides_for(seed, BENCH / "out" / "unused"))
-        run_simulation(cfg)
-        for _ in range(STAGE_REPEATS):
-            stages: dict[str, float] = {}
-            run_simulation(cfg, stages)
-            samples.append(stages)
+    with tempfile.TemporaryDirectory() as out_dir:
+        for seed in seeds:
+            cfg = validate_config(text, workload.overrides_for(seed, Path(out_dir)))
+            emit_outputs(run_simulation(cfg), cfg)
+            for _ in range(STAGE_REPEATS):
+                stages: dict[str, float] = {}
+                emit_outputs(run_simulation(cfg, stages), cfg, stage_seconds=stages)
+                samples.append(stages)
     seconds = {stage: [s[stage] for s in samples] for stage in samples[0]}
     return {
         "stage_seconds_median": {k: statistics.median(v) for k, v in seconds.items()},
@@ -156,6 +161,9 @@ def main() -> int:
             "correct": all(not r["failures"] for r in results),
             "repetitions": sum(len(r["untraced_samples"]) for r in results),
             **{m: spread([r["metrics"][m]["value"] for r in results]) for m in END_TO_END},
+            "calibration_probe_s": spread(
+                [r["environment"]["calibration_probe_s"]["median"] for r in results]
+            ),
             **stage_seconds(workloads, name, args.seeds),
         }
 
