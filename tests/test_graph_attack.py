@@ -1241,8 +1241,8 @@ def test_model_graph_invariants_enforced():
                 adjacency=np.array(adjacency),
                 features=np.zeros((2, 2)), raw_models=np.zeros((2, 2)),
             )
-    # Within 1e-12 of each rule passes.
+    # Within the tolerance passes.
     ModelGraph(
-        adjacency=np.array([[1.0 - 1e-12, 0.5], [0.5 + 1e-12, 1.0]]),
+        adjacency=np.array([[1.0 - 5e-13, 0.5], [0.5 + 5e-13, 1.0 + 5e-13]]),
         features=np.zeros((2, 2)), raw_models=np.zeros((2, 2)),
     )
