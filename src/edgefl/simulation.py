@@ -18,7 +18,7 @@ from .data import Dataset, ShardStack, binarize, load_idx, partition_iid, synth_
 from .graph_attack import AttackDiagnostics, StackFailure, run_attack
 from .metrics import RoundRecord, test_accuracy, trace_summary
 from .numerics import Projector, RngStream, ensure_finite, euclidean_distance, timed
-from .training import LossKind, require_binary_labels, stack_loss, train_stack
+from .training import LossKind, require_binary_labels, train_stack
 
 ROUNDS_CSV_COLUMNS = [
     "round", "device_id", "is_malicious", "distance_to_global",
@@ -169,9 +169,11 @@ def run_simulation(
 ) -> list[RoundRecord]:
     """Execute the full round loop and return the per-round trace.
 
-    Every benign device trains in one batched step per iteration, split
-    into cfg.workers contiguous chunks on threads; all reductions use
+    Every benign device trains in cache-sized blocks of devices, each
+    block batched over its devices and scored at its trained models
+    before the next starts, on cfg.workers threads; all reductions use
     ascending device id so the trace is identical at any worker count.
+    The metrics stage only checks that those local losses are finite.
     Graph-autoencoder attackers run one group per eavesdrop set, in
     order of the group's lowest id, their encoders trained as one stack.
     A failure in any stage aborts with the round index and stage name; a
@@ -195,7 +197,7 @@ def run_simulation(
 
     for round_index in range(1, cfg.rounds + 1):
         with _stage("local training", stage_seconds, round_index):
-            local_models = train_stack(
+            local_models, local_losses = train_stack(
                 cfg.loss, global_params, shards, cfg.training,
                 setup.device_streams, cfg.workers,
             )
@@ -246,9 +248,7 @@ def run_simulation(
 
         with _stage("metrics", stage_seconds, round_index):
             losses = np.full(len(device_ids), np.nan)  # attackers hold no data
-            losses[: len(shards)] = ensure_finite(
-                "local loss", stack_loss(cfg.loss, local_models, shards, cfg.training.alpha)
-            )
+            losses[: len(shards)] = ensure_finite("local loss", local_losses)
             distances = euclidean_distance(models, new_global)
             accuracy = test_accuracy(cfg.loss, new_global, setup.test_set)
 

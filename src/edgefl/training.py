@@ -2,6 +2,7 @@
 and the local gradient-descent loop, run for every benign device of a
 round at once over a zero-padded :class:`ShardStack`."""
 
+import math
 from enum import Enum
 from typing import Sequence
 
@@ -10,6 +11,16 @@ import numpy as np
 from .numerics import RngStream, as_params, sigmoid
 from .data import ShardStack
 from .record import Record
+
+
+# Feature bytes per block of devices in train_stack, so that a block's
+# features stay in a 2 MiB L2 across all its steps and its loss. On
+# crowd_noise (3.2 MB of features), a 10-round run's local training plus
+# metrics took 17.7-20.0 ms with 1 MiB blocks, 17.3-20.4 with 2 MiB,
+# 21.7-23.5 with 512 KiB (numpy's per-call cost paid per block) and
+# 23.3-24.3 in one block (medians of 8 warm runs in each of 4 fresh
+# processes a size, 2-core Xeon).
+BLOCK_BYTES = 1 << 20
 
 
 class LossKind(str, Enum):
@@ -223,6 +234,7 @@ def _descend(kind, w_init, stack: ShardStack, settings: TrainSettings, rngs) -> 
             z = _margins(xs, Ws, z_held[:k, :c])
             z_finite[rows] = np.isfinite(z).all(axis=1)
             grad[rows] = _gradients(kind, xs, y[rows, :c], Ws, z, settings.alpha, grad_held[:k])
+            del xs  # a ragged group's gathered copy, freed before the next gather
         _require_finite(z_finite, "margins", t, stack.device_ids)
         W = W - settings.learning_rate * grad
         _require_finite(np.isfinite(W).all(axis=1), "model", t, stack.device_ids)
@@ -236,36 +248,51 @@ def train_stack(
     settings: TrainSettings,
     rngs: Sequence[RngStream],
     workers: int = 1,
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """Run local_iterations steps of gradient descent on every device of
-    the stack at once, each from w_init, which is never mutated; row k of
-    the result is device stack.device_ids[k]'s model.
+    the stack, each from w_init, which is never mutated, and return
+    (models, losses): row k of models is device stack.device_ids[k]'s
+    model and losses[k] its :func:`stack_loss` at that model.
 
     Full-batch by default; when settings.batch_size is set, each step
     draws each device's batch from its own stream rngs[k]. A non-finite
     margin or model raises :class:`Diverged` naming the device and the
-    iteration. workers > 1 trains contiguous chunks of the stack on that
-    many threads; every device gets the same bits at any chunking.
+    iteration; the losses are returned unchecked.
+
+    The devices train in contiguous blocks of about BLOCK_BYTES of
+    features, at least workers of them, and each block runs all its
+    steps and then its loss before the next starts, so its features are
+    read from cache after the first step. workers > 1 runs the blocks on
+    that many threads. Every device gets the same bits at any blocking.
+    Every block runs even when another fails, and the failure raised is
+    the one a single pass would hit first: any error other than
+    divergence, then the earliest check of the earliest iteration, then
+    the lowest device.
     """
     w_init = as_params(w_init)
-    chunks = min(workers, len(stack))
-    if chunks <= 1:
-        return _descend(kind, w_init, stack, settings, rngs)
-    bounds = [len(stack) * c // chunks for c in range(chunks + 1)]
+    n = len(stack)
+    blocks = min(n, max(workers, math.ceil(stack.x.nbytes / BLOCK_BYTES)))
+    bounds = [n * b // blocks for b in range(blocks + 1)]
 
-    def chunk(c: int) -> np.ndarray:
-        a, b = bounds[c], bounds[c + 1]
-        return _descend(kind, w_init, stack.rows(a, b), settings, rngs[a:b])
+    def block(b: int) -> tuple[np.ndarray, np.ndarray] | Exception:
+        a, e = bounds[b], bounds[b + 1]
+        part = stack.rows(a, e)
+        try:
+            W = _descend(kind, w_init, part, settings, rngs[a:e])
+            return W, stack_loss(kind, W, part, settings.alpha)
+        except Exception as exc:  # raised below, once every block has run
+            return exc
 
-    # Imported here: a single-worker run never needs the thread machinery.
-    from concurrent.futures import ThreadPoolExecutor
+    if workers > 1:
+        # Imported here: a single-worker run never needs the thread machinery.
+        from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(max_workers=chunks) as pool:
-        futures = [pool.submit(chunk, c) for c in range(chunks)]
-    # Raise what a single pass would have hit first: the earliest check
-    # of the earliest iteration, then the lowest device.
-    failures = [e for e in (f.exception() for f in futures) if e is not None]
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            done = list(pool.map(block, range(blocks)))
+    else:
+        done = [block(b) for b in range(blocks)]
+    failures = [r for r in done if isinstance(r, Exception)]
     if failures:
         raise min(failures, key=lambda e: getattr(e, "order", (-1, False)))
-    return np.concatenate([f.result() for f in futures])
-
+    models, losses = zip(*done)
+    return np.concatenate(models), np.concatenate(losses)

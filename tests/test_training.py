@@ -6,6 +6,7 @@ import pytest
 
 from edgefl.data import Dataset, ShardStack, partition_iid, synth_logistic
 from edgefl.numerics import RngStream
+from edgefl import training
 from edgefl.training import (
     LossKind,
     TrainSettings,
@@ -32,7 +33,8 @@ def _finite_difference(f, w, h=1e-6):
 
 def _train_one(kind, w_init, ds, settings, rng):
     """train_stack on ds as a stack of one device."""
-    return train_stack(kind, w_init, ShardStack.of(ds), settings, [rng])[0]
+    models, _ = train_stack(kind, w_init, ShardStack.of(ds), settings, [rng])
+    return models[0]
 
 
 def _one_row_loss(kind, w, x, y):
@@ -303,7 +305,7 @@ def test_train_stack_matches_per_device_loop_bit_for_bit(kind, batch_size, worke
                              batch_size=batch_size)
     w0 = np.linspace(-0.3, 0.3, stack.dim)
     streams = [RngStream(73, f"device-{i}") for i in stack.device_ids]
-    got = train_stack(kind, w0, stack, settings, streams, workers=workers)
+    got, got_losses = train_stack(kind, w0, stack, settings, streams, workers=workers)
     expected = [
         _reference_descent(kind, w0, shard, settings, RngStream(73, f"device-{i}"))
         for i, shard in zip(stack.device_ids, _shards(stack))
@@ -311,12 +313,57 @@ def test_train_stack_matches_per_device_loop_bit_for_bit(kind, batch_size, worke
     np.testing.assert_array_equal(got, np.stack(expected))
 
     losses = stack_loss(kind, got, stack, settings.alpha)
-    for k, (x, y) in enumerate(_shards(stack)):
-        z = x.T @ got[k]
-        per_sample = 0.5 * (z - y) ** 2 if kind == LossKind.LINEAR else \
-            _one_pass_logistic(z, y)
-        reg = settings.alpha * 0.5 * float(got[k] @ got[k])
-        assert losses[k] == float(np.mean(per_sample)) + reg
+    for k, shard in enumerate(_shards(stack)):
+        assert losses[k] == _reference_loss(kind, got[k], shard, settings.alpha)
+    np.testing.assert_array_equal(got_losses, losses)
+
+
+def _reference_loss(kind, w, shard, alpha):
+    """local_loss of one device at w on its own contiguous (d, m) block."""
+    x, y = shard
+    z = x.T @ w
+    per_sample = 0.5 * (z - y) ** 2 if kind == LossKind.LINEAR else _one_pass_logistic(z, y)
+    return float(np.mean(per_sample)) + alpha * 0.5 * float(w @ w)
+
+
+def _blocked_stack(kind, blocks=3, d=10, m=200):
+    """A stack of about blocks - 0.5 times training.BLOCK_BYTES of
+    features, devices holding m and m - 1 samples in turn."""
+    n = math.ceil((blocks - 0.5) * training.BLOCK_BYTES / (8 * d * m))
+    sizes = [m - k % 2 for k in range(n)]
+    stack = _unequal_stack(kind, sizes, d)
+    assert math.ceil(stack.x.nbytes / training.BLOCK_BYTES) == blocks
+    return stack
+
+
+@pytest.mark.parametrize("kind", [LossKind.LINEAR, LossKind.LOGISTIC])
+@pytest.mark.parametrize("batch_size", [None, 64])
+def test_train_stack_in_blocks_matches_the_per_device_loop_and_one_block(
+        kind, batch_size, monkeypatch):
+    stack = _blocked_stack(kind)
+    settings = TrainSettings(alpha=0.01, learning_rate=0.05, local_iterations=3,
+                             batch_size=batch_size)
+    w0 = np.linspace(-0.3, 0.3, stack.dim)
+
+    def run():
+        streams = [RngStream(79, f"device-{i}") for i in stack.device_ids]
+        return train_stack(kind, w0, stack, settings, streams)
+
+    losses_of = training.stack_loss
+    blocks = []
+    monkeypatch.setattr(training, "stack_loss", lambda *a: blocks.append(a) or losses_of(*a))
+    got, got_losses = run()
+    assert len(blocks) == 3
+    for k, (i, shard) in enumerate(zip(stack.device_ids, _shards(stack))):
+        expected = _reference_descent(kind, w0, shard, settings, RngStream(79, f"device-{i}"))
+        assert got[k].tobytes() == expected.tobytes()
+        assert got_losses[k] == _reference_loss(kind, expected, shard, settings.alpha)
+
+    monkeypatch.setattr(training, "BLOCK_BYTES", stack.x.nbytes)
+    one_block = run()
+    assert len(blocks) == 4
+    assert got.tobytes() == one_block[0].tobytes()
+    assert got_losses.tobytes() == one_block[1].tobytes()
 
 
 def test_a_minibatch_is_a_contiguous_feature_major_block_of_each_device_s_samples():
@@ -346,18 +393,25 @@ def test_train_stack_matches_per_device_loop_when_devices_share_a_count(kind, ba
 def test_round_loop_holds_at_most_two_and_a_half_device_sample_slabs():
     # A slab is one float64 per (device, sample). train_stack holds its
     # margins and residual in one slab for the whole call, and stack_loss
-    # two; fresh temporaries every step would peak above three.
+    # two; fresh temporaries every step would peak above three. With
+    # counts alternating 200 and 199, each count group of a block is
+    # gathered into a copy, which a gather of the whole stack at every
+    # step would make eleven slabs.
     n, m, d = 200, 200, 10
     rng = np.random.default_rng(77)
     stack = ShardStack(rng.normal(size=(n, d, m)),
                        rng.integers(0, 2, size=(n, m)).astype(float),
                        np.full(n, m), tuple(range(n)))
+    ragged = ShardStack(stack.x.copy(), stack.y.copy(), m - np.arange(n) % 2, stack.device_ids)
+    ragged.x[1::2, :, -1] = ragged.y[1::2, -1] = 0.0
     streams = [RngStream(78, f"device-{i}") for i in range(n)]
     W = rng.normal(size=(n, d))
     calls = {
         "train_stack": lambda: train_stack(LossKind.LOGISTIC, np.zeros(d), stack,
                                            TrainSettings(), streams),
         "stack_loss": lambda: stack_loss(LossKind.LOGISTIC, W, stack, alpha=0.001),
+        "train_stack, ragged": lambda: train_stack(LossKind.LOGISTIC, np.zeros(d), ragged,
+                                                   TrainSettings(), streams),
     }
     slabs = {}
     for name, call in calls.items():
@@ -398,6 +452,25 @@ def test_train_stack_reports_the_same_divergence_at_any_worker_count():
             train_stack(LossKind.LINEAR, np.ones(6), stack, settings, streams, workers)
         messages.add(str(err.value))
     assert len(messages) == 1 and "device 3:" in messages.pop()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_stack_reports_a_later_block_s_earlier_divergence():
+    # The first device of the first block fails later than the last
+    # device of the last block; every block runs, and the earlier
+    # failure is raised at any worker count.
+    stack = _blocked_stack(LossKind.LINEAR)
+    stack.x[0] *= 1e60
+    stack.x[-1] *= 1e150
+    settings = TrainSettings(alpha=0.0, learning_rate=1.0, local_iterations=5)
+    streams = [RngStream(0, f"device-{i}") for i in stack.device_ids]
+    messages = set()
+    for workers in (1, 2, 3):
+        with pytest.raises(FloatingPointError) as err:
+            train_stack(LossKind.LINEAR, np.ones(stack.dim), stack, settings, streams, workers)
+        messages.add(str(err.value))
+    assert messages == {f"device {stack.device_ids[-1]}: non-finite margins at iteration 1 "
+                        "(learning rate too large?)"}
 
 
 def test_train_settings_validation():
