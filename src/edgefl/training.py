@@ -13,13 +13,13 @@ from .data import ShardStack
 from .record import Record
 
 
-# Feature bytes per block of devices in train_stack, so that a block's
-# features stay in a 2 MiB L2 across all its steps and its loss. On
-# crowd_noise (3.2 MB of features), a 10-round run's local training plus
-# metrics took 17.7-20.0 ms with 1 MiB blocks, 17.3-20.4 with 2 MiB,
-# 21.7-23.5 with 512 KiB (numpy's per-call cost paid per block) and
-# 23.3-24.3 in one block (medians of 8 warm runs in each of 4 fresh
-# processes a size, 2-core Xeon).
+# Feature bytes per block of devices in a single-threaded train_stack,
+# so that a block's features stay in a 2 MiB L2 across all its steps and
+# its loss. On crowd_noise (3.2 MB of features), a 10-round run's local
+# training plus metrics took 17.7-20.0 ms with 1 MiB blocks, 17.3-20.4
+# with 2 MiB, 21.7-23.5 with 512 KiB (numpy's per-call cost paid per
+# block) and 23.3-24.3 in one block (medians of 8 warm runs in each of 4
+# fresh processes a size, 2-core Xeon).
 BLOCK_BYTES = 1 << 20
 
 
@@ -259,19 +259,21 @@ def train_stack(
     margin or model raises :class:`Diverged` naming the device and the
     iteration; the losses are returned unchecked.
 
-    The devices train in contiguous blocks of about BLOCK_BYTES of
-    features, at least workers of them, and each block runs all its
-    steps and then its loss before the next starts, so its features are
-    read from cache after the first step. workers > 1 runs the blocks on
-    that many threads. Every device gets the same bits at any blocking.
-    Every block runs even when another fails, and the failure raised is
-    the one a single pass would hit first: any error other than
-    divergence, then the earliest check of the earliest iteration, then
-    the lowest device.
+    The devices train in contiguous blocks, and each block runs all its
+    steps and then its loss. At workers=1 a block holds about
+    BLOCK_BYTES of features and runs before the next starts, so its
+    features are read from cache after the first step. workers > 1 runs
+    one block per thread: at 50 devices x 784 dims, where a device is a
+    block of its own, two threads running those blocks were no faster
+    than one, and two threads of 25 devices each were. Every device gets
+    the same bits at any blocking. Every block runs even when another
+    fails, and the failure raised is the one a single pass would hit
+    first: any error other than divergence, then the earliest check of
+    the earliest iteration, then the lowest device.
     """
     w_init = as_params(w_init)
     n = len(stack)
-    blocks = min(n, max(workers, math.ceil(stack.x.nbytes / BLOCK_BYTES)))
+    blocks = min(n, workers if workers > 1 else math.ceil(stack.x.nbytes / BLOCK_BYTES))
     bounds = [n * b // blocks for b in range(blocks + 1)]
 
     def block(b: int) -> tuple[np.ndarray, np.ndarray] | Exception:

@@ -345,9 +345,9 @@ def test_train_stack_in_blocks_matches_the_per_device_loop_and_one_block(
                              batch_size=batch_size)
     w0 = np.linspace(-0.3, 0.3, stack.dim)
 
-    def run():
+    def run(workers=1):
         streams = [RngStream(79, f"device-{i}") for i in stack.device_ids]
-        return train_stack(kind, w0, stack, settings, streams)
+        return train_stack(kind, w0, stack, settings, streams, workers)
 
     losses_of = training.stack_loss
     blocks = []
@@ -364,6 +364,13 @@ def test_train_stack_in_blocks_matches_the_per_device_loop_and_one_block(
     assert len(blocks) == 4
     assert got.tobytes() == one_block[0].tobytes()
     assert got_losses.tobytes() == one_block[1].tobytes()
+
+    # Threads take one block each, whatever BLOCK_BYTES.
+    monkeypatch.setattr(training, "BLOCK_BYTES", 1)
+    threaded = run(workers=2)
+    assert len(blocks) == 6
+    assert got.tobytes() == threaded[0].tobytes()
+    assert got_losses.tobytes() == threaded[1].tobytes()
 
 
 def test_a_minibatch_is_a_contiguous_feature_major_block_of_each_device_s_samples():
