@@ -169,10 +169,11 @@ def run_simulation(
 ) -> list[RoundRecord]:
     """Execute the full round loop and return the per-round trace.
 
-    Every benign device trains in cache-sized blocks of devices, each
-    block batched over its devices and scored at its trained models
-    before the next starts, on cfg.workers threads; all reductions use
-    ascending device id so the trace is identical at any worker count.
+    Every benign device trains in blocks of devices, each block batched
+    over its devices and scored at its trained models: cache-sized
+    blocks one after another at cfg.workers=1, one block per thread
+    otherwise; all reductions use ascending device id so the trace is
+    identical at any worker count.
     The metrics stage only checks that those local losses are finite.
     Graph-autoencoder attackers run one group per eavesdrop set, in
     order of the group's lowest id, their encoders trained as one stack.
