@@ -92,8 +92,9 @@ class ShardStack(Record):
         return self.x.shape[1]
 
     def rows(self, start: int, stop: int) -> "ShardStack":
-        """Devices start..stop-1 as a stack viewing the same block."""
-        return ShardStack(
+        """Devices start..stop-1 as a stack viewing the same block; the
+        slices of a checked stack need no check of their own."""
+        return ShardStack._unchecked(
             self.x[start:stop], self.y[start:stop],
             self.counts[start:stop], self.device_ids[start:stop],
         )

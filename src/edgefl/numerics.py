@@ -53,10 +53,14 @@ def as_params(values) -> np.ndarray:
     return arr
 
 
-def ensure_finite(name: str, values: np.ndarray) -> np.ndarray:
-    """Raise if the array holds NaN or infinities."""
-    if not np.isfinite(values).all():
-        raise FloatingPointError(f"{name} contains non-finite entries")
+def ensure_finite(name: str, values: np.ndarray, device_ids=None) -> np.ndarray:
+    """Raise if the array holds NaN or infinities; given one device id
+    per entry, the error names the device of the first such entry."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        at = "" if device_ids is None else \
+            f", the first at device {device_ids[int(np.argmin(finite))]}"
+        raise FloatingPointError(f"{name} contains non-finite entries{at}")
     return values
 
 

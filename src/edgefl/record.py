@@ -43,6 +43,15 @@ class Record:
     def _check(self) -> None:
         """Raise ValueError on a bad field; may settle fields."""
 
+    @classmethod
+    def _unchecked(cls, *values):
+        """A record of every field's value, in declaration order, built
+        without the constructor's checks: only for values that hold the
+        invariants by construction, such as a slice of a checked record."""
+        record = object.__new__(cls)
+        record.__dict__.update(zip(cls._fields, values))
+        return record
+
     def replace(self, **changes):
         """A copy with the given fields changed, checked again."""
         return type(self)(**{name: getattr(self, name) for name in self._init} | changes)

@@ -174,7 +174,8 @@ def run_simulation(
     blocks one after another at cfg.workers=1, one block per thread
     otherwise; all reductions use ascending device id so the trace is
     identical at any worker count.
-    The metrics stage only checks that those local losses are finite.
+    The metrics stage only checks that those local losses are finite,
+    naming the lowest device whose loss is not.
     Graph-autoencoder attackers run one group per eavesdrop set, in
     order of the group's lowest id, their encoders trained as one stack.
     A failure in any stage aborts with the round index and stage name; a
@@ -249,7 +250,7 @@ def run_simulation(
 
         with _stage("metrics", stage_seconds, round_index):
             losses = np.full(len(device_ids), np.nan)  # attackers hold no data
-            losses[: len(shards)] = ensure_finite("local loss", local_losses)
+            losses[: len(shards)] = ensure_finite("local loss", local_losses, shards.device_ids)
             distances = euclidean_distance(models, new_global)
             accuracy = test_accuracy(cfg.loss, new_global, setup.test_set)
 
@@ -310,15 +311,25 @@ def emit_outputs(
         # The rows csv.writer would write: no field here ever needs quoting.
         with _writing(rounds_path, newline="") as fh:
             fh.write(",".join(ROUNDS_CSV_COLUMNS) + "\r\n")
+            # Each row's ",device,flag," is formatted once per distinct
+            # pair of arrays: a run's records all share one pair.
+            pair, prefixes = (None, None), []
             for record in records:
-                accuracy = repr(float(record.test_accuracy))
-                fh.writelines(
-                    f"{record.round_index},{device},{int(bad)},{dist!r},{loss!r},{accuracy}\r\n"
-                    for device, bad, dist, loss in zip(
-                        record.device_ids.tolist(), record.is_malicious.tolist(),
-                        record.distance_to_global.tolist(), record.local_loss.tolist(),
+                if pair[0] is not record.device_ids or pair[1] is not record.is_malicious:
+                    pair = record.device_ids, record.is_malicious
+                    prefixes = [
+                        f",{device},{int(bad)},"
+                        for device, bad in zip(pair[0].tolist(), pair[1].tolist())
+                    ]
+                index = str(record.round_index)
+                tail = f",{float(record.test_accuracy)!r}\r\n"
+                fh.write("".join([
+                    f"{index}{prefix}{dist!r},{loss!r}{tail}"
+                    for prefix, dist, loss in zip(
+                        prefixes, record.distance_to_global.tolist(),
+                        record.local_loss.tolist(),
                     )
-                )
+                ]))
         written["rounds"] = rounds_path
 
         summary = {

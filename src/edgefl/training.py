@@ -223,21 +223,28 @@ def _descend(kind, w_init, stack: ShardStack, settings: TrainSettings, rngs) -> 
     z_held = np.empty((len(stack), settings.batch_size if sampled else int(counts.max())))
     grad_held = np.empty_like(W)
     grad = np.empty_like(W)
-    z_finite = np.empty(len(stack), dtype=bool)
     for t in range(settings.local_iterations):
         if sampled:
             x, y, counts = _minibatch(stack, settings.batch_size, rngs)
             groups = _by_count(counts)
+        # One whole-array test per group; per-device flags only once one
+        # fails, over every group, so the lowest failing device is named.
+        z_finite = None
         for rows, c in groups:
             xs, Ws = x[rows, :, :c], W[rows]
             k = len(Ws)
             z = _margins(xs, Ws, z_held[:k, :c])
-            z_finite[rows] = np.isfinite(z).all(axis=1)
+            if not np.isfinite(z).all():
+                if z_finite is None:
+                    z_finite = np.ones(len(stack), dtype=bool)
+                z_finite[rows] = np.isfinite(z).all(axis=1)
             grad[rows] = _gradients(kind, xs, y[rows, :c], Ws, z, settings.alpha, grad_held[:k])
             del xs  # a ragged group's gathered copy, freed before the next gather
-        _require_finite(z_finite, "margins", t, stack.device_ids)
+        if z_finite is not None:
+            _require_finite(z_finite, "margins", t, stack.device_ids)
         W = W - settings.learning_rate * grad
-        _require_finite(np.isfinite(W).all(axis=1), "model", t, stack.device_ids)
+        if not np.isfinite(W).all():
+            _require_finite(np.isfinite(W).all(axis=1), "model", t, stack.device_ids)
     return W
 
 
@@ -296,5 +303,7 @@ def train_stack(
     failures = [r for r in done if isinstance(r, Exception)]
     if failures:
         raise min(failures, key=lambda e: getattr(e, "order", (-1, False)))
+    if blocks == 1:
+        return done[0]
     models, losses = zip(*done)
     return np.concatenate(models), np.concatenate(losses)

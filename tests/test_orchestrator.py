@@ -562,7 +562,9 @@ def test_overflowing_local_loss_names_round_and_stage():
         MINIMAL, overrides=["loss=linear", "training.learning_rate=1e60",
                             "training.local_iterations=3"]
     )
-    with pytest.raises(RuntimeError, match="round 1, stage metrics: local loss"):
+    with pytest.raises(RuntimeError,
+                       match=r"^round 1, stage metrics: local loss contains non-finite "
+                             r"entries, the first at device 1$"):
         run_simulation(cfg)
 
 
@@ -638,8 +640,23 @@ def test_rounds_csv_equals_csv_writer_output(tmp_path):
         local_loss=np.array([1 / 3, float("nan"), float("nan")]),
         test_accuracy=np.float64(0.1),
     ))
+    # Each of two more records shares one array with the record before
+    # it, device ids and then flags: each row takes its own record's.
+    flags = np.array([True, False, False])
+    for round_index, device_ids, is_malicious in (
+            (5, records[-1].device_ids, flags), (6, np.array([7, 8, 9], dtype=np.int64), flags)):
+        records.append(RoundRecord(
+            round_index=round_index, global_params=np.zeros(4), device_ids=device_ids,
+            is_malicious=is_malicious, models=np.zeros((3, 4)),
+            distance_to_global=np.array([1.0, 2.0, 3.0]), local_loss=np.array([0.5, 0.25, 0.125]),
+            test_accuracy=np.float64(0.5),
+        ))
     written = emit_outputs(records, cfg.replace(output_dir=str(tmp_path)))
     assert written["rounds"].read_bytes() == _csv_writer_rounds(records)
+    assert written["rounds"].read_text().splitlines()[-6:] == [
+        "5,1,1,1.0,0.5,0.5", "5,2,0,2.0,0.25,0.5", "5,3,0,3.0,0.125,0.5",
+        "6,7,1,1.0,0.5,0.5", "6,8,0,2.0,0.25,0.5", "6,9,0,3.0,0.125,0.5",
+    ]
 
 
 def test_emit_outputs_no_attack_diag_for_benign_runs(tmp_path):

@@ -480,6 +480,52 @@ def test_train_stack_reports_a_later_block_s_earlier_divergence():
                         "(learning rate too large?)"}
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_stack_names_the_lower_of_two_devices_failing_in_different_groups():
+    # Devices 2 (200 samples) and 3 (137) sit in different count groups,
+    # and device 3's group is trained first; both diverge at iteration 1,
+    # so the margins check must scan every group of the block.
+    settings = TrainSettings(alpha=0.0, learning_rate=1.0, local_iterations=5)
+
+    def message(scaled, workers):
+        stack = _unequal_stack(LossKind.LINEAR)
+        stack.x[scaled] *= 1e150
+        streams = [RngStream(0, f"device-{i}") for i in stack.device_ids]
+        with pytest.raises(FloatingPointError) as err:
+            train_stack(LossKind.LINEAR, np.ones(6), stack, settings, streams, workers)
+        return str(err.value)
+
+    assert message([2], 1) == ("device 3: non-finite margins at iteration 1 "
+                               "(learning rate too large?)")
+    for workers in (1, 2, 3):
+        assert message([1, 2], workers) == ("device 2: non-finite margins at iteration 1 "
+                                            "(learning rate too large?)")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_stack_names_a_logistic_device_whose_margins_overflow_under_finite_models():
+    # Device 5's features are 1e300: its first step leaves a finite model
+    # near 5e298, whose margins overflow to +inf at iteration 1. The
+    # sigmoid keeps that step's gradient, and so the next model, finite:
+    # only the margins check can catch it.
+    m = 4
+    x = np.ones((3, 1, m))
+    x[1] *= 1e300
+    stack = ShardStack(x, np.ones((3, m)), np.full(3, m), (4, 5, 6))
+    settings = TrainSettings(alpha=0.0, learning_rate=0.1, local_iterations=1)
+    streams = [RngStream(0, f"device-{i}") for i in stack.device_ids]
+    models, _ = train_stack(LossKind.LOGISTIC, np.zeros(1), stack, settings, streams)
+    device = Dataset(stack.x[1].T.copy(), stack.y[1])
+    assert np.isinf(device.x @ models[1]).all()
+    grad = local_gradient(LossKind.LOGISTIC, models[1], device, 0.0)
+    assert np.isfinite(models).all() and np.isfinite(models[1] - 0.1 * grad).all()
+    with pytest.raises(FloatingPointError) as err:
+        train_stack(LossKind.LOGISTIC, np.zeros(1), stack,
+                    settings.replace(local_iterations=3), streams)
+    assert str(err.value) == ("device 5: non-finite margins at iteration 1 "
+                              "(learning rate too large?)")
+
+
 def test_train_settings_validation():
     with pytest.raises(ValueError, match="alpha"):
         TrainSettings(alpha=1.5)
